@@ -1,8 +1,8 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * `ablation_incremental` — sliding-window metrics via the streaming
-//!   `CountMultiset` versus rebuilding each window's distribution from
-//!   scratch versus the engine's add/remove distribution path.
+//! * `ablation_incremental` — sliding-window metrics by rebuilding each
+//!   window's distribution from scratch versus the engine's add/remove
+//!   distribution path.
 //! * `ablation_zonemap` — pruned versus unpruned range scans.
 //! * `ablation_encoding` — delta-varint versus plain-varint versus
 //!   frame-of-reference bit-packing, encode+decode round trip.
@@ -10,7 +10,6 @@
 use blockdec_bench::Dataset;
 use blockdec_core::distribution::ProducerDistribution;
 use blockdec_core::engine::MeasurementEngine;
-use blockdec_core::incremental::StreamingSlidingEngine;
 use blockdec_core::metrics::MetricKind;
 use blockdec_core::windows::sliding::SlidingWindowSpec;
 use blockdec_store::encoding::{decode_column, encode_column, Codec};
@@ -43,13 +42,6 @@ fn ablation_incremental(c: &mut Criterion) {
     group.bench_function("engine_add_remove", |b| {
         let engine = MeasurementEngine::new(MetricKind::ShannonEntropy).sliding_spec(spec);
         b.iter(|| black_box(engine.run(blocks)))
-    });
-
-    // Fully streaming: CountMultiset keeps entropy aggregates under
-    // single-block updates (integer credits only).
-    group.bench_function("streaming_count_multiset", |b| {
-        let engine = StreamingSlidingEngine::new(MetricKind::ShannonEntropy, spec);
-        b.iter(|| black_box(engine.run(blocks).expect("integer credits")))
     });
     group.finish();
 }

@@ -6,18 +6,18 @@
 //! **bitwise**: the emitted point sequence is `assert_eq!`-equal to what
 //! [`crate::engine::MeasurementEngine`] (and therefore
 //! [`crate::planner::MatrixPlan`]) computes over the same final stream,
-//! because the delta path replays the batch engine's exact
-//! [`ProducerDistribution::add_credits`] / [`ProducerDistribution::remove_credits`]
-//! call sequence — same calls, same order, same f64 rounding.
+//! because the stream drives the same slide step of the
+//! windowed-evaluation core over the same blocks in the same order.
 //!
-//! Two window families stream:
+//! Pushed blocks wait in one set of flat [`BlockColumns`]. Two window
+//! families stream:
 //!
-//! * **sliding block windows** — a ring of the last `size + step` blocks
-//!   plus one carried distribution; window `i` is emitted as soon as block
-//!   `i·step + size − 1` arrives;
-//! * **fixed calendar windows** — per-bucket distributions with a small
-//!   *lag horizon* `K` (default 2): bucket `B` is emitted once a block of
-//!   bucket `≥ B + K` is seen, which tolerates miner timestamp jitter; a
+//! * **sliding block windows** — window `i` is emitted as soon as block
+//!   `i·step + size − 1` arrives, by sliding one carried distribution; only
+//!   the blocks a later window may still remove are kept;
+//! * **fixed calendar windows** — bucket `B` is emitted once a block of
+//!   bucket `≥ B + 2` is seen (the lag horizon, which tolerates miner
+//!   timestamp jitter), rebuilt from its own blocks in arrival order; a
 //!   block landing in an already-emitted bucket is a
 //!   [`DeltaError::BucketRegression`].
 //!
@@ -25,19 +25,20 @@
 //! height)` before windowing and are therefore not streamable — use the
 //! batch engine for those.
 
-use crate::distribution::ProducerDistribution;
 use crate::metrics::MetricKind;
 use crate::series::{MeasurementPoint, WindowLabel};
+use crate::window::{Blocks, Slider, Windows};
 use crate::windows::sliding::SlidingWindowSpec;
-use blockdec_chain::{AttributedBlock, Granularity, ProducerId, Timestamp};
-use std::collections::{BTreeMap, VecDeque};
+use blockdec_chain::{
+    AttributedBlock, BlockColumns, ColumnsSlice, Granularity, ProducerId, Timestamp,
+};
+use std::collections::VecDeque;
 use std::fmt;
-use std::ops::Range;
 
-/// Default fixed-calendar lag horizon: buckets are held until a block two
+/// Fixed-calendar lag horizon: buckets are held until a block two
 /// buckets later is seen, which covers the simulator's ±130 s timestamp
 /// jitter (and real-chain jitter) at every paper granularity.
-pub const DEFAULT_BUCKET_LAG: i64 = 2;
+const BUCKET_LAG: i64 = 2;
 
 /// Errors from pushing a block into a delta stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,6 +50,15 @@ pub enum DeltaError {
         bucket: i64,
         /// Highest bucket already emitted.
         emitted_through: i64,
+    },
+    /// A block was pushed after [`MetricDeltaStream::finish`].
+    Finished,
+    /// A block's producer and weight columns differ in length.
+    CreditColumns {
+        /// Length of the producer column.
+        producers: usize,
+        /// Length of the weight column.
+        weights: usize,
     },
 }
 
@@ -63,63 +73,69 @@ impl fmt::Display for DeltaError {
                 "block falls in calendar bucket {bucket} but buckets through \
                  {emitted_through} were already emitted (increase the lag horizon)"
             ),
+            DeltaError::Finished => f.write_str("block pushed after the stream finished"),
+            DeltaError::CreditColumns { producers, weights } => write!(
+                f,
+                "block has {producers} producers but {weights} weights; \
+                 credit columns must be parallel"
+            ),
         }
     }
 }
 
 impl std::error::Error for DeltaError {}
 
-/// What a buffered block contributes: position, time, and flat credit
-/// columns (mirroring the store's columnar layout).
-#[derive(Clone, Debug)]
-struct Contribution {
+/// `cols` read at stream positions: stream block `base + i` is block `i`
+/// of `cols`.
+struct Offset<'a> {
+    cols: ColumnsSlice<'a>,
+    base: usize,
+}
+
+impl Blocks for Offset<'_> {
+    fn height(&self, i: usize) -> u64 {
+        self.cols.height(i - self.base)
+    }
+
+    fn timestamp(&self, i: usize) -> Timestamp {
+        self.cols.timestamp(i - self.base)
+    }
+
+    fn credits(&self, i: usize) -> (&[ProducerId], &[f64]) {
+        self.cols.credits(i - self.base)
+    }
+}
+
+/// Append one block and its credits to `cols`.
+fn push_into(
+    cols: &mut BlockColumns,
     height: u64,
     timestamp: Timestamp,
-    producers: Vec<ProducerId>,
-    weights: Vec<f64>,
-}
-
-/// Sliding-mode state: the engine's one carried distribution plus a ring
-/// of the blocks a future window may still remove.
-#[derive(Debug)]
-struct SlidingState {
-    spec: SlidingWindowSpec,
-    dist: ProducerDistribution,
-    /// Blocks at global indices `base..base + ring.len()`.
-    ring: VecDeque<Contribution>,
-    base: usize,
-    total: usize,
-    prev: Option<Range<usize>>,
-    next_window: usize,
-}
-
-/// One calendar bucket being accumulated (the batch path's fresh
-/// per-bucket distribution, grown in stream order).
-#[derive(Debug)]
-struct BucketAcc {
-    dist: ProducerDistribution,
-    first_height: u64,
-    first_time: Timestamp,
-    last_height: u64,
-    last_time: Timestamp,
-    blocks: u64,
-}
-
-/// Fixed-mode state: open buckets ordered by bucket index.
-#[derive(Debug)]
-struct FixedState {
-    granularity: Granularity,
-    origin: Timestamp,
-    lag: i64,
-    open: BTreeMap<i64, BucketAcc>,
-    max_seen: Option<i64>,
-    emitted_through: Option<i64>,
+    credits: impl Iterator<Item = (ProducerId, f64)>,
+) {
+    cols.push_block(height, timestamp);
+    for (producer, weight) in credits {
+        cols.push_credit(producer, weight);
+    }
 }
 
 #[derive(Debug)]
 enum Mode {
-    Sliding(SlidingState),
-    Fixed(FixedState),
+    /// The held blocks start at stream block `base`; `slider` holds the
+    /// last window emitted.
+    Sliding {
+        spec: SlidingWindowSpec,
+        next_window: usize,
+        base: usize,
+        slider: Slider,
+    },
+    /// The held blocks are those of every bucket not yet emitted.
+    Fixed {
+        granularity: Granularity,
+        origin: Timestamp,
+        max_seen: Option<i64>,
+        emitted_through: Option<i64>,
+    },
 }
 
 /// A push-driven measurement stream: feed finalized blocks in canonical
@@ -132,57 +148,45 @@ enum Mode {
 pub struct MetricDeltaStream {
     metric: MetricKind,
     mode: Mode,
+    /// Pushed blocks a later window may still need, in arrival order.
+    held: BlockColumns,
     ready: VecDeque<MeasurementPoint>,
     finished: bool,
 }
 
 impl MetricDeltaStream {
+    fn with_mode(metric: MetricKind, mode: Mode) -> MetricDeltaStream {
+        MetricDeltaStream {
+            metric,
+            mode,
+            held: BlockColumns::new(),
+            ready: VecDeque::new(),
+            finished: false,
+        }
+    }
+
     /// Stream a metric over sliding block windows.
     pub fn sliding(metric: MetricKind, spec: SlidingWindowSpec) -> MetricDeltaStream {
-        MetricDeltaStream {
-            metric,
-            mode: Mode::Sliding(SlidingState {
-                spec,
-                dist: ProducerDistribution::new(),
-                ring: VecDeque::new(),
-                base: 0,
-                total: 0,
-                prev: None,
-                next_window: 0,
-            }),
-            ready: VecDeque::new(),
-            finished: false,
-        }
+        let mode = Mode::Sliding {
+            spec,
+            next_window: 0,
+            base: 0,
+            slider: Slider::default(),
+        };
+        MetricDeltaStream::with_mode(metric, mode)
     }
 
-    /// Stream a metric over fixed calendar windows with the default lag
-    /// horizon ([`DEFAULT_BUCKET_LAG`]).
+    /// Stream a metric over fixed calendar windows. A bucket is emitted
+    /// once a block two buckets later arrives, or at
+    /// [`MetricDeltaStream::finish`].
     pub fn fixed(metric: MetricKind, granularity: Granularity, origin: Timestamp) -> Self {
-        MetricDeltaStream::fixed_with_lag(metric, granularity, origin, DEFAULT_BUCKET_LAG)
-    }
-
-    /// Stream a metric over fixed calendar windows, holding each bucket
-    /// until a block `lag` buckets later is seen (`lag ≥ 1`).
-    pub fn fixed_with_lag(
-        metric: MetricKind,
-        granularity: Granularity,
-        origin: Timestamp,
-        lag: i64,
-    ) -> MetricDeltaStream {
-        assert!(lag >= 1, "bucket lag must be at least 1");
-        MetricDeltaStream {
-            metric,
-            mode: Mode::Fixed(FixedState {
-                granularity,
-                origin,
-                lag,
-                open: BTreeMap::new(),
-                max_seen: None,
-                emitted_through: None,
-            }),
-            ready: VecDeque::new(),
-            finished: false,
-        }
+        let mode = Mode::Fixed {
+            granularity,
+            origin,
+            max_seen: None,
+            emitted_through: None,
+        };
+        MetricDeltaStream::with_mode(metric, mode)
     }
 
     /// The metric being streamed.
@@ -193,12 +197,12 @@ impl MetricDeltaStream {
     /// The window label carried by batch series over the same spec.
     pub fn label(&self) -> WindowLabel {
         match &self.mode {
-            Mode::Sliding(s) => WindowLabel::SlidingBlocks {
-                size: s.spec.size,
-                step: s.spec.step,
+            Mode::Sliding { spec, .. } => WindowLabel::SlidingBlocks {
+                size: spec.size,
+                step: spec.step,
             },
-            Mode::Fixed(s) => WindowLabel::FixedCalendar {
-                granularity: s.granularity.label().to_string(),
+            Mode::Fixed { granularity, .. } => WindowLabel::FixedCalendar {
+                granularity: granularity.label().to_string(),
             },
         }
     }
@@ -206,9 +210,6 @@ impl MetricDeltaStream {
     /// Push one finalized block (flat credit columns). Completed windows
     /// queue up for [`MetricDeltaStream::poll`] / iteration; the return
     /// value is how many completed on this push.
-    ///
-    /// # Panics
-    /// If called after [`MetricDeltaStream::finish`].
     pub fn push(
         &mut self,
         height: u64,
@@ -216,157 +217,142 @@ impl MetricDeltaStream {
         producers: &[ProducerId],
         weights: &[f64],
     ) -> Result<usize, DeltaError> {
-        assert!(!self.finished, "push after finish()");
-        debug_assert_eq!(producers.len(), weights.len(), "parallel credit columns");
-        let c = Contribution {
-            height,
-            timestamp,
-            producers: producers.to_vec(),
-            weights: weights.to_vec(),
-        };
-        let before = self.ready.len();
-        match &mut self.mode {
-            Mode::Sliding(s) => {
-                s.ring.push_back(c);
-                s.total += 1;
-                Self::drain_sliding(&mut self.ready, self.metric, s);
-            }
-            Mode::Fixed(s) => Self::push_fixed(&mut self.ready, self.metric, s, c)?,
+        if producers.len() != weights.len() {
+            return Err(DeltaError::CreditColumns {
+                producers: producers.len(),
+                weights: weights.len(),
+            });
         }
-        Ok(self.ready.len() - before)
+        let credits = producers.iter().copied().zip(weights.iter().copied());
+        self.accept(height, timestamp, credits)
     }
 
     /// [`MetricDeltaStream::push`] from an [`AttributedBlock`].
     pub fn push_block(&mut self, block: &AttributedBlock) -> Result<usize, DeltaError> {
-        let producers: Vec<ProducerId> = block.credits.iter().map(|c| c.producer).collect();
-        let weights: Vec<f64> = block.credits.iter().map(|c| c.weight).collect();
-        self.push(block.height, block.timestamp, &producers, &weights)
+        let credits = block.credits.iter().map(|c| (c.producer, c.weight));
+        self.accept(block.height, block.timestamp, credits)
     }
 
-    /// Emit every sliding window that is now complete, replaying the batch
-    /// engine's add/remove sequence verbatim.
-    fn drain_sliding(
-        ready: &mut VecDeque<MeasurementPoint>,
-        metric: MetricKind,
-        s: &mut SlidingState,
-    ) {
-        while let Some(range) = s.spec.window_range(s.next_window, s.total) {
-            let at = |i: usize| &s.ring[i - s.base];
-            match s.prev.take() {
-                Some(p) if p.end > range.start => {
-                    for b in p.start..range.start {
-                        let c = at(b);
-                        s.dist.remove_credits(&c.producers, &c.weights);
-                    }
-                    for b in p.end..range.end {
-                        let c = at(b);
-                        s.dist.add_credits(&c.producers, &c.weights);
+    fn accept(
+        &mut self,
+        height: u64,
+        timestamp: Timestamp,
+        credits: impl Iterator<Item = (ProducerId, f64)>,
+    ) -> Result<usize, DeltaError> {
+        if self.finished {
+            return Err(DeltaError::Finished);
+        }
+        let before = self.ready.len();
+        match &mut self.mode {
+            Mode::Sliding { .. } => {
+                push_into(&mut self.held, height, timestamp, credits);
+                self.drain_sliding();
+            }
+            Mode::Fixed {
+                granularity,
+                origin,
+                max_seen,
+                emitted_through,
+            } => {
+                let bucket = timestamp.bucket(*granularity, *origin);
+                if let Some(done) = *emitted_through {
+                    if bucket <= done {
+                        return Err(DeltaError::BucketRegression {
+                            bucket,
+                            emitted_through: done,
+                        });
                     }
                 }
-                _ => {
-                    s.dist.clear();
-                    for b in range.clone() {
-                        let c = at(b);
-                        s.dist.add_credits(&c.producers, &c.weights);
-                    }
+                push_into(&mut self.held, height, timestamp, credits);
+                // Every held block lies above the last horizon, so a
+                // bucket can only fall due when the horizon advances or
+                // this block lands at or below it.
+                let advanced = max_seen.is_none_or(|m| bucket > m);
+                let seen = max_seen.map_or(bucket, |m| m.max(bucket));
+                *max_seen = Some(seen);
+                let horizon = seen - BUCKET_LAG;
+                if advanced || bucket <= horizon {
+                    self.drain_fixed(horizon);
                 }
             }
-            let first = at(range.start);
-            let last = at(range.end - 1);
-            ready.push_back(MeasurementPoint {
-                index: s.next_window as i64,
-                start_height: first.height,
-                end_height: last.height,
-                start_time: first.timestamp,
-                end_time: last.timestamp,
-                blocks: range.len() as u64,
-                producers: s.dist.producers() as u64,
-                value: metric.compute(&s.dist.weight_vector()),
-            });
-            s.prev = Some(range.clone());
-            s.next_window += 1;
-            // The next window removes nothing below its predecessor's
-            // start; everything earlier can leave the ring.
-            while s.base < range.start {
-                s.ring.pop_front();
-                s.base += 1;
-            }
+        }
+        Ok(self.ready.len() - before)
+    }
+
+    /// Emit every sliding window that is now complete.
+    fn drain_sliding(&mut self) {
+        let Mode::Sliding {
+            spec,
+            next_window,
+            base,
+            slider,
+        } = &mut self.mode
+        else {
+            return;
+        };
+        while let Some(range) = spec.window_range(*next_window, *base + self.held.len()) {
+            let held = Offset {
+                cols: self.held.as_slice(),
+                base: *base,
+            };
+            let ready = &mut self.ready;
+            slider.window(
+                &held,
+                *next_window as i64,
+                range.clone(),
+                &[self.metric],
+                |_, point| ready.push_back(point),
+            );
+            *next_window += 1;
+            // The next window removes nothing below this one's start.
+            let len = self.held.len();
+            self.held = self.held.slice(range.start - *base, len).to_columns();
+            *base = range.start;
         }
     }
 
-    /// Route one block to its calendar bucket, then emit every bucket now
-    /// outside the lag horizon.
-    fn push_fixed(
-        ready: &mut VecDeque<MeasurementPoint>,
-        metric: MetricKind,
-        s: &mut FixedState,
-        c: Contribution,
-    ) -> Result<(), DeltaError> {
-        let bucket = c.timestamp.bucket(s.granularity, s.origin);
-        if let Some(done) = s.emitted_through {
-            if bucket <= done {
-                return Err(DeltaError::BucketRegression {
-                    bucket,
-                    emitted_through: done,
-                });
-            }
+    /// Emit every held bucket `≤ horizon`, ascending — the batch path's
+    /// bucket order — and keep only the blocks of later buckets.
+    fn drain_fixed(&mut self, horizon: i64) {
+        let Mode::Fixed {
+            granularity,
+            origin,
+            emitted_through,
+            ..
+        } = &mut self.mode
+        else {
+            return;
+        };
+        let held = self.held.as_slice();
+        let buckets: Vec<i64> = (0..held.len())
+            .map(|i| held.timestamp(i).bucket(*granularity, *origin))
+            .collect();
+        let windows = Windows::by_bucket(&buckets);
+        let due = windows.ranges.partition_point(|(b, _)| *b <= horizon);
+        if due == 0 {
+            return;
         }
-        let acc = s.open.entry(bucket).or_insert_with(|| BucketAcc {
-            dist: ProducerDistribution::new(),
-            first_height: c.height,
-            first_time: c.timestamp,
-            last_height: c.height,
-            last_time: c.timestamp,
-            blocks: 0,
-        });
-        acc.dist.add_credits(&c.producers, &c.weights);
-        acc.last_height = c.height;
-        acc.last_time = c.timestamp;
-        acc.blocks += 1;
-        s.max_seen = Some(s.max_seen.map_or(bucket, |m| m.max(bucket)));
-        let horizon = s.max_seen.unwrap_or(bucket) - s.lag;
-        Self::drain_fixed(ready, metric, s, horizon);
-        Ok(())
-    }
-
-    /// Emit open buckets `≤ horizon`, ascending — the batch path's bucket
-    /// order.
-    fn drain_fixed(
-        ready: &mut VecDeque<MeasurementPoint>,
-        metric: MetricKind,
-        s: &mut FixedState,
-        horizon: i64,
-    ) {
-        while let Some(entry) = s.open.first_entry() {
-            if *entry.key() > horizon {
-                break;
-            }
-            let (bucket, acc) = entry.remove_entry();
-            ready.push_back(MeasurementPoint {
-                index: bucket,
-                start_height: acc.first_height,
-                end_height: acc.last_height,
-                start_time: acc.first_time,
-                end_time: acc.last_time,
-                blocks: acc.blocks,
-                producers: acc.dist.producers() as u64,
-                value: metric.compute(&acc.dist.weight_vector()),
-            });
-            s.emitted_through = Some(bucket);
+        *emitted_through = Some(windows.ranges[due - 1].0);
+        let points = windows.evaluate(&held, 0..due, &[self.metric]);
+        self.ready.extend(points.into_iter().flatten());
+        let mut kept = BlockColumns::new();
+        for i in (0..held.len()).filter(|&i| buckets[i] > horizon) {
+            let (producers, weights) = held.credits(i);
+            let credits = producers.iter().copied().zip(weights.iter().copied());
+            push_into(&mut kept, held.height(i), held.timestamp(i), credits);
         }
+        self.held = kept;
     }
 
     /// End of stream: flush windows that were only held back by the lag
     /// horizon (fixed mode; sliding windows either completed or never
-    /// will). Idempotent.
+    /// will). Idempotent; later pushes return [`DeltaError::Finished`].
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        if let Mode::Fixed(s) = &mut self.mode {
-            Self::drain_fixed(&mut self.ready, self.metric, s, i64::MAX);
-        }
+        self.drain_fixed(i64::MAX);
     }
 
     /// Take the next completed point, if any.
@@ -490,13 +476,11 @@ mod tests {
         for b in &blocks {
             s.push_block(b).unwrap();
             while s.poll().is_some() {}
-            if let Mode::Sliding(state) = &s.mode {
-                assert!(
-                    state.ring.len() <= spec.size + spec.step,
-                    "ring grew to {}",
-                    state.ring.len()
-                );
-            }
+            assert!(
+                s.held.len() <= spec.size + spec.step,
+                "held blocks grew to {}",
+                s.held.len()
+            );
         }
     }
 
@@ -545,9 +529,40 @@ mod tests {
     }
 
     #[test]
+    fn push_after_finish_is_an_error() {
+        let mut s = MetricDeltaStream::sliding(MetricKind::Gini, SlidingWindowSpec::new(2, 1));
+        s.push(1, Timestamp(0), &[ProducerId(0)], &[1.0]).unwrap();
+        s.finish();
+        let err = s
+            .push(2, Timestamp(600), &[ProducerId(1)], &[1.0])
+            .unwrap_err();
+        assert_eq!(err, DeltaError::Finished);
+        assert_eq!(s.ready_len(), 0);
+    }
+
+    #[test]
+    fn mismatched_credit_columns_are_an_error() {
+        let mut s = MetricDeltaStream::sliding(MetricKind::Gini, SlidingWindowSpec::new(1, 1));
+        let err = s
+            .push(1, Timestamp(0), &[ProducerId(0), ProducerId(1)], &[1.0])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DeltaError::CreditColumns {
+                producers: 2,
+                weights: 1
+            }
+        );
+        // The rejected block was not taken in: the next one is window 0.
+        assert_eq!(s.push(2, Timestamp(600), &[ProducerId(3)], &[1.0]), Ok(1));
+        let p = s.poll().unwrap();
+        assert_eq!((p.index, p.start_height, p.producers), (0, 2, 1));
+    }
+
+    #[test]
     fn fractional_credits_stream_fine() {
-        // Unlike CountMultiset, the distribution path handles fractional
-        // attribution — parity with the batch engine, not an approximation.
+        // Fractional attribution streams with parity to the batch engine,
+        // not an approximation.
         let o = Timestamp::year_2019_start().secs();
         let blocks: Vec<AttributedBlock> = (0..60)
             .map(|i| AttributedBlock {

@@ -10,12 +10,11 @@
 //! chains) windows and accumulates each unique window stream once instead
 //! of once per configuration.
 
-use crate::distribution::ProducerDistribution;
 use crate::metrics::MetricKind;
-use crate::series::{MeasurementPoint, MeasurementSeries, WindowLabel};
-use crate::windows::fixed::fixed_calendar_windows_columns;
+use crate::series::{MeasurementSeries, WindowLabel};
+use crate::window::Windows;
 use crate::windows::sliding::SlidingWindowSpec;
-use crate::windows::sliding_time::{time_windows_columns, TimeWindowSpec};
+use crate::windows::sliding_time::TimeWindowSpec;
 use blockdec_chain::{AttributedBlock, BlockColumns, ColumnsSlice, Granularity, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -142,8 +141,9 @@ impl MeasurementEngine {
     }
 
     /// Measure a height-ordered columnar block stream. This is the
-    /// canonical path: every windowing family iterates the flat columns
-    /// directly and no per-block credit `Vec` is touched.
+    /// canonical path: the windowed-evaluation core forms the windows
+    /// over the flat columns and evaluates them in order on the calling
+    /// thread.
     pub fn run_columns(&self, cols: ColumnsSlice<'_>) -> MeasurementSeries {
         let window_label = self.window.label().label();
         let _t = blockdec_obs::span_timed!(
@@ -152,14 +152,11 @@ impl MeasurementEngine {
             window = window_label,
             blocks = cols.len(),
         );
-        let points = match self.window {
-            WindowSpec::FixedCalendar {
-                granularity,
-                origin,
-            } => self.run_fixed(cols, granularity, origin),
-            WindowSpec::SlidingBlocks(spec) => self.run_sliding(cols, spec),
-            WindowSpec::SlidingTime(spec) => self.run_sliding_time(cols, spec),
-        };
+        let windows = Windows::form(cols, self.window);
+        let points = windows
+            .evaluate(&cols, 0..windows.len(), &[self.metric])
+            .pop()
+            .unwrap_or_default();
         blockdec_obs::counter("engine.runs").inc();
         blockdec_obs::counter("engine.blocks").add(cols.len() as u64);
         blockdec_obs::counter("engine.windows").add(points.len() as u64);
@@ -170,147 +167,6 @@ impl MeasurementEngine {
             points,
         }
     }
-
-    fn point_from_distribution(
-        &self,
-        index: i64,
-        cols: ColumnsSlice<'_>,
-        first: usize,
-        last: usize,
-        blocks: u64,
-        dist: &ProducerDistribution,
-    ) -> MeasurementPoint {
-        debug_assert!(blocks > 0);
-        MeasurementPoint {
-            index,
-            start_height: cols.height(first),
-            end_height: cols.height(last),
-            start_time: cols.timestamp(first),
-            end_time: cols.timestamp(last),
-            blocks,
-            producers: dist.producers() as u64,
-            value: self.metric.compute(&dist.weight_vector()),
-        }
-    }
-
-    fn run_fixed(
-        &self,
-        cols: ColumnsSlice<'_>,
-        granularity: Granularity,
-        origin: Timestamp,
-    ) -> Vec<MeasurementPoint> {
-        fixed_calendar_windows_columns(cols, granularity, origin)
-            .into_iter()
-            .map(|w| {
-                let mut dist = ProducerDistribution::new();
-                for &i in &w.block_indices {
-                    dist.add_credits(cols.producers_of(i as usize), cols.weights_of(i as usize));
-                }
-                let first = w.block_indices[0] as usize;
-                let last = w.block_indices[w.block_indices.len() - 1] as usize;
-                self.point_from_distribution(
-                    w.bucket,
-                    cols,
-                    first,
-                    last,
-                    w.block_indices.len() as u64,
-                    &dist,
-                )
-            })
-            .collect()
-    }
-
-    fn run_sliding_time(
-        &self,
-        cols: ColumnsSlice<'_>,
-        spec: TimeWindowSpec,
-    ) -> Vec<MeasurementPoint> {
-        // Time windows assign by timestamp: order a view by time (miner
-        // clock jitter makes height order only approximately time order).
-        // A sorted u32 permutation replaces the former deep clone of the
-        // whole stream — 4 bytes per block instead of a full copy.
-        let order = timestamp_order_columns(cols);
-        time_windows_columns(cols, &order, spec)
-            .into_iter()
-            .map(|w| {
-                let mut dist = ProducerDistribution::new();
-                for &i in &order[w.blocks.clone()] {
-                    dist.add_credits(cols.producers_of(i as usize), cols.weights_of(i as usize));
-                }
-                let first = order[w.blocks.start] as usize;
-                let last = order[w.blocks.end - 1] as usize;
-                self.point_from_distribution(
-                    w.index as i64,
-                    cols,
-                    first,
-                    last,
-                    w.blocks.len() as u64,
-                    &dist,
-                )
-            })
-            .collect()
-    }
-
-    fn run_sliding(
-        &self,
-        cols: ColumnsSlice<'_>,
-        spec: SlidingWindowSpec,
-    ) -> Vec<MeasurementPoint> {
-        let mut points = Vec::with_capacity(spec.window_count(cols.len()));
-        let mut dist = ProducerDistribution::new();
-        let mut current: Option<std::ops::Range<usize>> = None;
-        for (i, range) in spec.iter(cols.len()).enumerate() {
-            match current.take() {
-                // Overlapping advance: drop the leading `step` blocks, add
-                // the trailing ones — O(step) instead of O(size).
-                Some(prev) if prev.end > range.start => {
-                    for b in prev.start..range.start {
-                        dist.remove_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                    for b in prev.end..range.end {
-                        dist.add_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                }
-                // Gap or first window: rebuild.
-                _ => {
-                    dist.clear();
-                    for b in range.clone() {
-                        dist.add_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                }
-            }
-            points.push(self.point_from_distribution(
-                i as i64,
-                cols,
-                range.start,
-                range.end - 1,
-                range.len() as u64,
-                &dist,
-            ));
-            current = Some(range);
-        }
-        points
-    }
-}
-
-/// The timestamp-sorted `u32` permutation of a block slice, ties broken
-/// by height: `order[j]` indexes the j-th block by `(timestamp, height)`.
-pub fn timestamp_order(blocks: &[AttributedBlock]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..blocks.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| {
-        let b = &blocks[i as usize];
-        (b.timestamp, b.height)
-    });
-    order
-}
-
-/// [`timestamp_order`] over columnar storage — the permutation the
-/// engine's and the planner's time-window paths sort. Only the timestamp
-/// and height columns are read.
-pub fn timestamp_order_columns(cols: ColumnsSlice<'_>) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..cols.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| (cols.timestamp(i as usize), cols.height(i as usize)));
-    order
 }
 
 /// Run many engine configurations over the same block stream.
@@ -341,6 +197,7 @@ pub fn run_matrix_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::ProducerDistribution;
     use blockdec_chain::time::SECS_PER_DAY;
     use blockdec_chain::{Credit, ProducerId};
 

@@ -9,10 +9,13 @@
 //! The pipeline is: attributed blocks → per-window producer distribution →
 //! metric value → [`series::MeasurementSeries`].
 //!
-//! Multi-configuration sweeps go through the matrix [`planner`], which
-//! deduplicates shared window specs and evaluates every metric of a
+//! One windowed-evaluation core forms every window spec and slides the
+//! distribution from window to window. Three entry points drive it: the
+//! [`engine`] for one configuration, the matrix [`planner`] for many
+//! (it deduplicates shared window specs and evaluates every metric of a
 //! window from one sorted scratch buffer; [`engine::run_matrix`] is its
-//! compatibility entry point.
+//! compatibility entry point), and the push-driven [`delta`] streams for
+//! a live head.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,16 +23,15 @@
 pub mod delta;
 pub mod distribution;
 pub mod engine;
-pub mod incremental;
 pub mod metrics;
 pub mod planner;
 pub mod series;
+mod window;
 pub mod windows;
 
 pub use delta::{DeltaError, MetricDeltaStream};
 pub use distribution::ProducerDistribution;
 pub use engine::MeasurementEngine;
-pub use incremental::{CountMultiset, StreamingSlidingEngine};
 pub use metrics::MetricKind;
 pub use planner::MatrixPlan;
 pub use series::{MeasurementPoint, MeasurementSeries};

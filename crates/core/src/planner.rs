@@ -3,47 +3,43 @@
 //! The paper's headline artifact is a *matrix* — 3 metrics × 3
 //! granularities × 2 window families per chain — and every configuration
 //! in a column of that matrix re-derives the same intermediate state: the
-//! window boundaries, the per-window [`ProducerDistribution`], and the
+//! window boundaries, the per-window producer distribution, and the
 //! sorted weight vector the metric kernels consume. [`MatrixPlan`]
 //! deduplicates all of it:
 //!
 //! 1. **Group by window spec.** Configurations are grouped by their
 //!    [`WindowSpec`] (`Eq + Hash`), and duplicate `(metric, window)`
-//!    pairs collapse to one evaluation. Each unique spec's window stream
-//!    is materialized once — the fixed-calendar bucketing, the sliding
-//!    add/remove slide, and the time-window permutation sort happen once
-//!    per *spec*, not once per *config*.
-//! 2. **One sorted scratch buffer per window.** For each window the
-//!    planner fills a reusable scratch `Vec<f64>` via
-//!    [`ProducerDistribution::sorted_weights_into`] (the
-//!    sorted-scratch contract of [`crate::metrics`]) and evaluates every
-//!    requested metric with [`MetricKind::compute_sorted`] — the weight
-//!    vector is allocated and sorted once, however many metrics read it.
+//!    pairs collapse to one evaluation. Each unique spec is formed once —
+//!    the fixed-calendar bucketing, the sliding ranges, and the
+//!    time-window permutation sort happen once per *spec*, not once per
+//!    *config*.
+//! 2. **One sorted scratch buffer per window.** The windowed-evaluation
+//!    core sorts each window's weights into a reusable scratch once and
+//!    evaluates every requested metric with
+//!    [`MetricKind::compute_sorted`], however many metrics read it.
 //! 3. **Chunked data parallelism.** Parallelism lives *within* a window
-//!    spec, not across configs: emitted window indices are partitioned
-//!    into contiguous chunks across `std::thread::scope` workers, each
+//!    spec, not across configs: window indices are partitioned into
+//!    contiguous chunks across `std::thread::scope` workers, each
 //!    rebuilding its chunk's leading distribution and then sliding. A
 //!    single-config ETH-scale sliding run saturates every core.
 //!
 //! # Exactness
 //!
-//! Because every public metric function is itself a sort-then-delegate
-//! wrapper over the same `*_sorted` kernels, planner output is
-//! bit-identical to per-config [`MeasurementEngine::run`] output for the
-//! paper's unit-credit attribution (all arithmetic is exact small-integer
-//! f64). Under *fractional* credit weights the chunk-leading rebuild and
-//! the time-window slide may differ from a continuous slide by f64
-//! residue on the order of 1e-12 — the engine's own `ZERO_EPS` guard
-//! band — so fractional-attribution comparisons should use an epsilon.
+//! The planner and [`MeasurementEngine::run`] share one evaluation core;
+//! they differ only where a chunk starts, which the planner rebuilds and
+//! the single-worker engine slides into. For the paper's unit-credit
+//! attribution both are exact (small-integer f64 arithmetic), so planner
+//! output is bit-identical to per-config engine output. Under
+//! *fractional* credit weights a chunk-leading rebuild may differ from a
+//! continuous slide by f64 residue on the order of 1e-12 — the
+//! distribution's own `ZERO_EPS` guard band — so fractional-attribution
+//! comparisons should use an epsilon.
 
-use crate::distribution::ProducerDistribution;
-use crate::engine::{timestamp_order_columns, MeasurementEngine, WindowSpec};
+use crate::engine::{MeasurementEngine, WindowSpec};
 use crate::metrics::MetricKind;
 use crate::series::{MeasurementPoint, MeasurementSeries};
-use crate::windows::fixed::fixed_calendar_windows_columns;
-use crate::windows::sliding::SlidingWindowSpec;
-use crate::windows::sliding_time::{time_windows_columns, TimeWindowSpec};
-use blockdec_chain::{AttributedBlock, BlockColumns, ColumnsSlice, Granularity, Timestamp};
+use crate::window::Windows;
+use blockdec_chain::{AttributedBlock, BlockColumns, ColumnsSlice};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -66,20 +62,6 @@ pub struct MatrixPlan {
     groups: Vec<SpecGroup>,
     /// For each input config: (group index, metric slot in that group).
     slots: Vec<(usize, usize)>,
-}
-
-/// Everything the planner computes per emitted window: the point
-/// metadata plus one value per metric of the owning group, all read from
-/// a single sorted scratch fill.
-struct WindowRow {
-    index: i64,
-    start_height: u64,
-    end_height: u64,
-    start_time: Timestamp,
-    end_time: Timestamp,
-    blocks: u64,
-    producers: u64,
-    values: Vec<f64>,
 }
 
 impl MatrixPlan {
@@ -136,9 +118,20 @@ impl MatrixPlan {
     }
 
     /// Execute the plan over a height-ordered columnar block stream.
-    /// Results come back in input-configuration order. Every window
-    /// family and the chunked workers iterate the flat columns directly.
+    /// Results come back in input-configuration order. Each window spec
+    /// is evaluated in chunks on up to one worker per available core.
     pub fn run_columns(&self, cols: ColumnsSlice<'_>) -> Vec<MeasurementSeries> {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.run_columns_on(cols, cores)
+    }
+
+    /// [`MatrixPlan::run_columns`] on at most `workers` workers per window
+    /// spec.
+    pub(crate) fn run_columns_on(
+        &self,
+        cols: ColumnsSlice<'_>,
+        workers: usize,
+    ) -> Vec<MeasurementSeries> {
         let _t = blockdec_obs::span_timed!(
             "stage.measure_matrix",
             configs = self.configs(),
@@ -147,8 +140,11 @@ impl MatrixPlan {
         );
         blockdec_obs::counter("planner.window_specs").add(self.window_specs() as u64);
         blockdec_obs::counter("planner.dedup_hits").add(self.dedup_hits() as u64);
-        let per_group: Vec<Vec<MeasurementSeries>> =
-            self.groups.iter().map(|g| eval_group(g, cols)).collect();
+        let per_group: Vec<Vec<MeasurementSeries>> = self
+            .groups
+            .iter()
+            .map(|g| eval_group(g, cols, workers))
+            .collect();
         let mut out = Vec::with_capacity(self.slots.len());
         let mut windows_emitted = 0u64;
         for &(gi, slot) in &self.slots {
@@ -165,39 +161,16 @@ impl MatrixPlan {
     }
 }
 
-/// Materialize one group's window stream and fan its rows out into one
-/// series per metric.
-fn eval_group(group: &SpecGroup, cols: ColumnsSlice<'_>) -> Vec<MeasurementSeries> {
-    let rows = match group.window {
-        WindowSpec::FixedCalendar {
-            granularity,
-            origin,
-        } => eval_fixed(cols, granularity, origin, &group.metrics),
-        WindowSpec::SlidingBlocks(spec) => eval_sliding(cols, spec, &group.metrics),
-        WindowSpec::SlidingTime(spec) => eval_sliding_time(cols, spec, &group.metrics),
-    };
-    // Each row's scratch fill served every metric past the first for free.
+/// Form one group's windows once and evaluate every metric of the group
+/// over them, in chunks on at most `workers` scoped workers.
+fn eval_group(group: &SpecGroup, cols: ColumnsSlice<'_>, workers: usize) -> Vec<MeasurementSeries> {
+    let windows = Windows::form(cols, group.window);
+    let per_metric = run_chunked(windows.len(), workers, |chunk| {
+        windows.evaluate(&cols, chunk, &group.metrics)
+    });
+    // Each window's scratch fill served every metric past the first for free.
     blockdec_obs::counter("planner.scratch_reuse")
-        .add((rows.len() * group.metrics.len().saturating_sub(1)) as u64);
-    let mut per_metric: Vec<Vec<MeasurementPoint>> = group
-        .metrics
-        .iter()
-        .map(|_| Vec::with_capacity(rows.len()))
-        .collect();
-    for row in &rows {
-        for (slot, &value) in row.values.iter().enumerate() {
-            per_metric[slot].push(MeasurementPoint {
-                index: row.index,
-                start_height: row.start_height,
-                end_height: row.end_height,
-                start_time: row.start_time,
-                end_time: row.end_time,
-                blocks: row.blocks,
-                producers: row.producers,
-                value,
-            });
-        }
-    }
+        .add((windows.len() * group.metrics.len().saturating_sub(1)) as u64);
     group
         .metrics
         .iter()
@@ -210,44 +183,18 @@ fn eval_group(group: &SpecGroup, cols: ColumnsSlice<'_>) -> Vec<MeasurementSerie
         .collect()
 }
 
-/// Sort the window's distribution into the shared scratch once, then
-/// evaluate every metric of the group from the pre-sorted slice.
-/// `(first, last)` are the window's inclusive block-position bounds in
-/// `cols`.
-fn finish_row(
-    index: i64,
-    cols: ColumnsSlice<'_>,
-    (first, last): (usize, usize),
-    blocks: u64,
-    dist: &ProducerDistribution,
-    scratch: &mut Vec<f64>,
-    metrics: &[MetricKind],
-) -> WindowRow {
-    dist.sorted_weights_into(scratch);
-    WindowRow {
-        index,
-        start_height: cols.height(first),
-        end_height: cols.height(last),
-        start_time: cols.timestamp(first),
-        end_time: cols.timestamp(last),
-        blocks,
-        producers: dist.producers() as u64,
-        values: metrics.iter().map(|m| m.compute_sorted(scratch)).collect(),
-    }
-}
-
-/// Partition `total` window indices into contiguous chunks across scoped
-/// workers; `eval` computes one chunk's rows. Single-chunk totals run
-/// inline without spawning.
-fn run_chunked<F>(total: usize, eval: F) -> Vec<WindowRow>
+/// Partition `total` window indices into contiguous chunks across at most
+/// `workers` scoped workers; `eval` computes one chunk's points per
+/// metric, and the chunks are concatenated in order. Single-chunk totals
+/// run inline without spawning.
+fn run_chunked<F>(total: usize, workers: usize, eval: F) -> Vec<Vec<MeasurementPoint>>
 where
-    F: Fn(Range<usize>) -> Vec<WindowRow> + Sync,
+    F: Fn(Range<usize>) -> Vec<Vec<MeasurementPoint>> + Sync,
 {
     if total == 0 {
-        return Vec::new();
+        return eval(0..0);
     }
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let workers = cores.min(total.div_ceil(MIN_CHUNK_WINDOWS)).max(1);
+    let workers = workers.min(total.div_ceil(MIN_CHUNK_WINDOWS)).max(1);
     blockdec_obs::counter("planner.chunks").add(workers as u64);
     if workers == 1 {
         let _t = blockdec_obs::Timer::new("planner.chunk");
@@ -259,7 +206,7 @@ where
         .filter(|r| !r.is_empty())
         .collect();
     let eval = &eval;
-    let mut chunks: Vec<Vec<WindowRow>> = Vec::new();
+    let mut chunks: Vec<Vec<Vec<MeasurementPoint>>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = bounds
             .into_iter()
@@ -275,155 +222,22 @@ where
             .map(|h| h.join().expect("planner chunk worker panicked")) // blockdec-lint: allow(panic) — join only fails by propagating a worker panic; nothing to recover
             .collect();
     });
-    chunks.into_iter().flatten().collect()
-}
-
-fn eval_fixed(
-    cols: ColumnsSlice<'_>,
-    granularity: Granularity,
-    origin: Timestamp,
-    metrics: &[MetricKind],
-) -> Vec<WindowRow> {
-    let windows = fixed_calendar_windows_columns(cols, granularity, origin);
-    run_chunked(windows.len(), |chunk| {
-        let mut dist = ProducerDistribution::new();
-        let mut scratch = Vec::new();
-        let mut rows = Vec::with_capacity(chunk.len());
-        for w in &windows[chunk] {
-            dist.clear();
-            for &i in &w.block_indices {
-                dist.add_credits(cols.producers_of(i as usize), cols.weights_of(i as usize));
+    chunks
+        .into_iter()
+        .reduce(|mut all, part| {
+            for (points, more) in all.iter_mut().zip(part) {
+                points.extend(more);
             }
-            let first = w.block_indices[0] as usize;
-            let last = w.block_indices[w.block_indices.len() - 1] as usize;
-            rows.push(finish_row(
-                w.bucket,
-                cols,
-                (first, last),
-                w.block_indices.len() as u64,
-                &dist,
-                &mut scratch,
-                metrics,
-            ));
-        }
-        rows
-    })
-}
-
-fn eval_sliding(
-    cols: ColumnsSlice<'_>,
-    spec: SlidingWindowSpec,
-    metrics: &[MetricKind],
-) -> Vec<WindowRow> {
-    let total = spec.window_count(cols.len());
-    run_chunked(total, |chunk| {
-        let mut dist = ProducerDistribution::new();
-        let mut scratch = Vec::new();
-        let mut rows = Vec::with_capacity(chunk.len());
-        let mut current: Option<Range<usize>> = None;
-        for wi in chunk {
-            let range = spec
-                .window_range(wi, cols.len())
-                .expect("window within count"); // blockdec-lint: allow(panic) — run_chunked only yields indices below the window count
-            match current.take() {
-                // Overlapping advance: O(step) slide, same arm the
-                // engine's own sliding path takes.
-                Some(prev) if prev.end > range.start => {
-                    for b in prev.start..range.start {
-                        dist.remove_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                    for b in prev.end..range.end {
-                        dist.add_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                }
-                // Chunk-leading window, or a gap (step > size): rebuild.
-                _ => {
-                    dist.clear();
-                    for b in range.clone() {
-                        dist.add_credits(cols.producers_of(b), cols.weights_of(b));
-                    }
-                }
-            }
-            rows.push(finish_row(
-                wi as i64,
-                cols,
-                (range.start, range.end - 1),
-                range.len() as u64,
-                &dist,
-                &mut scratch,
-                metrics,
-            ));
-            current = Some(range);
-        }
-        rows
-    })
-}
-
-fn eval_sliding_time(
-    cols: ColumnsSlice<'_>,
-    spec: TimeWindowSpec,
-    metrics: &[MetricKind],
-) -> Vec<WindowRow> {
-    // One permutation sort per spec, shared by every chunk and metric.
-    let order = timestamp_order_columns(cols);
-    let windows = time_windows_columns(cols, &order, spec);
-    let (order, windows) = (&order, &windows);
-    run_chunked(windows.len(), move |chunk| {
-        let mut dist = ProducerDistribution::new();
-        let mut scratch = Vec::new();
-        let mut rows = Vec::with_capacity(chunk.len());
-        let mut current: Option<Range<usize>> = None;
-        for w in &windows[chunk] {
-            match current.take() {
-                // Time windows advance monotonically through `order`, so
-                // overlapping windows slide just like block windows.
-                Some(prev) if prev.end > w.blocks.start => {
-                    for &i in &order[prev.start..w.blocks.start] {
-                        dist.remove_credits(
-                            cols.producers_of(i as usize),
-                            cols.weights_of(i as usize),
-                        );
-                    }
-                    for &i in &order[prev.end..w.blocks.end] {
-                        dist.add_credits(
-                            cols.producers_of(i as usize),
-                            cols.weights_of(i as usize),
-                        );
-                    }
-                }
-                _ => {
-                    dist.clear();
-                    for &i in &order[w.blocks.clone()] {
-                        dist.add_credits(
-                            cols.producers_of(i as usize),
-                            cols.weights_of(i as usize),
-                        );
-                    }
-                }
-            }
-            rows.push(finish_row(
-                w.index as i64,
-                cols,
-                (
-                    order[w.blocks.start] as usize,
-                    order[w.blocks.end - 1] as usize,
-                ),
-                w.blocks.len() as u64,
-                &dist,
-                &mut scratch,
-                metrics,
-            ));
-            current = Some(w.blocks.clone());
-        }
-        rows
-    })
+            all
+        })
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blockdec_chain::time::SECS_PER_DAY;
-    use blockdec_chain::{Credit, ProducerId};
+    use blockdec_chain::{Credit, Granularity, ProducerId, Timestamp};
 
     fn stream(pattern: &[u32], n: usize, spacing: i64) -> Vec<AttributedBlock> {
         let o = Timestamp::year_2019_start().secs();

@@ -11,9 +11,11 @@
 //!
 //! Assignment is by timestamp. Windows are emitted only when they contain
 //! at least one block; `L = (total_span − D) / S + 1` full windows are
-//! considered, mirroring Eq. 5 in the time domain.
+//! considered, mirroring Eq. 5 in the time domain. Windows start at the
+//! first block's timestamp, or at the earliest aligned start that can
+//! contain a block when [`TimeWindowSpec::align`] is set.
 
-use blockdec_chain::{AttributedBlock, ColumnsSlice, Timestamp};
+use blockdec_chain::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -78,131 +80,12 @@ impl TimeWindowSpec {
     }
 }
 
-/// One time window over a block slice: the window's time span plus the
-/// contiguous index range of blocks inside it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimeWindow {
-    /// Window index.
-    pub index: usize,
-    /// Time span `[start, end)` in seconds.
-    pub span: Range<i64>,
-    /// Index range into the source block slice (timestamp-ordered view).
-    pub blocks: Range<usize>,
-}
-
-/// Enumerate the windows of a timestamp-ordered block slice between the
-/// first and last block's timestamps. Windows containing zero blocks are
-/// skipped (they carry no distribution to measure).
-///
-/// Blocks must be sorted by timestamp; Bitcoin's per-block jitter means
-/// callers sort a copy first (see
-/// [`crate::engine::MeasurementEngine::run`]'s time-window path, which
-/// does exactly that).
-pub fn time_windows(blocks: &[AttributedBlock], spec: TimeWindowSpec) -> Vec<TimeWindow> {
-    debug_assert!(
-        blocks.windows(2).all(|w| w[0].timestamp <= w[1].timestamp),
-        "blocks must be timestamp-ordered"
-    );
-    windows_over(blocks.len(), |i| blocks[i].timestamp.secs(), spec)
-}
-
-/// [`time_windows`] over a timestamp-ordered *permutation* of a block
-/// slice: `order[j]` is the index into `blocks` of the j-th block by
-/// `(timestamp, height)`. The emitted [`TimeWindow::blocks`] ranges index
-/// into `order`, not into `blocks` — so callers window an unsorted stream
-/// without cloning it (the engine's time-window path sorts a `Vec<u32>`
-/// of indices instead of the blocks themselves).
-pub fn time_windows_indexed(
-    blocks: &[AttributedBlock],
-    order: &[u32],
-    spec: TimeWindowSpec,
-) -> Vec<TimeWindow> {
-    debug_assert_eq!(order.len(), blocks.len(), "order must be a permutation");
-    debug_assert!(
-        order
-            .windows(2)
-            .all(|w| blocks[w[0] as usize].timestamp <= blocks[w[1] as usize].timestamp),
-        "order must be timestamp-sorted"
-    );
-    windows_over(
-        order.len(),
-        |i| blocks[order[i] as usize].timestamp.secs(),
-        spec,
-    )
-}
-
-/// [`time_windows_indexed`] over columnar storage: the walk touches only
-/// the timestamp column through the permutation, nothing else.
-pub fn time_windows_columns(
-    cols: ColumnsSlice<'_>,
-    order: &[u32],
-    spec: TimeWindowSpec,
-) -> Vec<TimeWindow> {
-    debug_assert_eq!(order.len(), cols.len(), "order must be a permutation");
-    debug_assert!(
-        order
-            .windows(2)
-            .all(|w| cols.timestamp(w[0] as usize) <= cols.timestamp(w[1] as usize)),
-        "order must be timestamp-sorted"
-    );
-    windows_over(
-        order.len(),
-        |i| cols.timestamp(order[i] as usize).secs(),
-        spec,
-    )
-}
-
-/// Shared two-cursor window walk over any timestamp-ordered view: `ts_at`
-/// maps a view position in `0..len` to its timestamp in seconds.
-fn windows_over(len: usize, ts_at: impl Fn(usize) -> i64, spec: TimeWindowSpec) -> Vec<TimeWindow> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let (first, last) = (ts_at(0), ts_at(len - 1));
-    // Anchor at the explicit alignment when given, snapped forward so the
-    // first window is the earliest aligned one that can contain a block.
-    let origin = match spec.align {
-        Some(align) => {
-            let delta = first - align;
-            let k = if delta >= 0 {
-                delta / spec.step_secs
-            } else {
-                0
-            };
-            Timestamp(align + k * spec.step_secs)
-        }
-        None => Timestamp(first),
-    };
-    let end = Timestamp(last + 1);
-    let count = spec.window_count(origin, end);
-    let mut out = Vec::with_capacity(count);
-    // Two moving cursors: windows advance monotonically, so each block is
-    // visited O(duration/step) times total.
-    let mut lo = 0usize;
-    for i in 0..count {
-        let span = spec.window_span(i, origin);
-        while lo < len && ts_at(lo) < span.start {
-            lo += 1;
-        }
-        let mut hi = lo;
-        while hi < len && ts_at(hi) < span.end {
-            hi += 1;
-        }
-        if hi > lo {
-            out.push(TimeWindow {
-                index: i,
-                span,
-                blocks: lo..hi,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockdec_chain::{Credit, ProducerId};
+    use crate::engine::WindowSpec;
+    use crate::window::Windows;
+    use blockdec_chain::{AttributedBlock, BlockColumns, Credit, ProducerId};
 
     fn block(i: u64, t: i64) -> AttributedBlock {
         AttributedBlock {
@@ -213,6 +96,26 @@ mod tests {
                 weight: 1.0,
             }],
         }
+    }
+
+    /// Form `spec` over `blocks` with the crate's formation entry: each
+    /// window's index and its blocks, in evaluation order.
+    fn time_windows(
+        blocks: &[AttributedBlock],
+        spec: TimeWindowSpec,
+    ) -> Vec<(usize, Vec<AttributedBlock>)> {
+        let cols = BlockColumns::from_blocks(blocks);
+        let w = Windows::form(cols.as_slice(), WindowSpec::SlidingTime(spec));
+        w.ranges
+            .iter()
+            .map(|(index, range)| {
+                let inside = w.order[range.clone()].iter();
+                (
+                    *index as usize,
+                    inside.map(|&i| blocks[i as usize].clone()).collect(),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -242,26 +145,24 @@ mod tests {
     fn blocks_partition_into_windows() {
         // Blocks every 10s from t=0 to t=190.
         let blocks: Vec<AttributedBlock> = (0..20).map(|i| block(i, i as i64 * 10)).collect();
-        let windows = time_windows(&blocks, TimeWindowSpec::new(50, 25));
+        let spec = TimeWindowSpec::new(50, 25);
+        let windows = time_windows(&blocks, spec);
         assert!(!windows.is_empty());
-        for w in &windows {
-            for b in &blocks[w.blocks.clone()] {
-                assert!(w.span.contains(&b.timestamp.secs()));
-            }
-            // Blocks just outside are excluded.
-            if w.blocks.start > 0 {
-                assert!(blocks[w.blocks.start - 1].timestamp.secs() < w.span.start);
-            }
-            if w.blocks.end < blocks.len() {
-                assert!(blocks[w.blocks.end].timestamp.secs() >= w.span.end);
-            }
+        for (index, inside) in &windows {
+            // Exactly the blocks inside the span, nothing just outside.
+            let span = spec.window_span(*index, Timestamp(0));
+            let expected: Vec<AttributedBlock> = blocks
+                .iter()
+                .filter(|b| span.contains(&b.timestamp.secs()))
+                .cloned()
+                .collect();
+            assert_eq!(inside, &expected);
         }
         // Half-overlap: consecutive windows share blocks.
-        let shared = windows[0]
-            .blocks
-            .end
-            .saturating_sub(windows[1].blocks.start);
-        assert!(shared > 0, "consecutive windows must overlap");
+        assert!(
+            windows[0].1.iter().any(|b| windows[1].1.contains(b)),
+            "consecutive windows must overlap"
+        );
     }
 
     #[test]
@@ -269,12 +170,14 @@ mod tests {
         // A burst of blocks, a long silence, another burst.
         let mut blocks: Vec<AttributedBlock> = (0..5).map(|i| block(i, i as i64)).collect();
         blocks.extend((0..5).map(|i| block(100 + i, 1_000 + i as i64)));
-        let windows = time_windows(&blocks, TimeWindowSpec::new(10, 5));
-        assert!(windows.iter().all(|w| !w.blocks.is_empty()));
+        let spec = TimeWindowSpec::new(10, 5);
+        let windows = time_windows(&blocks, spec);
+        assert!(windows.iter().all(|(_, inside)| !inside.is_empty()));
         // Silence (t=5..1000) produces no windows.
-        assert!(windows
-            .iter()
-            .all(|w| w.span.start < 10 || w.span.end > 1_000));
+        assert!(windows.iter().all(|(index, _)| {
+            let span = spec.window_span(*index, Timestamp(0));
+            span.start < 10 || span.end > 1_000
+        }));
     }
 
     #[test]
@@ -294,8 +197,7 @@ mod tests {
     fn span_exactly_one_window() {
         let blocks: Vec<AttributedBlock> = (0..10).map(|i| block(i, i as i64)).collect();
         let windows = time_windows(&blocks, TimeWindowSpec::new(10, 5));
-        assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].blocks, 0..10);
+        assert_eq!(windows, vec![(0, blocks)]);
     }
 
     #[test]
@@ -305,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_windows_match_sorted_clone() {
+    fn out_of_order_stream_forms_like_a_sorted_copy() {
         // Jittered timestamps, deliberately out of order.
         let times = [50i64, 10, 30, 0, 40, 20, 60, 35];
         let blocks: Vec<AttributedBlock> = times
@@ -313,26 +215,10 @@ mod tests {
             .enumerate()
             .map(|(i, &t)| block(i as u64, t))
             .collect();
-        let mut order: Vec<u32> = (0..blocks.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (blocks[i as usize].timestamp, blocks[i as usize].height));
         let mut sorted = blocks.clone();
         sorted.sort_by_key(|b| (b.timestamp, b.height));
         let spec = TimeWindowSpec::new(25, 10);
-        let via_clone = time_windows(&sorted, spec);
-        let via_index = time_windows_indexed(&blocks, &order, spec);
-        assert_eq!(via_clone, via_index);
-        // And the ranges select the same blocks through the permutation.
-        for (a, b) in via_clone.iter().zip(&via_index) {
-            let clone_heights: Vec<u64> = sorted[a.blocks.clone()]
-                .iter()
-                .map(|blk| blk.height)
-                .collect();
-            let index_heights: Vec<u64> = order[b.blocks.clone()]
-                .iter()
-                .map(|&i| blocks[i as usize].height)
-                .collect();
-            assert_eq!(clone_heights, index_heights);
-        }
+        assert_eq!(time_windows(&blocks, spec), time_windows(&sorted, spec));
     }
 
     #[test]
@@ -347,8 +233,8 @@ mod tests {
             })
             .collect();
         let windows = time_windows(&blocks, TimeWindowSpec::new(1_000, 500));
-        let first = windows.first().unwrap().blocks.len();
-        let last = windows.last().unwrap().blocks.len();
+        let first = windows.first().unwrap().1.len();
+        let last = windows.last().unwrap().1.len();
         assert!(
             last > first,
             "late windows must hold more blocks ({first} vs {last})"

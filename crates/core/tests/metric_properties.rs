@@ -1,7 +1,6 @@
 //! Property-based tests for metric and window invariants.
 
 use blockdec_chain::{AttributedBlock, Credit, ProducerId, Timestamp};
-use blockdec_core::incremental::CountMultiset;
 use blockdec_core::metrics::gini::gini_pairwise_reference;
 use blockdec_core::metrics::{
     gini, hhi, nakamoto, nakamoto_with_threshold, normalized_shannon_entropy, shannon_entropy,
@@ -14,11 +13,6 @@ use proptest::prelude::*;
 /// Positive weight vectors with 2..=60 entries in (0, 1000].
 fn weights() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.001f64..1000.0, 2..60)
-}
-
-/// Integer count vectors for the incremental engine.
-fn counts() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..50, 2..40)
 }
 
 proptest! {
@@ -135,44 +129,6 @@ proptest! {
         w2[rich] += delta;
         prop_assert!(gini(&w2) + 1e-9 >= gini(&w));
         prop_assert!(hhi(&w2) + 1e-9 >= hhi(&w));
-    }
-
-    #[test]
-    fn incremental_matches_batch(cs in counts()) {
-        let mut m = CountMultiset::new();
-        for (i, &c) in cs.iter().enumerate() {
-            for _ in 0..c {
-                m.add(ProducerId(i as u32));
-            }
-        }
-        let w = m.weight_vector();
-        prop_assert!((m.entropy() - shannon_entropy(&w)).abs() < 1e-9);
-        prop_assert!((m.gini() - gini(&w)).abs() < 1e-9);
-        prop_assert_eq!(m.nakamoto(), nakamoto(&w));
-    }
-
-    #[test]
-    fn incremental_add_remove_is_exact(cs in counts(), removals in prop::collection::vec(0usize..40, 0..30)) {
-        let mut m = CountMultiset::new();
-        let mut reference: Vec<u64> = vec![0; cs.len()];
-        for (i, &c) in cs.iter().enumerate() {
-            for _ in 0..c {
-                m.add(ProducerId(i as u32));
-                reference[i] += 1;
-            }
-        }
-        for r in removals {
-            let i = r % cs.len();
-            if reference[i] > 0 {
-                m.remove(ProducerId(i as u32));
-                reference[i] -= 1;
-            }
-        }
-        let batch: Vec<f64> = reference.iter().filter(|&&c| c > 0).map(|&c| c as f64).collect();
-        prop_assert!((m.entropy() - shannon_entropy(&batch)).abs() < 1e-9);
-        prop_assert!((m.gini() - gini(&batch)).abs() < 1e-9);
-        prop_assert_eq!(m.nakamoto(), nakamoto(&batch));
-        prop_assert_eq!(m.total(), reference.iter().sum::<u64>());
     }
 
     #[test]

@@ -11,14 +11,12 @@
 
 pub mod aggregate;
 pub mod expr;
-pub mod measure;
 pub mod parse;
 pub mod plan;
 pub mod stream;
 
 pub use aggregate::{producer_block_counts, top_producers, ProducerAgg};
 pub use expr::Filter;
-pub use measure::{measure_fixed_streaming, measure_fixed_streaming_matrix};
 pub use parse::parse_query;
 pub use plan::{Plan, QueryOutput};
 pub use stream::MeasurementSource;

@@ -291,34 +291,6 @@ fn time_windows_agree_with_calendar_days() {
 }
 
 #[test]
-fn streaming_engine_agrees_on_simulated_data() {
-    // The paper-metric streaming engine must reproduce the batch engine
-    // on real simulated streams (integer per-address credits).
-    use blockdec_core::incremental::StreamingSlidingEngine;
-    use blockdec_core::windows::sliding::SlidingWindowSpec;
-    let btc = Scenario::bitcoin_2019().truncated(30).generate();
-    let spec = SlidingWindowSpec::paper(144);
-    for metric in MetricKind::PAPER {
-        let streaming = StreamingSlidingEngine::new(metric, spec)
-            .run(&btc.attributed)
-            .expect("per-address credits are integral");
-        let batch = MeasurementEngine::new(metric)
-            .sliding_spec(spec)
-            .run(&btc.attributed);
-        assert_eq!(streaming.points.len(), batch.points.len());
-        for (s, b) in streaming.points.iter().zip(&batch.points) {
-            assert!(
-                (s.value - b.value).abs() < 1e-9,
-                "{metric:?} window {}: {} vs {}",
-                s.index,
-                s.value,
-                b.value
-            );
-        }
-    }
-}
-
-#[test]
 fn producer_block_counts_match_engine_totals() {
     let btc = {
         let s = Scenario::bitcoin_2019().truncated(10);

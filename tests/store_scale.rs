@@ -1,10 +1,9 @@
 //! Medium-scale storage test: multiple sealed segments, pruning, a
-//! streaming measurement, and compaction — the shape of a real Ethereum
+//! measurement off the store, and compaction — the shape of a real Ethereum
 //! ingest (which is 2.2M rows; here 200k keeps debug-mode runtime sane).
 
 use blockdec::prelude::*;
 use blockdec_chain::Granularity;
-use blockdec_query::measure_fixed_streaming;
 use blockdec_store::RowRecord;
 
 const ROWS: u64 = 200_000;
@@ -53,15 +52,11 @@ fn multi_segment_store_end_to_end() {
         stats.segments_pruned
     );
 
-    // Streaming fixed-window measurement off the store: ~32 days of data.
-    let series = measure_fixed_streaming(
-        &store,
-        &Filter::True,
-        MetricKind::ShannonEntropy,
-        Granularity::Day,
-        Timestamp(T0),
-    )
-    .unwrap();
+    // Fixed-window measurement off the store: ~32 days of data.
+    let cols = store.block_columns(&Filter::True).unwrap();
+    let series = MeasurementEngine::new(MetricKind::ShannonEntropy)
+        .fixed_calendar(Granularity::Day, Timestamp(T0))
+        .run_columns(cols.as_slice());
     let days = (ROWS as i64 * 14) / 86_400;
     assert!((series.points.len() as i64 - days).abs() <= 1);
     for p in &series.points {
