@@ -116,8 +116,8 @@ impl BlockColumns {
 
     /// Append one `(height, timestamp, producer, weight)` row, regrouping
     /// rows that share a height into one block — the streaming shape the
-    /// store's row scans produce. The first row of a height supplies the
-    /// block timestamp, matching `RowRecord::to_attributed`.
+    /// store's scans produce. The first row of a height supplies the
+    /// block timestamp, as in the store's `scan_attributed` regroup.
     pub fn push_row(
         &mut self,
         height: u64,

@@ -36,17 +36,18 @@ GLOBAL OPTIONS:
                          (also via BLOCKDEC_LOG). info+ prints a run summary.
   --log-format <fmt>     compact (default) or json (also BLOCKDEC_LOG_FORMAT)
   --scan-threads <n>     Decode threads for columnar store scans: 0 (default)
-                         = one per CPU, 1 = sequential. See docs/PERFORMANCE.md
+                         = one per CPU, 1 = sequential. Row scans (report,
+                         query top/count) always run on one thread. See
+                         docs/PERFORMANCE.md
   --backend <kind>       Storage backend for --store commands: local (default)
                          or sim — the local filesystem behind seeded latency,
                          jitter, optional throttling, and injected transient
                          read faults (retried transparently). Sim knobs:
                          --sim-latency-us N, --sim-jitter-us N,
                          --sim-bandwidth-kbps N, --sim-fail-every N, --sim-seed N
-  --cache-segments <n>   Decoded-segment LRU capacity (default 8, or
-                         BLOCKDEC_CACHE_SEGMENTS)
-  --page-cache-mb <n>    Backend page-cache capacity for pruned scans in MiB
-                         (default 64, or BLOCKDEC_PAGE_CACHE_MB)
+  --page-cache-mb <n>    Capacity in MiB of the store's one cache, which holds
+                         the byte ranges pruned scans fetch (default 64, or
+                         BLOCKDEC_PAGE_CACHE_MB)
 
 COMMANDS:
   simulate   Generate a calibrated 2019-like block stream to CSV/JSONL

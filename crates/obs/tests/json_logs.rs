@@ -87,14 +87,17 @@ fn run_summary_json_parses() {
     // Populate the registry the way an instrumented run would.
     blockdec_obs::counter("engine.windows").add(365);
     blockdec_obs::counter("engine.blocks").add(52_560);
-    blockdec_obs::counter("store.cache.hit").add(9);
-    blockdec_obs::counter("store.cache.miss").add(3);
+    blockdec_obs::counter("store.backend.hit").add(9);
+    blockdec_obs::counter("store.backend.miss").add(3);
     blockdec_obs::histogram("stage.measure").record(1.5);
     let summary = RunSummary::collect();
     let v: Value = serde_json::from_str(&summary.render_json()).expect("summary is valid JSON");
     let s = v.get("summary").expect("summary key");
     assert_eq!(s.get("windows").and_then(Value::as_u64), Some(365));
-    let hit_rate = s.get("cache_hit_rate").and_then(Value::as_f64).unwrap();
+    let hit_rate = s
+        .get("page_cache_hit_rate")
+        .and_then(Value::as_f64)
+        .unwrap();
     assert!((hit_rate - 0.75).abs() < 1e-9, "{hit_rate}");
     assert!(s.get("blocks_per_sec").and_then(Value::as_f64).unwrap() > 0.0);
     let stages = s.get("stages").and_then(Value::as_array).unwrap();

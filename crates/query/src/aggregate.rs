@@ -24,14 +24,17 @@ pub struct ProducerAgg {
     pub share: f64,
 }
 
-/// Credit-weighted block counts per producer id, in id order.
+/// Credit-weighted block counts per producer id, in id order. Rows
+/// stream through the store's visitor scan, in height order, so nothing
+/// but the counts is ever held.
 pub fn producer_block_counts(store: &BlockStore, filter: &Filter) -> Result<Vec<(u32, f64)>> {
     let (pred, residual) = filter.compile();
-    let rows = store.scan(&pred)?;
     let mut counts: BTreeMap<u32, f64> = BTreeMap::new();
-    for r in rows.iter().filter(|r| residual.matches(r)) {
-        *counts.entry(r.producer).or_insert(0.0) += r.credit();
-    }
+    store.scan_for_each(&pred, |r| {
+        if residual.matches(r) {
+            *counts.entry(r.producer).or_insert(0.0) += r.credit();
+        }
+    })?;
     Ok(counts.into_iter().collect())
 }
 

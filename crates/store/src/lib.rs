@@ -18,9 +18,13 @@
 //!   (min/max height and timestamp), committed atomically via
 //!   write-to-temp + rename.
 //!
-//! Reads go through [`store::BlockStore::scan`], which prunes segments by
-//! zone map before touching their pages and streams decoded rows through
-//! an LRU segment cache.
+//! Every read — row scans ([`store::BlockStore::scan`] and its
+//! visitor/attributed forms) and columnar scans
+//! ([`store::BlockStore::scan_columnar`]) — runs one scan loop: segments
+//! are pruned by manifest zone map and producer bloom before any byte is
+//! read, and each surviving segment gets a pruned decode of only the
+//! page groups that may match, fetched through one byte-range
+//! [`backend::PageCache`].
 //!
 //! Durability: every artifact is committed via [`atomic`] (write-temp +
 //! fsync + atomic rename), segment files carry a finalization footer so
@@ -36,7 +40,6 @@ pub mod atomic;
 pub mod backend;
 pub mod bloom;
 pub mod bufio;
-pub mod cache;
 pub mod catalog;
 pub mod checksum;
 pub mod compactor;

@@ -1,8 +1,5 @@
 //! The store's row model: one attribution row per block credit.
 
-use crate::error::StoreError;
-use blockdec_chain::{AttributedBlock, Block, Credit, ProducerId, Timestamp};
-
 /// Credit denominator: weights are stored in thousandths of a block.
 pub const CREDIT_SCALE: u32 = 1000;
 
@@ -33,82 +30,6 @@ impl RowRecord {
     pub fn credit(&self) -> f64 {
         f64::from(self.credit_millis) / f64::from(CREDIT_SCALE)
     }
-
-    /// Rows for an attributed block (producer ids taken verbatim — the
-    /// caller aligns dictionaries; see `BlockStore::append_attributed`).
-    pub fn from_attributed(block: &AttributedBlock) -> Vec<RowRecord> {
-        block
-            .credits
-            .iter()
-            .map(|c| RowRecord {
-                height: block.height,
-                timestamp: block.timestamp.secs(),
-                producer: c.producer.0,
-                credit_millis: weight_to_millis(c.weight),
-                tx_count: 0,
-                size_bytes: 0,
-                difficulty: 0,
-            })
-            .collect()
-    }
-
-    /// Rows for a full block plus its credits, carrying block metadata.
-    pub fn from_block(block: &Block, credits: &[Credit]) -> Vec<RowRecord> {
-        credits
-            .iter()
-            .map(|c| RowRecord {
-                height: block.height,
-                timestamp: block.timestamp.secs(),
-                producer: c.producer.0,
-                credit_millis: weight_to_millis(c.weight),
-                tx_count: block.tx_count,
-                size_bytes: block.size_bytes,
-                difficulty: block.difficulty,
-            })
-            .collect()
-    }
-
-    /// Reconstruct the attribution view of a run of rows sharing a
-    /// height. Rows must be non-empty and same-height.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message on empty or mixed-height input;
-    /// use [`RowRecord::try_to_attributed`] for a fallible version.
-    pub fn to_attributed(rows: &[RowRecord]) -> AttributedBlock {
-        // blockdec-lint: allow(panic) — documented panicking variant; try_to_attributed is the fallible API
-        RowRecord::try_to_attributed(rows).unwrap_or_else(|e| panic!("to_attributed: {e}"))
-    }
-
-    /// Checked variant of [`RowRecord::to_attributed`]: rejects an empty
-    /// run or a run that mixes heights instead of panicking.
-    pub fn try_to_attributed(rows: &[RowRecord]) -> Result<AttributedBlock, StoreError> {
-        let first = match rows.first() {
-            Some(first) => *first,
-            None => {
-                return Err(StoreError::InconsistentCatalog(
-                    "empty row run: a block needs at least one attribution row".into(),
-                ))
-            }
-        };
-        if let Some(w) = rows.windows(2).find(|w| w[0].height != w[1].height) {
-            return Err(StoreError::InconsistentCatalog(format!(
-                "row run mixes heights {} and {}",
-                w[0].height, w[1].height
-            )));
-        }
-        Ok(AttributedBlock {
-            height: first.height,
-            timestamp: Timestamp(first.timestamp),
-            credits: rows
-                .iter()
-                .map(|r| Credit {
-                    producer: ProducerId(r.producer),
-                    weight: r.credit(),
-                })
-                .collect(),
-        })
-    }
 }
 
 /// Convert a float weight to credit millis, saturating and rounding.
@@ -129,84 +50,5 @@ mod tests {
         assert_eq!(weight_to_millis(1.0 / 3.0), 333);
         assert_eq!(weight_to_millis(0.0), 0);
         assert_eq!(weight_to_millis(-1.0), 0);
-    }
-
-    fn attributed(height: u64, credits: &[(u32, f64)]) -> AttributedBlock {
-        AttributedBlock {
-            height,
-            timestamp: Timestamp(1_546_300_800 + height as i64),
-            credits: credits
-                .iter()
-                .map(|&(p, w)| Credit {
-                    producer: ProducerId(p),
-                    weight: w,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn from_attributed_explodes_credits() {
-        let ab = attributed(10, &[(1, 1.0), (2, 1.0), (3, 1.0)]);
-        let rows = RowRecord::from_attributed(&ab);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert_eq!(r.height, 10);
-            assert_eq!(r.credit_millis, 1000);
-        }
-        assert_eq!(rows[1].producer, 2);
-    }
-
-    #[test]
-    fn attributed_roundtrip() {
-        let ab = attributed(11, &[(5, 1.0), (9, 0.5)]);
-        let rows = RowRecord::from_attributed(&ab);
-        let back = RowRecord::to_attributed(&rows);
-        assert_eq!(back.height, ab.height);
-        assert_eq!(back.timestamp, ab.timestamp);
-        assert_eq!(back.credits.len(), 2);
-        assert_eq!(back.credits[0].producer, ProducerId(5));
-        assert!((back.credits[1].weight - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn try_to_attributed_rejects_bad_runs() {
-        assert!(matches!(
-            RowRecord::try_to_attributed(&[]),
-            Err(StoreError::InconsistentCatalog(_))
-        ));
-        let mut rows = RowRecord::from_attributed(&attributed(11, &[(5, 1.0), (9, 0.5)]));
-        rows[1].height = 12;
-        let err = RowRecord::try_to_attributed(&rows).unwrap_err();
-        assert!(err.to_string().contains("mixes heights"));
-    }
-
-    #[test]
-    #[should_panic(expected = "to_attributed")]
-    fn to_attributed_panics_with_message_on_empty() {
-        RowRecord::to_attributed(&[]);
-    }
-
-    #[test]
-    fn from_block_carries_metadata() {
-        use blockdec_chain::{Address, ChainKind};
-        let block = Block::builder(ChainKind::Bitcoin, 99)
-            .timestamp(Timestamp(7))
-            .difficulty(1234)
-            .tx_count(2500)
-            .size_bytes(1_000_000)
-            .payout(Address::synthesize(ChainKind::Bitcoin, 1))
-            .build()
-            .unwrap();
-        let credits = [Credit {
-            producer: ProducerId(4),
-            weight: 1.0,
-        }];
-        let rows = RowRecord::from_block(&block, &credits);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].tx_count, 2500);
-        assert_eq!(rows[0].size_bytes, 1_000_000);
-        assert_eq!(rows[0].difficulty, 1234);
-        assert_eq!(rows[0].producer, 4);
     }
 }

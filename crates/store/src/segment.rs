@@ -72,31 +72,43 @@ pub enum FooterCheck {
 
 /// Check the finalization footer of raw segment bytes.
 pub fn check_footer(data: &[u8]) -> FooterCheck {
-    if data.len() < FOOTER_LEN || data[data.len() - 4..] != FOOTER_MAGIC {
-        return FooterCheck::NotFinalized;
+    match check_footer_frame(data, data.len()) {
+        FooterCheck::Ok => {}
+        damaged => return damaged,
     }
     let base = data.len() - FOOTER_LEN;
-    let stored_len = lebytes::u32_at(data, base + 4) as usize;
-    if stored_len != data.len() {
-        return FooterCheck::LengthMismatch;
-    }
-    let stored_crc = lebytes::u32_at(data, base);
-    if crc32(&data[..base]) != stored_crc {
+    if crc32(&data[..base]) != lebytes::u32_at(data, base) {
         return FooterCheck::CrcMismatch;
     }
     FooterCheck::Ok
 }
 
-/// [`check_footer`] as a `Result`, with `what` naming the artifact.
-pub fn verify_footer(data: &[u8], what: &str) -> Result<()> {
-    let detail = match check_footer(data) {
+/// Footer *frame* check only — magic and recorded length, **not** the
+/// whole-file CRC — of a `file_len`-byte segment whose last bytes are
+/// `tail` (the whole file, or just its end). The pruned scan path uses
+/// this so it never has to checksum pages it is about to skip; the
+/// index CRC and the per-page CRCs of the groups it does decode still
+/// cover everything it reads.
+fn check_footer_frame(tail: &[u8], file_len: usize) -> FooterCheck {
+    if tail.len() < FOOTER_LEN || tail[tail.len() - 4..] != FOOTER_MAGIC {
+        return FooterCheck::NotFinalized;
+    }
+    if lebytes::u32_at(tail, tail.len() - 8) as usize != file_len {
+        return FooterCheck::LengthMismatch;
+    }
+    FooterCheck::Ok
+}
+
+/// A footer check's outcome as a `Result`, with `what` naming the
+/// artifact.
+fn footer_result(check: FooterCheck, file_len: usize, what: &str) -> Result<()> {
+    let detail = match check {
         FooterCheck::Ok => return Ok(()),
         FooterCheck::NotFinalized => {
             "missing finalization footer (torn write or truncated file)".to_string()
         }
         FooterCheck::LengthMismatch => format!(
-            "footer length disagrees with file length {} (truncated after finalization)",
-            data.len()
+            "footer length disagrees with file length {file_len} (truncated after finalization)"
         ),
         FooterCheck::CrcMismatch => "whole-file crc mismatch (bit rot)".to_string(),
     };
@@ -106,44 +118,24 @@ pub fn verify_footer(data: &[u8], what: &str) -> Result<()> {
     })
 }
 
-/// Footer *frame* check only — magic and recorded length, **not** the
-/// whole-file CRC. The pruned scan path uses this so it never has to
-/// checksum pages it is about to skip; the index CRC and the per-page
-/// CRCs of the groups it does decode still cover everything it reads.
-fn verify_footer_frame(data: &[u8], what: &str) -> Result<()> {
-    if data.len() < FOOTER_LEN || data[data.len() - 4..] != FOOTER_MAGIC {
-        return Err(StoreError::Corrupt {
-            what: what.to_string(),
-            detail: "missing finalization footer (torn write or truncated file)".to_string(),
-        });
-    }
-    let base = data.len() - FOOTER_LEN;
-    let stored_len = lebytes::u32_at(data, base + 4) as usize;
-    if stored_len != data.len() {
-        return Err(StoreError::Corrupt {
-            what: what.to_string(),
-            detail: format!(
-                "footer length disagrees with file length {} (truncated after finalization)",
-                data.len()
-            ),
-        });
-    }
-    Ok(())
+/// [`check_footer`] as a `Result`, with `what` naming the artifact.
+pub fn verify_footer(data: &[u8], what: &str) -> Result<()> {
+    footer_result(check_footer(data), data.len(), what)
+}
+
+/// [`check_footer_frame`] as a `Result`.
+fn verify_footer_frame(tail: &[u8], file_len: usize, what: &str) -> Result<()> {
+    footer_result(check_footer_frame(tail, file_len), file_len, what)
 }
 
 /// The stored whole-file CRC of a finalized segment — its content
-/// identity (used to key the decoded-segment cache and recorded in the
-/// manifest). `None` when the footer frame is absent or inconsistent.
+/// identity (used to key the page cache and recorded in the manifest).
+/// `None` when the footer frame is absent or inconsistent.
 pub fn footer_crc(data: &[u8]) -> Option<u32> {
-    if data.len() < FOOTER_LEN || data[data.len() - 4..] != FOOTER_MAGIC {
-        return None;
+    match check_footer_frame(data, data.len()) {
+        FooterCheck::Ok => Some(lebytes::u32_at(data, data.len() - FOOTER_LEN)),
+        _ => None,
     }
-    let base = data.len() - FOOTER_LEN;
-    let stored_len = u32::from_le_bytes(data[base + 4..base + 8].try_into().ok()?) as usize;
-    if stored_len != data.len() {
-        return None;
-    }
-    Some(u32::from_le_bytes(data[base..base + 4].try_into().ok()?))
 }
 
 /// Append the finalization footer to an encoded segment body.
@@ -192,15 +184,29 @@ pub(crate) fn index_bounds(data: &[u8]) -> Option<(usize, usize)> {
     Some((index_off, idx_field))
 }
 
-/// The column layout, in file order (repeated once per page group).
-const COLUMNS: [(&str, Codec); 7] = [
-    ("height", Codec::DeltaVarint),
-    ("timestamp", Codec::DeltaVarint),
-    ("producer", Codec::PlainVarint),
-    ("credit", Codec::PlainVarint),
-    ("tx_count", Codec::PlainVarint),
-    ("size_bytes", Codec::PlainVarint),
-    ("difficulty", Codec::DeltaVarint),
+/// The seven columns of a page group. Encoders and decoders match on
+/// it, so a column without an arm does not compile.
+#[derive(Clone, Copy)]
+enum Column {
+    Height,
+    Timestamp,
+    Producer,
+    Credit,
+    TxCount,
+    SizeBytes,
+    Difficulty,
+}
+
+/// The column layout, in file order (repeated once per page group),
+/// with each column's name and the codec the writer uses.
+const COLUMNS: [(Column, &str, Codec); 7] = [
+    (Column::Height, "height", Codec::DeltaVarint),
+    (Column::Timestamp, "timestamp", Codec::DeltaVarint),
+    (Column::Producer, "producer", Codec::PlainVarint),
+    (Column::Credit, "credit", Codec::PlainVarint),
+    (Column::TxCount, "tx_count", Codec::PlainVarint),
+    (Column::SizeBytes, "size_bytes", Codec::PlainVarint),
+    (Column::Difficulty, "difficulty", Codec::DeltaVarint),
 ];
 
 /// One page group's entry in the index block: where its seven pages
@@ -417,26 +423,29 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
 /// Encode one page group's seven column pages.
 fn encode_group(rows: &[RowRecord], out: &mut Vec<u8>, payload: &mut Vec<u8>) {
     let n = rows.len();
-    for (name, codec) in COLUMNS {
+    for (col, _, codec) in COLUMNS {
         payload.clear();
-        match name {
-            "height" => encode_column(codec, &collect(rows, |r| r.height), payload),
-            "timestamp" => {
+        match col {
+            Column::Height => encode_column(codec, &collect(rows, |r| r.height), payload),
+            Column::Timestamp => {
                 let v: Vec<i64> = rows.iter().map(|r| r.timestamp).collect();
                 encode_signed_column(codec, &v, payload);
             }
-            "producer" => encode_column(codec, &collect(rows, |r| u64::from(r.producer)), payload),
-            "credit" => encode_column(
+            Column::Producer => {
+                encode_column(codec, &collect(rows, |r| u64::from(r.producer)), payload)
+            }
+            Column::Credit => encode_column(
                 codec,
                 &collect(rows, |r| u64::from(r.credit_millis)),
                 payload,
             ),
-            "tx_count" => encode_column(codec, &collect(rows, |r| u64::from(r.tx_count)), payload),
-            "size_bytes" => {
+            Column::TxCount => {
+                encode_column(codec, &collect(rows, |r| u64::from(r.tx_count)), payload)
+            }
+            Column::SizeBytes => {
                 encode_column(codec, &collect(rows, |r| u64::from(r.size_bytes)), payload)
             }
-            "difficulty" => encode_column(codec, &collect(rows, |r| r.difficulty), payload),
-            _ => unreachable!(), // blockdec-lint: allow(panic) — arms cover every name in the static COLUMNS table
+            Column::Difficulty => encode_column(codec, &collect(rows, |r| r.difficulty), payload),
         }
         write_page(out, codec, n as u32, payload);
     }
@@ -466,27 +475,25 @@ impl PrunedDecode {
     }
 }
 
-/// Reusable zero-copy segment decoder: the shared decode core of both
-/// scan paths.
+/// Reusable zero-copy segment decoder: the decode core of every scan,
+/// of fsck and of the compactor.
 ///
 /// [`SegmentDecoder::decode`] verifies the footer and header, borrows
 /// each column page straight out of the input buffer (no payload copies
 /// — [`crate::page::read_page`] returns slices), and batch-decodes every
 /// column into scratch buffers owned by the decoder. Reusing one decoder
 /// across segments makes a scan allocation-free after the first segment,
-/// which is what lets the columnar path skip the per-segment
-/// `Vec<RowRecord>` materialization entirely.
+/// which is what lets scans skip the per-segment `Vec<RowRecord>`
+/// materialization entirely.
 ///
-/// A full [`SegmentDecoder::decode`] also cross-checks the index block
-/// against the decoded rows (offsets, row counts, zone bounds, bloom
-/// membership), so fsck gets index verification for free. The pruned
-/// variant, [`SegmentDecoder::decode_pruned`], instead *trusts* the
-/// CRC-checked index and decodes only the page groups whose zones may
-/// match a predicate — the core of the pruned scan path.
-///
-/// Validation is exactly [`decode_segment`]'s (that function is now a
-/// thin wrapper over this type), so corrupt inputs fail identically on
-/// the row and columnar paths.
+/// Scans use the pruned variants, [`SegmentDecoder::decode_pruned`] and
+/// [`SegmentDecoder::decode_pruned_ranged`], which decode only the page
+/// groups whose zones may match a predicate and cross-check each of them
+/// against the index: the header's row count against the index total,
+/// the group's pages against its extent, and its rows against its zone.
+/// The full [`SegmentDecoder::decode`] (behind [`decode_segment`], which
+/// fsck, scrub and the compactor use) adds the two checks that need
+/// every byte: the whole-file CRC and per-row bloom membership.
 ///
 /// ```
 /// use blockdec_store::segment::{encode_segment, SegmentDecoder};
@@ -559,7 +566,7 @@ impl SegmentDecoder {
     /// Decode one page group's seven pages from `cursor`, appending to
     /// the column buffers. `n` is the group's expected row count.
     fn decode_group(&mut self, cursor: &mut &[u8], n: usize, what: &str) -> Result<()> {
-        for (name, _) in COLUMNS {
+        for (col, name, _) in COLUMNS {
             let (codec, rows_in_page, payload) = read_page(cursor, what)?;
             if rows_in_page as usize != n {
                 return Err(StoreError::Corrupt {
@@ -567,9 +574,9 @@ impl SegmentDecoder {
                     detail: format!("column {name}: {rows_in_page} rows, expected {n}"),
                 });
             }
-            let out = match name {
-                "height" => &mut self.heights,
-                "timestamp" => {
+            let out = match col {
+                Column::Height => &mut self.heights,
+                Column::Timestamp => {
                     decode_signed_column_into(
                         codec,
                         payload,
@@ -579,12 +586,11 @@ impl SegmentDecoder {
                     )?;
                     continue;
                 }
-                "producer" => &mut self.producers,
-                "credit" => &mut self.credits,
-                "tx_count" => &mut self.tx_counts,
-                "size_bytes" => &mut self.size_bytes,
-                "difficulty" => &mut self.difficulties,
-                _ => unreachable!(), // blockdec-lint: allow(panic) — arms cover every name in the static COLUMNS table
+                Column::Producer => &mut self.producers,
+                Column::Credit => &mut self.credits,
+                Column::TxCount => &mut self.tx_counts,
+                Column::SizeBytes => &mut self.size_bytes,
+                Column::Difficulty => &mut self.difficulties,
             };
             decode_column_into(codec, payload, n, out)?;
         }
@@ -625,16 +631,11 @@ impl SegmentDecoder {
         let body = &data[..data.len() - FOOTER_LEN];
         let n = Self::parse_header(body, what)?;
         let index = parse_index(data, what)?;
+        check_row_count(&index, n, what)?;
         let bad_index = |detail: String| StoreError::CorruptIndex {
             what: what.to_string(),
             detail,
         };
-        let declared: usize = index.groups.iter().map(|g| g.rows as usize).sum();
-        if declared != n {
-            return Err(bad_index(format!(
-                "index declares {declared} rows, header says {n}"
-            )));
-        }
         let idx_field = data.len() - FOOTER_LEN - 4;
         let index_off = lebytes::u32_at(data, idx_field) as usize;
         let mut cursor = &data[10..index_off];
@@ -655,42 +656,10 @@ impl SegmentDecoder {
             )));
         }
 
-        // Cross-check the index's zones and bloom against the rows.
+        // Cross-check the index's zones and blooms against the rows.
         let mut at = 0usize;
         for (g, group) in index.groups.iter().enumerate() {
-            let rows = group.rows as usize;
-            let heights = &self.heights[at..at + rows];
-            let times = &self.timestamps[at..at + rows];
-            // Sentinel bounds for an (invalid) empty group fail the zone
-            // comparison below as corruption rather than panicking here.
-            let (mut min_h, mut max_h) = (u64::MAX, u64::MIN);
-            for &h in heights {
-                min_h = min_h.min(h);
-                max_h = max_h.max(h);
-            }
-            let (mut min_t, mut max_t) = (i64::MAX, i64::MIN);
-            for &t in times {
-                min_t = min_t.min(t);
-                max_t = max_t.max(t);
-            }
-            if (min_h, max_h, min_t, max_t)
-                != (
-                    group.min_height,
-                    group.max_height,
-                    group.min_time,
-                    group.max_time,
-                )
-            {
-                return Err(bad_index(format!(
-                    "group {g}: zone [{}..{}]h/[{}..{}]t disagrees with rows \
-                     [{min_h}..{max_h}]h/[{min_t}..{max_t}]t",
-                    group.min_height, group.max_height, group.min_time, group.max_time
-                )));
-            }
-            at += rows;
-        }
-        let mut at = 0usize;
-        for (g, group) in index.groups.iter().enumerate() {
+            self.check_group_zone(at, g, group, what)?;
             let rows = group.rows as usize;
             for &p in &self.producers[at..at + rows] {
                 if p > u64::from(u32::MAX) {
@@ -721,8 +690,10 @@ impl SegmentDecoder {
     /// producer absent — without reading a byte of the skipped pages,
     /// and skipping the whole-file CRC, whose cost is proportional to
     /// the bytes we are trying not to touch. What *is* read stays fully
-    /// checked: the footer frame, the CRC-covered index block, and the
-    /// per-page CRCs of every decoded group.
+    /// checked: the footer frame, the header, the CRC-covered index
+    /// block and its row total, the per-page CRCs of every decoded
+    /// group, and each decoded group's extent and zone against its
+    /// index entry.
     ///
     /// The decoder afterwards holds the surviving groups' rows,
     /// contiguous and in height order; rows that match `pred` are a
@@ -735,33 +706,19 @@ impl SegmentDecoder {
         pred: &ScanPredicate,
     ) -> Result<PrunedDecode> {
         self.clear();
-        verify_footer_frame(data, what)?;
+        verify_footer_frame(data, data.len(), what)?;
         let body = &data[..data.len() - FOOTER_LEN];
-        Self::parse_header(body, what)?;
+        let n = Self::parse_header(body, what)?;
         let index = parse_index(data, what)?;
+        check_row_count(&index, n, what)?;
         let idx_field = data.len() - FOOTER_LEN - 4;
         let index_off = lebytes::u32_at(data, idx_field) as usize;
         let mut decoded = 0usize;
-        for (g, group) in index.groups.iter().enumerate() {
-            if !pred.may_match(&group.zone()) {
-                continue;
-            }
-            if let Some(p) = pred.producer {
-                if !index.group_producers[g].contains(p) {
-                    continue;
-                }
-            }
-            let mut cursor = &data[group.offset as usize..index_off];
-            self.decode_group(&mut cursor, group.rows as usize, what)?;
+        for (g, start, end) in surviving_groups(&index, index_off, pred) {
+            self.decode_indexed_group(&data[start..end], &index, g, what)?;
             decoded += 1;
         }
-        self.validate_narrow(what)?;
-        self.rows = self.heights.len();
-        Ok(PrunedDecode {
-            rows: self.rows,
-            groups_total: index.groups.len(),
-            groups_skipped: index.groups.len() - decoded,
-        })
+        self.finish_pruned(&index, decoded, what)
     }
 
     /// [`SegmentDecoder::decode_pruned`] over a backend that serves byte
@@ -777,9 +734,10 @@ impl SegmentDecoder {
     ///
     /// Validation matches [`SegmentDecoder::decode_pruned`] check for
     /// check (same error texts in the same order); group extents come
-    /// from the CRC-covered index, and every fetched page still passes
-    /// its own CRC, so an index that lies about offsets fails decoding
-    /// rather than yielding bad rows.
+    /// from the CRC-covered index, every fetched page still passes its
+    /// own CRC, and every decoded group must fill its extent and match
+    /// its zone, so an index that lies about offsets or zones fails
+    /// decoding rather than yielding bad rows.
     pub fn decode_pruned_ranged(
         &mut self,
         fetch: &mut dyn FnMut(u64, usize) -> Result<Arc<Vec<u8>>>,
@@ -795,22 +753,8 @@ impl SegmentDecoder {
             return self.decode_pruned(&data, what, pred);
         }
         self.clear();
-        let corrupt = |detail: String| StoreError::Corrupt {
-            what: what.to_string(),
-            detail,
-        };
         let tail = fetch(file_len - TAIL_LEN as u64, TAIL_LEN)?;
-        if tail[TAIL_LEN - 4..] != FOOTER_MAGIC {
-            return Err(corrupt(
-                "missing finalization footer (torn write or truncated file)".to_string(),
-            ));
-        }
-        let stored_len = lebytes::u32_at(&tail, 8) as u64;
-        if stored_len != file_len {
-            return Err(corrupt(format!(
-                "footer length disagrees with file length {file_len} (truncated after finalization)"
-            )));
-        }
+        verify_footer_frame(&tail, file_len as usize, what)?;
         let body_len = (file_len as usize) - FOOTER_LEN;
         if body_len < 10 {
             return Err(StoreError::BadFormat {
@@ -819,7 +763,7 @@ impl SegmentDecoder {
             });
         }
         let header = fetch(0, 10)?;
-        Self::parse_header(&header, what)?;
+        let n = Self::parse_header(&header, what)?;
         let idx_field = (file_len as usize) - FOOTER_LEN - 4;
         let index_off = lebytes::u32_at(&tail, 0) as usize;
         if index_off < 10 || index_off + 4 > idx_field {
@@ -830,26 +774,97 @@ impl SegmentDecoder {
         }
         let region = fetch(index_off as u64, idx_field - index_off)?;
         let index = parse_index_region(&region, index_off, what)?;
+        check_row_count(&index, n, what)?;
         let mut decoded = 0usize;
-        for (g, group) in index.groups.iter().enumerate() {
-            if !pred.may_match(&group.zone()) {
-                continue;
-            }
-            if let Some(p) = pred.producer {
-                if !index.group_producers[g].contains(p) {
-                    continue;
-                }
-            }
-            let end = index
-                .groups
-                .get(g + 1)
-                .map(|next| next.offset as usize)
-                .unwrap_or(index_off);
-            let extent = fetch(u64::from(group.offset), end - group.offset as usize)?;
-            let mut cursor = extent.as_slice();
-            self.decode_group(&mut cursor, group.rows as usize, what)?;
+        for (g, start, end) in surviving_groups(&index, index_off, pred) {
+            let extent = fetch(start as u64, end - start)?;
+            self.decode_indexed_group(&extent, &index, g, what)?;
             decoded += 1;
         }
+        self.finish_pruned(&index, decoded, what)
+    }
+
+    /// Decode page group `g` of `index` from `extent` — exactly the
+    /// bytes from the group's offset to the next group's, or to the
+    /// index — and check it against its index entry: its pages must
+    /// fill the extent, and its rows must span exactly the entry's
+    /// height and time zone. Both pruned decodes read every group
+    /// through here, so an index that lies about an extent or a zone
+    /// fails every scan that reads the group, not only fsck.
+    fn decode_indexed_group(
+        &mut self,
+        extent: &[u8],
+        index: &SegmentIndex,
+        g: usize,
+        what: &str,
+    ) -> Result<()> {
+        let group = &index.groups[g];
+        let at = self.heights.len();
+        let mut cursor = extent;
+        self.decode_group(&mut cursor, group.rows as usize, what)?;
+        if !cursor.is_empty() {
+            // The full decode's texts: it finds the same gap at the next
+            // group's offset, or before the index.
+            let detail = match index.groups.get(g + 1) {
+                Some(next) => format!(
+                    "group {}: index offset {} but pages start at {}",
+                    g + 1,
+                    next.offset,
+                    next.offset as usize - cursor.len()
+                ),
+                None => format!(
+                    "{} trailing bytes between last page and index",
+                    cursor.len()
+                ),
+            };
+            return Err(StoreError::CorruptIndex {
+                what: what.to_string(),
+                detail,
+            });
+        }
+        self.check_group_zone(at, g, group, what)
+    }
+
+    /// Check that the rows decoded for `group` (index entry `g`),
+    /// starting at row `at`, span exactly its index zone — one min/max
+    /// pass over columns already decoded.
+    fn check_group_zone(&self, at: usize, g: usize, group: &PageGroup, what: &str) -> Result<()> {
+        let rows = at..at + group.rows as usize;
+        // Sentinel bounds for an (invalid) empty group fail the zone
+        // comparison below as corruption rather than panicking here.
+        let (min_h, max_h) = self.heights[rows.clone()]
+            .iter()
+            .fold((u64::MAX, u64::MIN), |(lo, hi), &h| (lo.min(h), hi.max(h)));
+        let (min_t, max_t) = self.timestamps[rows]
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        if (min_h, max_h, min_t, max_t)
+            != (
+                group.min_height,
+                group.max_height,
+                group.min_time,
+                group.max_time,
+            )
+        {
+            return Err(StoreError::CorruptIndex {
+                what: what.to_string(),
+                detail: format!(
+                    "group {g}: zone [{}..{}]h/[{}..{}]t disagrees with rows \
+                     [{min_h}..{max_h}]h/[{min_t}..{max_t}]t",
+                    group.min_height, group.max_height, group.min_time, group.max_time
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Close a pruned decode of `decoded` groups out of `index`.
+    fn finish_pruned(
+        &mut self,
+        index: &SegmentIndex,
+        decoded: usize,
+        what: &str,
+    ) -> Result<PrunedDecode> {
         self.validate_narrow(what)?;
         self.rows = self.heights.len();
         Ok(PrunedDecode {
@@ -868,7 +883,7 @@ impl SegmentDecoder {
     /// whose only fault is index corruption.
     pub fn decode_salvage(&mut self, data: &[u8], what: &str) -> Result<usize> {
         self.clear();
-        verify_footer_frame(data, what)?;
+        verify_footer_frame(data, data.len(), what)?;
         let body = &data[..data.len() - FOOTER_LEN];
         let n = Self::parse_header(body, what)?;
         let idx_field = data.len() - FOOTER_LEN - 4;
@@ -918,6 +933,46 @@ impl SegmentDecoder {
             difficulty: self.difficulties[i],
         }
     }
+}
+
+/// Check that the header's row count `n` equals the index's total.
+fn check_row_count(index: &SegmentIndex, n: usize, what: &str) -> Result<()> {
+    let declared: usize = index.groups.iter().map(|g| g.rows as usize).sum();
+    if declared != n {
+        return Err(StoreError::CorruptIndex {
+            what: what.to_string(),
+            detail: format!("index declares {declared} rows, header says {n}"),
+        });
+    }
+    Ok(())
+}
+
+/// The page groups of `index` a pruned decode must read — those whose
+/// zone may overlap `pred` and whose bloom may hold its producer — as
+/// `(group, start, end)`: the group's extent runs from its offset to
+/// the next group's, or to the index at `index_off`.
+fn surviving_groups<'a>(
+    index: &'a SegmentIndex,
+    index_off: usize,
+    pred: &'a ScanPredicate,
+) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    index
+        .groups
+        .iter()
+        .enumerate()
+        .filter(move |&(g, group)| {
+            pred.may_match(&group.zone())
+                && pred
+                    .producer
+                    .is_none_or(|p| index.group_producers[g].contains(p))
+        })
+        .map(move |(g, group)| {
+            let end = index
+                .groups
+                .get(g + 1)
+                .map_or(index_off, |next| next.offset as usize);
+            (g, group.offset as usize, end)
+        })
 }
 
 /// Decode a segment byte buffer back into rows. The finalization footer
@@ -1005,6 +1060,28 @@ mod tests {
                 difficulty: 5_000_000_000_000 + (i as u64) * 17,
             })
             .collect()
+    }
+
+    #[test]
+    fn golden_segment_matches_the_format_doc() {
+        // docs/FORMAT.md's worked hexdump: three rows, one page group.
+        // The footer CRC covers every byte before it, so together with
+        // the length it pins the whole file layout.
+        let rows: Vec<RowRecord> = (0..3u32)
+            .map(|n| RowRecord {
+                height: 556_459 + u64::from(n),
+                timestamp: 1_546_300_800 + 600 * i64::from(n),
+                producer: n % 2,
+                credit_millis: 1000,
+                tx_count: 2000 + n,
+                size_bytes: 1100,
+                difficulty: 5_000_000 + u64::from(n),
+            })
+            .collect();
+        let bytes = encode_segment(&rows);
+        assert_eq!(bytes.len(), 242);
+        assert_eq!(footer_crc(&bytes), Some(0x0666_d755));
+        assert_eq!(decode_segment(&bytes, "golden").unwrap(), rows);
     }
 
     #[test]
@@ -1267,6 +1344,37 @@ mod tests {
         assert!(parse_index(&encoded, "t").is_ok(), "index crc must pass");
         let err = decode_segment(&encoded, "t").unwrap_err();
         assert!(matches!(err, StoreError::CorruptIndex { .. }), "{err}");
+    }
+
+    #[test]
+    fn group_pages_must_fill_their_extent() {
+        // Move group 1's index offset one byte into its first page, with
+        // the index CRC and footer refitted: group 0's pages still
+        // decode, but stop one byte short of the extent the index gives.
+        let r = rows(10_000);
+        let mut encoded = encode_segment(&r);
+        let (start, _) = index_bounds(&encoded).unwrap();
+        let at = start + 8 + GROUP_ENTRY_LEN;
+        let moved = lebytes::u32_at(&encoded, at) + 1;
+        encoded[at..at + 4].copy_from_slice(&moved.to_le_bytes());
+        refit_index_crc(&mut encoded);
+        refit_footer(&mut encoded);
+        let full = decode_segment(&encoded, "t").unwrap_err();
+        assert!(matches!(full, StoreError::CorruptIndex { .. }), "{full}");
+        assert!(full.to_string().contains("group 1: index offset"), "{full}");
+
+        // A pruned decode of group 0 alone reports it the same way.
+        let pred = ScanPredicate::all().heights(r[0].height, r[0].height);
+        let mut dec = SegmentDecoder::new();
+        let pruned = dec.decode_pruned(&encoded, "t", &pred).unwrap_err();
+        assert_eq!(pruned.to_string(), full.to_string());
+        let mut fetch = |off: u64, len: usize| -> Result<Arc<Vec<u8>>> {
+            Ok(Arc::new(encoded[off as usize..off as usize + len].to_vec()))
+        };
+        let ranged = dec
+            .decode_pruned_ranged(&mut fetch, encoded.len() as u64, "t", &pred)
+            .unwrap_err();
+        assert_eq!(ranged.to_string(), full.to_string());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The public store API: [`BlockStore`].
 
 use crate::backend::{get_retry, LocalFs, ObjectStore, PageCache, PageCacheStats};
-use crate::cache::SegmentCache;
 use crate::catalog::{segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::compactor::{CompactionPolicy, Compactor};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
@@ -137,8 +136,7 @@ pub struct ScanStats {
     /// filters have no false negatives).
     pub bloom_skips: usize,
     /// CRC-framed column pages skipped *inside* decoded segments via the
-    /// v3 per-group index zones (columnar scans only; the row path
-    /// decodes whole segments into the cache, so it reports 0 here).
+    /// v3 per-group index zones and group blooms.
     pub pages_pruned: u64,
     /// Unreadable segments skipped by a degraded scan (always 0 for a
     /// strict scan, which errors instead). See [`ScanOptions`].
@@ -157,8 +155,9 @@ pub struct ScanOptions {
     pub skip_corrupt: bool,
     /// Decode worker threads for columnar scans
     /// ([`BlockStore::scan_columnar_with`]): `0` means one per available
-    /// CPU, `1` decodes inline on the calling thread. Row scans are
-    /// always sequential and ignore this.
+    /// CPU, `1` decodes inline on the calling thread. Row scans feed one
+    /// `FnMut` visitor, so they always run on the calling thread and
+    /// ignore this.
     pub threads: usize,
 }
 
@@ -209,7 +208,6 @@ pub struct BlockStore {
     store: Arc<dyn ObjectStore>,
     manifest: Manifest,
     registry: ProducerRegistry,
-    cache: SegmentCache,
     pages: PageCache,
     active: Vec<RowRecord>,
     last_height: Option<u64>,
@@ -217,20 +215,8 @@ pub struct BlockStore {
     compact_policy: Option<CompactionPolicy>,
 }
 
-/// Default decoded-segment cache capacity.
-const DEFAULT_CACHE_SEGMENTS: usize = 8;
-
 /// Default page-cache capacity in mebibytes.
 const DEFAULT_PAGE_CACHE_MB: u64 = 64;
-
-/// Decoded-segment cache capacity: `BLOCKDEC_CACHE_SEGMENTS` when set
-/// and parseable, 8 segments otherwise.
-pub fn default_cache_segments() -> usize {
-    std::env::var("BLOCKDEC_CACHE_SEGMENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CACHE_SEGMENTS)
-}
 
 /// Page-cache capacity in bytes: `BLOCKDEC_PAGE_CACHE_MB` (in MiB) when
 /// set and parseable, 64 MiB otherwise.
@@ -248,7 +234,6 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         store,
         manifest,
         registry: ProducerRegistry::new(),
-        cache: SegmentCache::new(default_cache_segments()),
         pages: PageCache::new(default_page_cache_bytes()),
         active: Vec::new(),
         last_height,
@@ -341,11 +326,10 @@ impl BlockStore {
         }
     }
 
-    /// Resize the decoded-segment cache (entries beyond the new
-    /// capacity are evicted immediately).
-    pub fn set_cache_segments(&mut self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
+    /// Does nothing: the store's one cache is the page cache, sized by
+    /// [`BlockStore::set_page_cache_bytes`]. Kept only because
+    /// `perfbench/` still calls it; delete it once that call goes.
+    pub fn set_cache_segments(&mut self, _capacity: usize) {}
 
     /// Resize the backend page cache (bytes; `0` disables caching).
     pub fn set_page_cache_bytes(&mut self, capacity: usize) {
@@ -486,9 +470,9 @@ impl BlockStore {
         // Commit: dictionary first (superset is harmless), then manifest.
         save_dictionary(self.store.as_ref(), &self.registry)?;
         self.manifest.save(self.store.as_ref())?;
-        // No cache invalidation: the decoded-segment cache is keyed by
-        // content identity (file name + footer CRC), so entries for
-        // superseded bytes simply stop being addressed and age out.
+        // No cache invalidation: the page cache is keyed by content
+        // identity (file name + footer CRC), so entries for superseded
+        // bytes simply stop being addressed and age out.
         Ok(())
     }
 
@@ -530,16 +514,8 @@ impl BlockStore {
         pred: &ScanPredicate,
         opts: ScanOptions,
     ) -> Result<(Vec<RowRecord>, ScanStats)> {
-        let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
         let mut out = Vec::new();
         let stats = self.scan_for_each_with(pred, opts, |r| out.push(*r))?;
-        blockdec_obs::debug!(
-            rows = stats.rows_returned,
-            pruned = stats.segments_pruned,
-            skipped = stats.segments_skipped,
-            total_segments = stats.segments_total;
-            "scan complete"
-        );
         Ok((out, stats))
     }
 
@@ -558,58 +534,24 @@ impl BlockStore {
     /// With [`ScanOptions::degraded`], an unreadable segment is skipped
     /// and counted ([`ScanStats::segments_skipped`], plus the
     /// `store.fault.segments_skipped` counter) instead of aborting —
-    /// the scan yields every row of the surviving segments.
+    /// the scan yields every row of the surviving segments. The one
+    /// visitor runs on the calling thread, so [`ScanOptions::threads`]
+    /// is ignored.
     pub fn scan_for_each_with(
         &self,
         pred: &ScanPredicate,
         opts: ScanOptions,
         mut visit: impl FnMut(&RowRecord),
     ) -> Result<ScanStats> {
-        let mut stats = ScanStats {
-            segments_total: self.manifest.segments.len(),
-            ..ScanStats::default()
-        };
-        for seg in &self.manifest.segments {
-            match prune_segment(pred, seg) {
-                Prune::Zone => {
-                    stats.segments_pruned += 1;
-                    blockdec_obs::counter("store.scan.segments_pruned").inc();
-                    continue;
-                }
-                Prune::Bloom => {
-                    stats.segments_pruned += 1;
-                    stats.bloom_skips += 1;
-                    blockdec_obs::counter("store.scan.segments_pruned").inc();
-                    blockdec_obs::counter("store.scan.bloom_skip").inc();
-                    continue;
-                }
-                Prune::No => {}
-            }
-            let rows = match self.cache.get_or_load(&seg.cache_key(), || {
-                read_segment_file(self.store.as_ref(), &seg.file)
-            }) {
-                Ok(rows) => rows,
-                Err(e) if opts.skip_corrupt => {
-                    stats.segments_skipped += 1;
-                    blockdec_obs::counter("store.fault.segments_skipped").inc();
-                    blockdec_obs::warn!(
-                        file = seg.file.clone();
-                        "degraded scan skipping unreadable segment: {e}"
-                    );
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            for r in rows.iter().filter(|r| pred.matches(r)) {
-                visit(r);
-                stats.rows_returned += 1;
-            }
-        }
-        for r in self.active.iter().filter(|r| pred.matches(r)) {
-            visit(r);
-            stats.rows_returned += 1;
-        }
-        blockdec_obs::counter("store.rows.scanned").add(stats.rows_returned);
+        let visit = &mut visit;
+        let (_, stats) = self.scan_loop(
+            pred,
+            move |selected| {
+                let read = self.read_segments(selected, pred, opts.skip_corrupt, visit);
+                vec![(visit, read)]
+            },
+            |visit, r| visit(r),
+        )?;
         Ok(stats)
     }
 
@@ -657,13 +599,13 @@ impl BlockStore {
     }
 
     /// Scan straight into columnar form — the fastest read path in the
-    /// store. Non-pruned segments are decoded zero-copy by
-    /// [`crate::segment::SegmentDecoder`] (pages borrowed from the file
-    /// buffer, columns batch-decoded into reusable scratch) and pushed
-    /// into [`BlockColumns`] without ever materializing a
-    /// `Vec<RowRecord>`; with more than one decode thread the segment
-    /// list is split into contiguous chunks, each worker builds a partial
-    /// column set, and the partials are stitched back in height order.
+    /// store. It runs the same scan loop as [`BlockStore::scan_for_each`]
+    /// (zero-copy [`crate::segment::SegmentDecoder`] decodes into
+    /// reusable scratch), pushing rows into [`BlockColumns`] without
+    /// ever materializing a `Vec<RowRecord>`; with more than one decode
+    /// thread the selected segments are split into contiguous chunks,
+    /// each worker builds a partial column set, and the partials are
+    /// stitched back in height order.
     ///
     /// The result is bitwise-identical to the sequential row scan
     /// regrouped through [`BlockColumns::push_row`], at any thread count.
@@ -732,6 +674,88 @@ impl BlockStore {
         opts: ScanOptions,
         keep: impl Fn(&RowRecord) -> bool + Sync,
     ) -> Result<(BlockColumns, ScanStats)> {
+        let push = |cols: &mut BlockColumns, r: &RowRecord| {
+            if keep(r) {
+                cols.push_row(
+                    r.height,
+                    Timestamp(r.timestamp),
+                    ProducerId(r.producer),
+                    r.credit(),
+                );
+            }
+        };
+        let (partials, stats) = self.scan_loop(
+            pred,
+            |selected| {
+                let read = |segs: &[&SegmentMeta]| {
+                    let mut cols = BlockColumns::new();
+                    let read =
+                        self.read_segments(segs, pred, opts.skip_corrupt, &mut |r: &RowRecord| {
+                            push(&mut cols, r)
+                        });
+                    (cols, read)
+                };
+                let threads = effective_scan_threads(opts.threads, selected.len());
+                if threads <= 1 {
+                    return vec![read(selected)];
+                }
+                let per_chunk = selected.len().div_ceil(threads);
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = selected
+                        .chunks(per_chunk)
+                        .map(|segs| scope.spawn(move || read(segs)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("decode worker never panics")) // blockdec-lint: allow(panic) — join only fails by propagating a worker panic; nothing to recover
+                        .collect()
+                })
+            },
+            push,
+        )?;
+
+        let blocks: usize = partials.iter().map(|p| p.len()).sum();
+        let credits: usize = partials.iter().map(|p| p.credit_count()).sum();
+        let mut cols = BlockColumns::with_capacity(blocks, credits);
+        for p in &partials {
+            cols.append_columns(p);
+        }
+        // Each accepted row either joins the last block (same height) or
+        // starts a new one, and stitching merges a straddling block, so
+        // the first decreasing pair of blocks is the first out-of-order
+        // pair of rows in scan order, at any thread count.
+        if let Some(i) = (1..cols.len()).find(|&i| cols.height(i) < cols.height(i - 1)) {
+            return Err(StoreError::InconsistentCatalog(format!(
+                "scan yielded rows out of height order: height {} after {}",
+                cols.height(i),
+                cols.height(i - 1)
+            )));
+        }
+        debug_assert!(cols.validate().is_ok(), "scan built invalid columns");
+        blockdec_obs::counter("columnar.blocks").add(cols.len() as u64);
+        blockdec_obs::counter("columnar.credits").add(cols.credit_count() as u64);
+        blockdec_obs::counter("columnar.bytes_resident").add(cols.resident_bytes() as u64);
+        Ok((cols, stats))
+    }
+
+    /// The one scan loop. Row and columnar scans both run it and differ
+    /// only in their sinks, which decide what becomes of each row that
+    /// matches `pred`.
+    ///
+    /// The loop opens the scan's one `stage.scan` span and selects
+    /// segments from manifest metadata ([`prune_segment`]). `read` runs
+    /// the per-segment step ([`BlockStore::read_segments`]) over the
+    /// selection in contiguous chunks, each feeding its own sink, and
+    /// returns the sinks in catalog order — at least one, as an empty
+    /// selection is one empty chunk. The active buffer's matching rows
+    /// then go to the last sink through `tail`. A strict scan fails
+    /// with the first read error in catalog order.
+    fn scan_loop<S>(
+        &self,
+        pred: &ScanPredicate,
+        read: impl FnOnce(&[&SegmentMeta]) -> Vec<(S, SegmentsRead)>,
+        mut tail: impl FnMut(&mut S, &RowRecord),
+    ) -> Result<(Vec<S>, ScanStats)> {
         let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
         let mut stats = ScanStats {
             segments_total: self.manifest.segments.len(),
@@ -751,125 +775,105 @@ impl BlockStore {
         blockdec_obs::counter("store.scan.segments_pruned").add(stats.segments_pruned as u64);
         blockdec_obs::counter("store.scan.bloom_skip").add(stats.bloom_skips as u64);
 
-        let threads = effective_scan_threads(opts.threads, selected.len());
-        let backend = self.store.as_ref();
-        let pages = &self.pages;
-        let mut partials: Vec<ColumnarPartial> = if threads <= 1 {
-            vec![decode_columnar_chunk(
-                backend, pages, &selected, pred, &keep, opts,
-            )]
-        } else {
-            let per_chunk = selected.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = selected
-                    .chunks(per_chunk)
-                    .map(|segs| {
-                        scope.spawn(|| {
-                            decode_columnar_chunk(backend, pages, segs, pred, &keep, opts)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("decode worker never panics")) // blockdec-lint: allow(panic) — join only fails by propagating a worker panic; nothing to recover
-                    .collect()
-            })
-        };
-
-        // A strict decode error aborts before any stitching; chunks are
-        // in catalog order, so the first chunk's error is the error the
-        // sequential scan would have hit first.
-        for p in partials.iter_mut() {
-            if let Some(e) = p.error.take() {
+        let mut sinks = Vec::new();
+        for (chunk, (sink, read)) in read(&selected).into_iter().enumerate() {
+            if let Some(e) = read.error {
                 return Err(e);
             }
-        }
-        for (i, p) in partials.iter().enumerate() {
             blockdec_obs::debug!(
-                thread = i,
-                segments = p.segments_decoded,
-                rows = p.rows_decoded,
-                bytes = p.bytes_decoded;
-                "columnar decode worker done"
+                chunk = chunk,
+                segments = read.segments_decoded,
+                rows = read.rows_decoded,
+                bytes = read.bytes_decoded;
+                "scan chunk done"
             );
+            stats.segments_skipped += read.skipped;
+            stats.pages_pruned += read.pages_pruned;
+            stats.rows_returned += read.rows_matched;
+            sinks.push(sink);
         }
-
-        let blocks: usize = partials.iter().map(|p| p.cols.len()).sum();
-        let credits: usize = partials.iter().map(|p| p.cols.credit_count()).sum();
-        let mut cols = BlockColumns::with_capacity(blocks, credits);
-        let mut last_height: Option<u64> = None;
-        let mut disorder: Option<(u64, u64)> = None;
-        for p in &partials {
-            stats.segments_skipped += p.skipped;
-            stats.rows_returned += p.rows_matched;
-            stats.pages_pruned += p.pages_pruned;
-            if disorder.is_none() {
-                // Boundary disorder (last row of the previous chunk vs
-                // first accepted row of this one) is observed before any
-                // disorder internal to this chunk, as in a single pass.
-                if let (Some(prev), Some(first)) = (last_height, p.first_height) {
-                    if first < prev {
-                        disorder = Some((prev, first));
-                    }
-                }
-                if disorder.is_none() {
-                    disorder = p.disorder;
-                }
+        if let Some(sink) = sinks.last_mut() {
+            for r in self.active.iter().filter(|r| pred.matches(r)) {
+                tail(sink, r);
+                stats.rows_returned += 1;
             }
-            if p.last_height.is_some() {
-                last_height = p.last_height;
-            }
-            cols.append_columns(&p.cols);
-        }
-        for r in self.active.iter().filter(|r| pred.matches(r)) {
-            stats.rows_returned += 1;
-            if !keep(r) {
-                continue;
-            }
-            if let Some(h) = last_height {
-                if r.height < h && disorder.is_none() {
-                    disorder = Some((h, r.height));
-                }
-            }
-            last_height = Some(r.height);
-            cols.push_row(
-                r.height,
-                Timestamp(r.timestamp),
-                ProducerId(r.producer),
-                r.credit(),
-            );
         }
         blockdec_obs::counter("store.rows.scanned").add(stats.rows_returned);
         blockdec_obs::counter("store.scan.pages_pruned").add(stats.pages_pruned);
-        if let Some((prev, next)) = disorder {
-            return Err(StoreError::InconsistentCatalog(format!(
-                "scan yielded rows out of height order: height {next} after {prev}"
-            )));
-        }
-        debug_assert!(cols.validate().is_ok(), "scan built invalid columns");
-        blockdec_obs::counter("columnar.blocks").add(cols.len() as u64);
-        blockdec_obs::counter("columnar.credits").add(cols.credit_count() as u64);
-        blockdec_obs::counter("columnar.bytes_resident").add(cols.resident_bytes() as u64);
         blockdec_obs::debug!(
             rows = stats.rows_returned,
             pruned = stats.segments_pruned,
             skipped = stats.segments_skipped,
-            threads = threads,
+            chunks = sinks.len(),
             total_segments = stats.segments_total;
-            "columnar scan complete"
+            "scan complete"
         );
-        Ok((cols, stats))
+        Ok((sinks, stats))
     }
 
-    /// Cache `(hits, misses)` counters.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Decoded-segment cache configuration and occupancy:
-    /// `(capacity_segments, resident_bytes)`.
-    pub fn segment_cache_usage(&self) -> (usize, u64) {
-        (self.cache.capacity(), self.cache.resident_bytes())
+    /// The per-segment step of [`BlockStore::scan_loop`], over one
+    /// contiguous chunk of selected segments. Each segment gets the
+    /// pruned decode of [`decode_one_segment`]; a degraded scan skips
+    /// one that fails to read, a strict one stops there. Every decoded
+    /// row matching `pred` goes to `sink`, in order. One
+    /// [`SegmentDecoder`] (and its scratch buffers) serves the whole
+    /// chunk, and rows are assembled on the stack only to test the
+    /// predicate — no `Vec<RowRecord>` is ever built.
+    fn read_segments(
+        &self,
+        segs: &[&SegmentMeta],
+        pred: &ScanPredicate,
+        skip_corrupt: bool,
+        sink: &mut impl FnMut(&RowRecord),
+    ) -> SegmentsRead {
+        let mut read = SegmentsRead::default();
+        let mut dec = SegmentDecoder::new();
+        for seg in segs {
+            let timer = blockdec_obs::Timer::new("store.segment_read");
+            let decoded = decode_one_segment(self.store.as_ref(), &self.pages, seg, pred, &mut dec);
+            let (byte_len, pruned) = match decoded {
+                Ok(v) => v,
+                Err(e) if skip_corrupt => {
+                    read.skipped += 1;
+                    blockdec_obs::counter("store.fault.segments_skipped").inc();
+                    blockdec_obs::warn!(
+                        file = seg.file.clone();
+                        "degraded scan skipping unreadable segment: {e}"
+                    );
+                    continue;
+                }
+                Err(e) => {
+                    read.error = Some(e);
+                    break;
+                }
+            };
+            let elapsed_ms = timer.stop() * 1e3;
+            let n = pruned.rows;
+            read.segments_decoded += 1;
+            read.rows_decoded += n as u64;
+            read.bytes_decoded += byte_len;
+            read.pages_pruned += pruned.pages_skipped() as u64;
+            blockdec_obs::counter("store.segments.read").inc();
+            blockdec_obs::counter("store.decode.segments").inc();
+            blockdec_obs::counter("store.decode.rows").add(n as u64);
+            blockdec_obs::counter("store.decode.bytes").add(byte_len);
+            blockdec_obs::debug!(
+                file = seg.file.clone(),
+                rows = n,
+                groups_skipped = pruned.groups_skipped,
+                bytes = byte_len,
+                elapsed_ms = elapsed_ms;
+                "decoded segment"
+            );
+            for i in 0..n {
+                let r = dec.row(i);
+                if pred.matches(&r) {
+                    read.rows_matched += 1;
+                    sink(&r);
+                }
+            }
+        }
+        read
     }
 
     /// Backend page-cache counters and configuration.
@@ -921,14 +925,12 @@ impl BlockStore {
 
     /// Repair the on-disk store (see [`crate::StoreDoctor::repair`])
     /// and resynchronize this handle with the repaired state: the
-    /// manifest and dictionary are reloaded and the segment cache is
-    /// invalidated so no quarantined segment is ever served from
-    /// memory.
+    /// manifest and dictionary are reloaded and the page cache is
+    /// cleared so no quarantined segment is ever served from memory.
     pub fn repair(&mut self) -> Result<crate::doctor::RepairOutcome> {
         let outcome = crate::doctor::StoreDoctor::with_backend(self.store.clone()).repair()?;
         self.manifest = Manifest::load(self.store.as_ref())?;
         self.registry = load_dictionary(self.store.as_ref())?;
-        self.cache.invalidate();
         self.pages.clear();
         self.last_height = self
             .active
@@ -952,10 +954,10 @@ impl BlockStore {
     }
 
     /// Execute one compaction pass under `policy` over the sealed
-    /// segments. The decoded-segment cache needs no invalidation:
-    /// replacement segments get fresh file names and cache keys carry
-    /// the content CRC, so superseded entries are simply never addressed
-    /// again and age out of the LRU.
+    /// segments. The page cache needs no invalidation: replacement
+    /// segments get fresh file names and cache keys carry the content
+    /// CRC, so superseded entries are simply never addressed again and
+    /// age out of the LRU.
     fn run_compaction(&mut self, policy: CompactionPolicy) -> Result<bool> {
         let compactor = Compactor::new(self.store.as_ref(), policy);
         Ok(compactor.run(&mut self.manifest)?.is_some())
@@ -975,29 +977,23 @@ fn effective_scan_threads(requested: usize, segments: usize) -> usize {
     n.clamp(1, segments.max(1))
 }
 
-/// One decode worker's output: a partial column set plus everything the
-/// stitch step needs to reproduce the sequential scan's stats, disorder
-/// detection, and error ordering.
+/// What the per-segment step did over one chunk of segments: everything
+/// [`BlockStore::scan_loop`] folds into [`ScanStats`], plus the error
+/// that stopped a strict read.
 #[derive(Default)]
-struct ColumnarPartial {
-    cols: BlockColumns,
-    /// Rows matching the predicate (before the residual filter) — what
-    /// `ScanStats::rows_returned` counts.
+struct SegmentsRead {
+    /// Rows matching the predicate — what `ScanStats::rows_returned`
+    /// counts.
     rows_matched: u64,
     /// Unreadable segments skipped (degraded mode only).
     skipped: usize,
-    /// Height of the first/last row accepted into `cols`.
-    first_height: Option<u64>,
-    last_height: Option<u64>,
-    /// First out-of-order height pair observed inside this chunk.
-    disorder: Option<(u64, u64)>,
-    /// First decode error (strict mode): aborts the whole scan.
-    error: Option<StoreError>,
+    /// CRC-framed column pages skipped via page-group zone maps.
+    pages_pruned: u64,
     segments_decoded: usize,
     rows_decoded: u64,
     bytes_decoded: u64,
-    /// CRC-framed column pages skipped via page-group zone maps.
-    pages_pruned: u64,
+    /// First read error (strict mode): aborts the whole scan.
+    error: Option<StoreError>,
 }
 
 /// Decode one segment through the backend, choosing the read shape by
@@ -1012,104 +1008,22 @@ fn decode_one_segment(
     backend: &dyn ObjectStore,
     pages: &PageCache,
     seg: &SegmentMeta,
-    what: &str,
     pred: &ScanPredicate,
     dec: &mut SegmentDecoder,
 ) -> Result<(u64, PrunedDecode)> {
+    let what = backend.describe(&seg.file);
     if pred.can_prune() {
         let file_len = backend.size(&seg.file)?;
         let key = seg.cache_key();
         let mut fetch =
             |offset: u64, len: usize| pages.get_range(backend, &key, &seg.file, offset, len);
-        let pruned = dec.decode_pruned_ranged(&mut fetch, file_len, what, pred)?;
+        let pruned = dec.decode_pruned_ranged(&mut fetch, file_len, &what, pred)?;
         Ok((file_len, pruned))
     } else {
         let bytes = get_retry(backend, &seg.file)?;
-        let pruned = dec.decode_pruned(&bytes, what, pred)?;
+        let pruned = dec.decode_pruned(&bytes, &what, pred)?;
         Ok((bytes.len() as u64, pruned))
     }
-}
-
-/// Decode a contiguous run of segments straight into a partial
-/// [`BlockColumns`]. One [`SegmentDecoder`] (and its scratch buffers) is
-/// reused across the whole chunk, and rows are assembled on the stack
-/// only to test the predicate and residual filter — no `Vec<RowRecord>`
-/// is ever built.
-fn decode_columnar_chunk(
-    backend: &dyn ObjectStore,
-    pages: &PageCache,
-    segs: &[&SegmentMeta],
-    pred: &ScanPredicate,
-    keep: &(impl Fn(&RowRecord) -> bool + Sync),
-    opts: ScanOptions,
-) -> ColumnarPartial {
-    let mut part = ColumnarPartial::default();
-    let mut dec = SegmentDecoder::new();
-    for seg in segs {
-        let what = backend.describe(&seg.file);
-        let timer = blockdec_obs::Timer::new("store.segment_read");
-        let decoded = decode_one_segment(backend, pages, seg, &what, pred, &mut dec);
-        let (byte_len, pruned) = match decoded {
-            Ok(v) => v,
-            Err(e) if opts.skip_corrupt => {
-                part.skipped += 1;
-                blockdec_obs::counter("store.fault.segments_skipped").inc();
-                blockdec_obs::warn!(
-                    file = seg.file.clone();
-                    "degraded scan skipping unreadable segment: {e}"
-                );
-                continue;
-            }
-            Err(e) => {
-                part.error = Some(e);
-                break;
-            }
-        };
-        let elapsed_ms = timer.stop() * 1e3;
-        let n = pruned.rows;
-        part.segments_decoded += 1;
-        part.rows_decoded += n as u64;
-        part.bytes_decoded += byte_len;
-        part.pages_pruned += pruned.pages_skipped() as u64;
-        blockdec_obs::counter("store.segments.read").inc();
-        blockdec_obs::counter("store.decode.segments").inc();
-        blockdec_obs::counter("store.decode.rows").add(n as u64);
-        blockdec_obs::counter("store.decode.bytes").add(byte_len);
-        blockdec_obs::debug!(
-            file = seg.file.clone(),
-            rows = n,
-            groups_skipped = pruned.groups_skipped,
-            bytes = byte_len,
-            elapsed_ms = elapsed_ms;
-            "decoded segment"
-        );
-        for i in 0..n {
-            let r = dec.row(i);
-            if !pred.matches(&r) {
-                continue;
-            }
-            part.rows_matched += 1;
-            if !keep(&r) {
-                continue;
-            }
-            if let Some(h) = part.last_height {
-                if r.height < h && part.disorder.is_none() {
-                    part.disorder = Some((h, r.height));
-                }
-            }
-            if part.first_height.is_none() {
-                part.first_height = Some(r.height);
-            }
-            part.last_height = Some(r.height);
-            part.cols.push_row(
-                r.height,
-                Timestamp(r.timestamp),
-                ProducerId(r.producer),
-                r.credit(),
-            );
-        }
-    }
-    part
 }
 
 /// Outcome of [`BlockStore::scrub`].
@@ -1135,7 +1049,7 @@ mod tests {
     use super::*;
     use blockdec_chain::{Credit, ProducerId, Timestamp};
     use std::fs;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1580,18 +1494,22 @@ mod tests {
         let rows: Vec<RowRecord> = (0..10).map(|h| row(&mut store, h, "P")).collect();
         store.append_rows(&rows).unwrap();
         store.flush().unwrap();
-        store.scan(&ScanPredicate::all()).unwrap();
-        store.scan(&ScanPredicate::all()).unwrap();
-        let (hits, misses) = store.cache_stats();
-        assert_eq!(misses, 1);
-        assert!(hits >= 1);
+        // A pruned scan reads ranges: tail, header, index, one group.
+        let pred = ScanPredicate::all().heights(0, 9);
+        store.scan(&pred).unwrap();
+        let cold = store.page_cache_stats();
+        assert_eq!((cold.hits, cold.misses), (0, 4));
+        store.scan(&pred).unwrap();
+        let warm = store.page_cache_stats();
+        assert_eq!(warm.misses, cold.misses);
+        assert_eq!(warm.hits, cold.misses);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_never_serves_stale_cache_entries() {
         // Regression: cache keys carry the content CRC, so a scan after
-        // compaction must re-load the rewritten segment (a miss, never
+        // compaction must re-fetch the rewritten segment (misses, never
         // a stale hit) even though no explicit invalidation happens.
         let dir = tmp_dir("compact-cache");
         let mut store = BlockStore::create(&dir).unwrap();
@@ -1603,26 +1521,29 @@ mod tests {
             store.flush().unwrap();
         }
         // Warm the cache on the pre-compaction layout.
-        let before = store.scan(&ScanPredicate::all()).unwrap();
-        let (_, misses_before) = store.cache_stats();
-        assert_eq!(misses_before, 4);
+        let pred = ScanPredicate::all().heights(0, 39);
+        let before = store.scan(&pred).unwrap();
+        let misses_before = store.page_cache_stats().misses;
+        // Tail, header, index block and one page group per segment.
+        let per_segment = 4;
+        assert_eq!(misses_before, 4 * per_segment);
 
         assert!(store.compact().unwrap());
-        let after = store.scan(&ScanPredicate::all()).unwrap();
+        let after = store.scan(&pred).unwrap();
         assert_eq!(before, after);
-        let (_, misses_after) = store.cache_stats();
+        let misses_after = store.page_cache_stats().misses;
         assert_eq!(
             misses_after,
-            misses_before + 1,
-            "the compacted segment must be loaded fresh, not served stale"
+            misses_before + per_segment,
+            "the compacted segment must be fetched fresh, not served stale"
         );
 
         // And repeat scans on the new layout hit the cache normally.
-        let (hits_1, _) = store.cache_stats();
-        store.scan(&ScanPredicate::all()).unwrap();
-        let (hits_2, misses_2) = store.cache_stats();
-        assert_eq!(misses_2, misses_after);
-        assert_eq!(hits_2, hits_1 + 1);
+        let hits_1 = store.page_cache_stats().hits;
+        store.scan(&pred).unwrap();
+        let warm = store.page_cache_stats();
+        assert_eq!(warm.misses, misses_after);
+        assert_eq!(warm.hits, hits_1 + per_segment);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1675,6 +1596,10 @@ mod tests {
         assert_eq!(cols.len(), 101);
         assert_eq!(stats.pages_pruned, 14, "two of three page groups skipped");
         assert_eq!(stats.segments_pruned, 0);
+        // Row scans read through the same pruned decode.
+        let (rows_in_slice, row_stats) = store.scan_with_stats(&pred).unwrap();
+        assert_eq!(rows_in_slice.len(), 101);
+        assert_eq!(row_stats.pages_pruned, 14);
 
         // The full scan prunes nothing and says so.
         let (cols, stats) = store
@@ -1708,5 +1633,184 @@ mod tests {
         assert_eq!(store.row_count(), 40);
         assert!(store.scrub().unwrap().is_healthy());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two sealed segments of 5,000 rows, two page groups each.
+    fn two_segments(dir: &Path) {
+        let mut store = BlockStore::create(dir).unwrap();
+        for seg in 0..2u64 {
+            let rows: Vec<RowRecord> = (seg * 5_000..(seg + 1) * 5_000)
+                .map(|h| row(&mut store, h, "P"))
+                .collect();
+            store.append_rows(&rows).unwrap();
+            store.flush().unwrap();
+        }
+    }
+
+    /// Every scan a damaged group 0 of segment 0 must fail: the row scan,
+    /// the columnar scan at 1 and 2 threads, and a height-pruned scan
+    /// that reads group 0 as ranges through the page cache.
+    fn scans_over_group_zero(store: &BlockStore) -> Vec<Result<usize>> {
+        let all = ScanPredicate::all();
+        let columnar = |threads| {
+            store
+                .scan_columnar_with(&all, ScanOptions::strict().with_threads(threads), |_| true)
+                .map(|(cols, _)| cols.len())
+        };
+        vec![
+            store.scan(&all).map(|rows| rows.len()),
+            columnar(1),
+            columnar(2),
+            store
+                .scan(&ScanPredicate::all().heights(0, 5))
+                .map(|rows| rows.len()),
+        ]
+    }
+
+    #[test]
+    fn lying_group_zone_fails_every_scan() {
+        let dir = tmp_dir("lying-zone");
+        two_segments(&dir);
+        crate::FaultInjector::new(&dir, 5)
+            .drift_page_zone(&segment_file_name(0))
+            .unwrap();
+        let store = BlockStore::open(&dir).unwrap();
+        for got in scans_over_group_zero(&store) {
+            let err = got.unwrap_err();
+            assert!(matches!(err, StoreError::CorruptIndex { .. }), "{err}");
+            assert!(err.to_string().contains("group 0: zone"), "{err}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_row_count_must_match_the_index() {
+        let dir = tmp_dir("row-count");
+        two_segments(&dir);
+        let seg = dir.join(segment_file_name(0));
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[6..10].copy_from_slice(&4_999u32.to_le_bytes());
+        crate::segment::refit_footer(&mut bytes);
+        fs::write(&seg, bytes).unwrap();
+        let store = BlockStore::open(&dir).unwrap();
+        for got in scans_over_group_zero(&store) {
+            let err = got.unwrap_err();
+            assert!(matches!(err, StoreError::CorruptIndex { .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("index declares 5000 rows, header says 4999"),
+                "{err}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn row_and_columnar_scans_report_equal_stats() {
+        let dir = tmp_dir("equal-stats");
+        let t = |h: u64| 1_546_300_800 + h as i64 * 600;
+        let rare = {
+            let mut store = BlockStore::create(&dir).unwrap();
+            // Three segments of 2.5 page groups each. "Rare" credits sit
+            // in the middle group of the last segment only, so bloom
+            // filters skip segments and groups for it.
+            for seg in 0..3u64 {
+                let rows: Vec<RowRecord> = (seg * 10_240..(seg + 1) * 10_240)
+                    .map(|h| match h {
+                        25_000..=25_009 => row(&mut store, h, "Rare"),
+                        _ => row(&mut store, h, &format!("P{}", h % 5)),
+                    })
+                    .collect();
+                store.append_rows(&rows).unwrap();
+                store.flush().unwrap();
+            }
+            store.registry().get("Rare").unwrap().0
+        };
+        let preds = [
+            ScanPredicate::all().heights(5_000, 5_100),
+            ScanPredicate::all().heights(9_000, 12_000),
+            ScanPredicate::all().times(t(15_000), t(16_000)),
+            ScanPredicate::all().producer(rare),
+            ScanPredicate::all().producer(0).heights(20_000, 21_000),
+            ScanPredicate::all(),
+        ];
+        let check = |opts: ScanOptions| {
+            for pred in &preds {
+                let opts = opts.with_threads(2);
+                let (a, b) = (
+                    BlockStore::open(&dir).unwrap(),
+                    BlockStore::open(&dir).unwrap(),
+                );
+                let cold = a.scan_with_options(pred, opts).unwrap().1;
+                let cold_columnar = b.scan_columnar_with(pred, opts, |_| true).unwrap().1;
+                let warm = b.scan_with_options(pred, opts).unwrap().1;
+                let warm_columnar = a.scan_columnar_with(pred, opts, |_| true).unwrap().1;
+                assert_eq!(cold, cold_columnar, "{pred:?} {opts:?}");
+                assert_eq!(warm, cold, "{pred:?} {opts:?}");
+                assert_eq!(warm_columnar, cold, "{pred:?} {opts:?}");
+                assert_eq!(pred.can_prune(), b.page_cache_stats().hits > 0);
+            }
+        };
+        check(ScanOptions::strict());
+        let (_, inside_one_group) = BlockStore::open(&dir)
+            .unwrap()
+            .scan_with_stats(&preds[0])
+            .unwrap();
+        assert_eq!(inside_one_group.pages_pruned, 14);
+        assert_eq!(inside_one_group.segments_pruned, 2);
+
+        crate::FaultInjector::new(&dir, 9)
+            .truncate(&segment_file_name(1))
+            .unwrap();
+        check(ScanOptions::degraded());
+        let (_, degraded) = BlockStore::open(&dir)
+            .unwrap()
+            .scan_with_options(&ScanPredicate::all(), ScanOptions::degraded())
+            .unwrap();
+        assert_eq!(degraded.segments_skipped, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_rows_fail_every_scan_alike() {
+        // Disorder a manifest could only describe after corruption:
+        // inside a segment (a later page group holds lower heights) and
+        // across a segment boundary. Both surface as the same error
+        // from the attributed scan and the columnar scan at 1 and 2
+        // threads.
+        let heights = |lo: u64, n: u64| lo..lo + n;
+        let cases = [
+            vec![
+                heights(10_000, 4_096)
+                    .chain(heights(0, 4_096))
+                    .collect::<Vec<_>>(),
+                heights(20_000, 100).collect(),
+            ],
+            vec![heights(100, 100).collect(), heights(0, 100).collect()],
+        ];
+        for (case, segments) in cases.iter().enumerate() {
+            let dir = tmp_dir(&format!("disorder-{case}"));
+            let mut store = BlockStore::create(&dir).unwrap();
+            for (id, hs) in segments.iter().enumerate() {
+                let rows: Vec<RowRecord> = hs.iter().map(|&h| row(&mut store, h, "P")).collect();
+                let file = segment_file_name(id as u64);
+                let stamp = write_segment_file(store.store.as_ref(), &file, &rows).unwrap();
+                store.manifest.segments.push(SegmentMeta {
+                    file,
+                    zone: ZoneMap::from_rows(&rows),
+                    crc: stamp.crc,
+                    producers: stamp.producers,
+                });
+            }
+            let all = ScanPredicate::all();
+            let want = store.scan_attributed(&all).unwrap_err().to_string();
+            assert!(want.contains("out of height order"), "{want}");
+            for threads in [1, 2] {
+                let opts = ScanOptions::strict().with_threads(threads);
+                let got = store.scan_columnar_with(&all, opts, |_| true).unwrap_err();
+                assert_eq!(got.to_string(), want, "case {case}, {threads} threads");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

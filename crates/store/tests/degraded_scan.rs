@@ -96,41 +96,47 @@ fn repair_invalidates_segment_cache() {
     let dir = tmp_dir("cache");
     build_fixture(&dir);
     let mut store = BlockStore::open(&dir).unwrap();
+    // A pruning predicate that still covers every row: scans read each
+    // segment as byte ranges through the page cache.
+    let all = ScanPredicate::all().heights(0, 59);
 
-    // Warm the cache: all three segments decoded and resident.
-    assert_eq!(store.scan(&ScanPredicate::all()).unwrap().len(), 60);
-    let (_, misses_warm) = store.cache_stats();
-    assert_eq!(misses_warm, 3);
-    assert_eq!(store.scan(&ScanPredicate::all()).unwrap().len(), 60);
-    let (hits_after, misses_after) = store.cache_stats();
-    assert_eq!(misses_after, 3, "second scan must be served from cache");
-    assert!(hits_after >= 3);
+    // Warm the cache: every range of all three segments resident —
+    // tail, header, index block and the one page group of each.
+    assert_eq!(store.scan(&all).unwrap().len(), 60);
+    let warm = store.page_cache_stats();
+    assert_eq!(warm.misses, 3 * 4);
+    assert_eq!(store.scan(&all).unwrap().len(), 60);
+    let after = store.page_cache_stats();
+    assert_eq!(
+        after.misses, warm.misses,
+        "second scan must be served from cache"
+    );
+    assert!(after.hits >= warm.misses);
 
-    // Corrupt a segment on disk. The cache still holds the old decoded
-    // rows, so even a strict scan keeps succeeding — stale reads are
-    // exactly the hazard repair must close.
+    // Corrupt a segment on disk. The cache still holds the old ranges,
+    // so even a strict scan keeps succeeding — stale reads are exactly
+    // the hazard repair must close.
     FaultInjector::new(&dir, 22)
         .flip_bit(&segment_file_name(1))
         .unwrap();
     assert_eq!(
-        store.scan(&ScanPredicate::all()).unwrap().len(),
+        store.scan(&all).unwrap().len(),
         60,
-        "cached segment masks on-disk corruption until invalidation"
+        "cached ranges mask on-disk corruption until invalidation"
     );
 
-    // Repair quarantines the corrupt segment AND invalidates the cache:
-    // the quarantined rows are gone and the surviving segments are
-    // re-loaded from disk (cache misses increase).
+    // Repair quarantines the corrupt segment AND clears the cache: the
+    // quarantined rows are gone and the surviving segments are fetched
+    // from disk again (cache misses increase by their ranges).
     let outcome = store.repair().unwrap();
     assert_eq!(outcome.quarantined, vec![segment_file_name(1)]);
-    let rows = store.scan(&ScanPredicate::all()).unwrap();
+    let rows = store.scan(&all).unwrap();
     assert_eq!(rows.len(), 40);
     assert!(rows.iter().all(|r| r.height < 20 || r.height >= 40));
-    let (_, misses_final) = store.cache_stats();
     assert_eq!(
-        misses_final,
-        misses_after + 2,
-        "post-repair scan must reload the two survivors from disk"
+        store.page_cache_stats().misses,
+        after.misses + 2 * 4,
+        "post-repair scan must refetch the two survivors from disk"
     );
     fs::remove_dir_all(&dir).unwrap();
 }
