@@ -27,22 +27,19 @@ grep -q '"findings": \[' target/ci-smoke/lint.json
 # the columnar (SoA) pipeline must bitwise-match the AoS pipeline, the
 # parallel store->columns decode must bitwise-match the sequential one,
 # AND the index/bloom-pruned filtered scans must bitwise-match a full
-# scan plus filter — all while staying above the checked-in throughput
-# floors (ci/decode-baseline.txt, ci/prune-baseline.txt), emitting a
+# scan plus filter — all while holding the checked-in bounds in
+# ci/bench-baseline.txt (passed as --baseline), emitting a
 # machine-readable bench summary (the binary exits non-zero on any
-# divergence or regression). The backend bench additionally proves a
-# pruned chain-year window scan fetches at most the checked-in fraction
-# of the store's bytes (ci/backend-baseline.txt, a ceiling) and that
-# SimBackend output is bitwise-identical to LocalFs. The follow bench
-# drives the live head feed (seeded forks) through the reorg-aware
-# chain view and holds its throughput, reorg coverage, and
-# delta-vs-recompute speedup above ci/follow-baseline.txt.
+# divergence, breached bound, or malformed baseline line). The bounds
+# are decode and pruned-scan throughput floors; a ceiling on the
+# fraction of the store's bytes a pruned chain-year window scan fetches
+# (the backend bench also proves SimBackend output is bitwise-identical
+# to LocalFs); and, for the follow bench, which drives the live head
+# feed (seeded forks) through the reorg-aware chain view, floors on its
+# throughput, reorg coverage, and delta-vs-recompute speedup.
 mkdir -p target/ci-smoke
 ./target/release/experiments --days 14 --bench-json target/ci-smoke/bench.json \
-    --decode-baseline ci/decode-baseline.txt \
-    --prune-baseline ci/prune-baseline.txt \
-    --backend-baseline ci/backend-baseline.txt \
-    --follow-baseline ci/follow-baseline.txt
+    --baseline ci/bench-baseline.txt
 test -s target/ci-smoke/bench.json
 grep -q '"columnar": \[' target/ci-smoke/bench.json
 grep -q '"decode": \[' target/ci-smoke/bench.json

@@ -3,47 +3,28 @@
 //! ```text
 //! cargo run --release -p blockdec-bench --bin experiments [-- ids...]
 //!     [--out DIR]        output directory (default ./experiments-out)
-//!     [--quick]          truncate to 120 simulated days (covers both
-//!                        scripted anomalies) instead of the full year
-//!     [--days N]         truncate to exactly N simulated days
-//!     [--bench-json P]   also benchmark the shared-window matrix planner
-//!                        against the per-config baseline and write a
+//!     [--days N]         truncate to exactly N simulated days (120 covers
+//!                        both scripted anomalies; default the full year)
+//!     [--bench-json P]   also run the performance benches (matrix planner,
+//!                        columnar pipeline, store decode, pruned scans,
+//!                        backend reads, live follow) and write the
 //!                        machine-readable summary to P; with no ids
-//!                        listed, runs the benchmark alone
-//!     [--decode-baseline P]  with --bench-json: read "<dataset>
-//!                        <min_blocks_per_sec>" lines from P and fail if
-//!                        the store→columns decode drops below any floor
-//!                        (the checked-in ci/decode-baseline.txt is ~0.7×
-//!                        a healthy run, so a >30% regression fails CI)
-//!     [--prune-baseline P]   with --bench-json: read "<dataset>-time" /
-//!                        "<dataset>-producer" floor lines from P and
-//!                        fail if a pruned scan's effective coverage rate
-//!                        (blocks/s) drops below any floor (same >30%
-//!                        regression margin as the decode baseline)
-//!     [--backend-baseline P] with --bench-json: read
-//!                        "backend_<dataset>_fetch_fraction <ceiling>"
-//!                        lines from P and fail if a cold-cache pruned
-//!                        3-day window scan fetches MORE than that
-//!                        fraction of the store's bytes (a ceiling, not
-//!                        a floor). The Bitcoin chain-year store is
-//!                        always benchmarked, whatever --days says, so
-//!                        the gate measures the paper workload even in
-//!                        quick CI runs; Ethereum rides along ungated
-//!                        when --days covers the full year
-//!     [--follow-baseline P]  with --bench-json: read
-//!                        "follow_<dataset>_<metric> <floor>" lines from
-//!                        P (metrics: blocks_per_sec, reorgs,
-//!                        delta_speedup) and fail if the live
-//!                        head-following bench drops below any floor —
-//!                        throughput floors are ~0.7× a healthy run,
-//!                        the reorg floor guards that the seeded feed
-//!                        actually exercises the rollback path
+//!                        listed, runs the benches alone. Fails the run
+//!                        if any fast path diverges from its reference
+//!     [--baseline P]     with --bench-json: check the bounds in P (lines
+//!                        "<section>.<dataset>.<field> min|max <bound>",
+//!                        e.g. ci/bench-baseline.txt) and fail if any is
+//!                        breached. The backend bench always measures the
+//!                        Bitcoin chain year, whatever --days says, so its
+//!                        fetch-fraction ceiling gates the paper workload
+//!                        even in short CI runs; Ethereum rides along
+//!                        ungated when --days covers the full year
+//!     [--list]           list the experiment ids and exit
 //! ```
 
 use blockdec_bench::perf::{
-    backend_summary_line, columnar_summary_line, decode_summary_line, follow_summary_line,
-    pruned_summary_line, run_backend_bench, run_columnar_bench, run_decode_bench, run_follow_bench,
-    run_matrix_bench, run_pruned_bench, summary_line, write_bench_json,
+    check_baseline, false_flags, row_summary, run_backend_bench, run_columnar_bench,
+    run_decode_bench, run_follow_bench, run_matrix_bench, run_pruned_bench, write_bench_json, Row,
 };
 use blockdec_bench::{run_experiment, Dataset, ALL_EXPERIMENTS};
 use std::path::PathBuf;
@@ -55,13 +36,9 @@ fn main() -> ExitCode {
     blockdec_obs::log::init(blockdec_obs::Config::from_env());
     let mut ids: Vec<String> = Vec::new();
     let mut outdir = PathBuf::from("experiments-out");
-    let mut quick = false;
-    let mut days_override: Option<u32> = None;
+    let mut days: u32 = 365;
     let mut bench_json: Option<PathBuf> = None;
-    let mut decode_baseline: Option<PathBuf> = None;
-    let mut prune_baseline: Option<PathBuf> = None;
-    let mut backend_baseline: Option<PathBuf> = None;
-    let mut follow_baseline: Option<PathBuf> = None;
+    let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -72,9 +49,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--quick" => quick = true,
             "--days" => match args.next().and_then(|d| d.parse().ok()) {
-                Some(d) if d > 0 => days_override = Some(d),
+                Some(d) if d > 0 => days = d,
                 _ => {
                     eprintln!("--days needs a positive day count");
                     return ExitCode::from(2);
@@ -87,31 +63,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--decode-baseline" => match args.next() {
-                Some(p) => decode_baseline = Some(PathBuf::from(p)),
+            "--baseline" => match args.next() {
+                Some(p) => baseline = Some(PathBuf::from(p)),
                 None => {
-                    eprintln!("--decode-baseline needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--prune-baseline" => match args.next() {
-                Some(p) => prune_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--prune-baseline needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--backend-baseline" => match args.next() {
-                Some(p) => backend_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--backend-baseline needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--follow-baseline" => match args.next() {
-                Some(p) => follow_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--follow-baseline needs a file path");
+                    eprintln!("--baseline needs a file path");
                     return ExitCode::from(2);
                 }
             },
@@ -133,7 +88,6 @@ fn main() -> ExitCode {
             .collect();
     }
 
-    let days = days_override.unwrap_or(if quick { 120 } else { 365 });
     eprintln!("generating calibrated datasets ({days} days)...");
     let t0 = Instant::now();
     let btc = Dataset::bitcoin(days);
@@ -173,308 +127,71 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &bench_json {
-        eprintln!("\nbenchmarking shared-window planner vs per-config baseline...");
+        let mut sections: Vec<(&str, Vec<Row>)> = Vec::new();
+        let mut record = |section, rows: Vec<Row>| {
+            for row in &rows {
+                println!("{}", row_summary(section, row));
+            }
+            sections.push((section, rows));
+        };
         // The paper's sliding sizes: 1008 blocks (~1 week of BTC),
         // 6000 blocks (~21.7 hours of ETH).
-        let results = [
-            run_matrix_bench(&btc, btc_gen_secs, 1008),
-            run_matrix_bench(&eth, eth_gen_secs, 6000),
-        ];
-        for b in &results {
-            println!("{}", summary_line(b));
-            if !b.exact_match {
-                eprintln!("bench FAILED: planner output diverged on {}", b.dataset);
-                failed = true;
-            }
-        }
+        eprintln!("\nbenchmarking shared-window planner vs per-config baseline...");
+        record(
+            "matrix",
+            vec![
+                run_matrix_bench(&btc, btc_gen_secs, 1008),
+                run_matrix_bench(&eth, eth_gen_secs, 6000),
+            ],
+        );
         eprintln!("\nbenchmarking columnar (SoA) pipeline vs AoS materialization...");
-        let columnar = [
-            run_columnar_bench(&btc, 1008),
-            run_columnar_bench(&eth, 6000),
-        ];
-        for b in &columnar {
-            println!("{}", columnar_summary_line(b));
-            if !b.exact_match {
-                eprintln!("bench FAILED: columnar pipeline diverged on {}", b.dataset);
-                failed = true;
-            }
-        }
+        record(
+            "columnar",
+            vec![
+                run_columnar_bench(&btc, 1008),
+                run_columnar_bench(&eth, 6000),
+            ],
+        );
         eprintln!("\nbenchmarking store→columns decode, sequential vs parallel...");
-        let decode = [run_decode_bench(&btc), run_decode_bench(&eth)];
-        for b in &decode {
-            println!("{}", decode_summary_line(b));
-            if !b.exact_match {
-                eprintln!("bench FAILED: parallel decode diverged on {}", b.dataset);
-                failed = true;
-            }
-        }
-        if let Some(baseline) = &decode_baseline {
-            match std::fs::read_to_string(baseline) {
-                Ok(body) => {
-                    for line in body.lines() {
-                        let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        let mut parts = line.split_whitespace();
-                        let (name, floor) = match (
-                            parts.next(),
-                            parts.next().and_then(|v| v.parse::<f64>().ok()),
-                        ) {
-                            (Some(n), Some(f)) => (n, f),
-                            _ => {
-                                eprintln!("bad baseline line {line:?} in {}", baseline.display());
-                                failed = true;
-                                continue;
-                            }
-                        };
-                        match decode.iter().find(|b| b.dataset == name) {
-                            Some(b) => {
-                                let rate =
-                                    b.parallel_blocks_per_sec.max(b.sequential_blocks_per_sec);
-                                if rate < floor {
-                                    eprintln!(
-                                        "bench FAILED: {name} decode {rate:.0} blocks/s is \
-                                         below the baseline floor {floor:.0}"
-                                    );
-                                    failed = true;
-                                }
-                            }
-                            None => {
-                                eprintln!("baseline names unknown dataset {name:?}");
-                                failed = true;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("could not read {}: {e}", baseline.display());
-                    failed = true;
-                }
-            }
-        }
+        record(
+            "decode",
+            vec![run_decode_bench(&btc), run_decode_bench(&eth)],
+        );
         eprintln!("\nbenchmarking pruned (index + bloom) scans vs full decode...");
-        let pruned = [run_pruned_bench(&btc), run_pruned_bench(&eth)];
-        for b in &pruned {
-            println!("{}", pruned_summary_line(b));
-            if !b.exact_match {
-                eprintln!(
-                    "bench FAILED: pruned scan diverged from full scan + filter on {}",
-                    b.dataset
-                );
-                failed = true;
-            }
-        }
-        if let Some(baseline) = &prune_baseline {
-            // Floors are named "<dataset>-time" / "<dataset>-producer" and
-            // compare against the pruned scan's effective coverage rate.
-            let rates: Vec<(String, f64)> = pruned
-                .iter()
-                .flat_map(|b| {
-                    [
-                        (format!("{}-time", b.dataset), b.time_blocks_per_sec),
-                        (format!("{}-producer", b.dataset), b.producer_blocks_per_sec),
-                    ]
-                })
-                .collect();
-            match std::fs::read_to_string(baseline) {
-                Ok(body) => {
-                    for line in body.lines() {
-                        let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        let mut parts = line.split_whitespace();
-                        let (name, floor) = match (
-                            parts.next(),
-                            parts.next().and_then(|v| v.parse::<f64>().ok()),
-                        ) {
-                            (Some(n), Some(f)) => (n, f),
-                            _ => {
-                                eprintln!("bad baseline line {line:?} in {}", baseline.display());
-                                failed = true;
-                                continue;
-                            }
-                        };
-                        match rates.iter().find(|(n, _)| n == name) {
-                            Some((_, rate)) if *rate < floor => {
-                                eprintln!(
-                                    "bench FAILED: {name} pruned scan {rate:.0} blocks/s is \
-                                     below the baseline floor {floor:.0}"
-                                );
-                                failed = true;
-                            }
-                            Some(_) => {}
-                            None => {
-                                eprintln!("baseline names unknown pruned scan {name:?}");
-                                failed = true;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("could not read {}: {e}", baseline.display());
-                    failed = true;
-                }
-            }
-        }
+        record(
+            "pruned",
+            vec![run_pruned_bench(&btc), run_pruned_bench(&eth)],
+        );
         eprintln!("\nbenchmarking backend bytes-fetched and LocalFs-vs-Sim parity...");
         // The fetch-fraction gate is only meaningful on the paper's
         // chain-year layout, so Bitcoin always runs at 365 days even in
-        // --quick/--days smoke runs; Ethereum (an order of magnitude
-        // more rows) joins only when the datasets already cover the
-        // year.
-        let backend = {
-            let mut out = Vec::new();
-            if days >= 365 {
-                out.push(run_backend_bench(&btc));
-                out.push(run_backend_bench(&eth));
-            } else {
-                eprintln!("  (re-generating bitcoin at 365 days for the fetch-fraction gate)");
-                out.push(run_backend_bench(&Dataset::bitcoin(365)));
-            }
-            out
-        };
-        for b in &backend {
-            println!("{}", backend_summary_line(b));
-            if !b.sim_exact_match {
-                eprintln!(
-                    "bench FAILED: sim backend diverged from LocalFs on {}",
-                    b.dataset
-                );
-                failed = true;
-            }
-        }
-        if let Some(baseline) = &backend_baseline {
-            // Ceilings are named "backend_<dataset>_fetch_fraction" and
-            // gate how much of the store a pruned window scan may read.
-            let fractions: Vec<(String, f64)> = backend
-                .iter()
-                .map(|b| {
-                    (
-                        format!("backend_{}_fetch_fraction", b.dataset),
-                        b.fetch_fraction,
-                    )
-                })
-                .collect();
-            match std::fs::read_to_string(baseline) {
-                Ok(body) => {
-                    for line in body.lines() {
-                        let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        let mut parts = line.split_whitespace();
-                        let (name, ceiling) = match (
-                            parts.next(),
-                            parts.next().and_then(|v| v.parse::<f64>().ok()),
-                        ) {
-                            (Some(n), Some(c)) => (n, c),
-                            _ => {
-                                eprintln!("bad baseline line {line:?} in {}", baseline.display());
-                                failed = true;
-                                continue;
-                            }
-                        };
-                        match fractions.iter().find(|(n, _)| n == name) {
-                            Some((_, fraction)) if *fraction > ceiling => {
-                                eprintln!(
-                                    "bench FAILED: {name} = {fraction:.3} exceeds the \
-                                     baseline ceiling {ceiling:.3} (pruned scans are \
-                                     fetching too much of the store)"
-                                );
-                                failed = true;
-                            }
-                            Some(_) => {}
-                            None => {
-                                eprintln!("baseline names unknown backend metric {name:?}");
-                                failed = true;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("could not read {}: {e}", baseline.display());
-                    failed = true;
-                }
-            }
+        // --days smoke runs; Ethereum (an order of magnitude more rows)
+        // joins only when the datasets already cover the year.
+        if days >= 365 {
+            record(
+                "backend",
+                vec![run_backend_bench(&btc), run_backend_bench(&eth)],
+            );
+        } else {
+            eprintln!("  (re-generating bitcoin at 365 days for the fetch-fraction gate)");
+            record("backend", vec![run_backend_bench(&Dataset::bitcoin(365))]);
         }
         eprintln!("\nbenchmarking live head-following ingestion and metric deltas...");
-        let follow = [run_follow_bench(&btc, 1008), run_follow_bench(&eth, 6000)];
-        for b in &follow {
-            println!("{}", follow_summary_line(b));
-            if !b.store_exact_match {
-                eprintln!(
-                    "bench FAILED: follow store diverged from the batch stream on {}",
-                    b.dataset
-                );
-                failed = true;
-            }
-            if !b.delta_exact_match {
-                eprintln!(
-                    "bench FAILED: delta streams diverged from the batch engine on {}",
-                    b.dataset
-                );
-                failed = true;
-            }
+        record(
+            "follow",
+            vec![run_follow_bench(&btc, 1008), run_follow_bench(&eth, 6000)],
+        );
+
+        for name in false_flags(&sections) {
+            eprintln!("bench FAILED: {name} is false (output diverged from its reference)");
+            failed = true;
         }
-        if let Some(baseline) = &follow_baseline {
-            // Floors are named "follow_<dataset>_blocks_per_sec" /
-            // "_reorgs" / "_delta_speedup". The reorg floor is a
-            // coverage guard (the seeded feed must actually roll the
-            // view back), the other two are regression floors.
-            let rates: Vec<(String, f64)> = follow
-                .iter()
-                .flat_map(|b| {
-                    [
-                        (
-                            format!("follow_{}_blocks_per_sec", b.dataset),
-                            b.blocks_per_sec,
-                        ),
-                        (
-                            format!("follow_{}_reorgs", b.dataset),
-                            b.reorgs_applied as f64,
-                        ),
-                        (
-                            format!("follow_{}_delta_speedup", b.dataset),
-                            b.delta_speedup,
-                        ),
-                    ]
-                })
-                .collect();
+        if let Some(baseline) = &baseline {
             match std::fs::read_to_string(baseline) {
                 Ok(body) => {
-                    for line in body.lines() {
-                        let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        let mut parts = line.split_whitespace();
-                        let (name, floor) = match (
-                            parts.next(),
-                            parts.next().and_then(|v| v.parse::<f64>().ok()),
-                        ) {
-                            (Some(n), Some(f)) => (n, f),
-                            _ => {
-                                eprintln!("bad baseline line {line:?} in {}", baseline.display());
-                                failed = true;
-                                continue;
-                            }
-                        };
-                        match rates.iter().find(|(n, _)| n == name) {
-                            Some((_, rate)) if *rate < floor => {
-                                eprintln!(
-                                    "bench FAILED: {name} = {rate:.1} is below the \
-                                     baseline floor {floor:.1}"
-                                );
-                                failed = true;
-                            }
-                            Some(_) => {}
-                            None => {
-                                eprintln!("baseline names unknown follow metric {name:?}");
-                                failed = true;
-                            }
-                        }
+                    for failure in check_baseline(&body, &sections) {
+                        eprintln!("bench FAILED: {failure} ({})", baseline.display());
+                        failed = true;
                     }
                 }
                 Err(e) => {
@@ -483,9 +200,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if let Err(e) = write_bench_json(
-            path, &results, &columnar, &decode, &pruned, &backend, &follow,
-        ) {
+        if let Err(e) = write_bench_json(path, &sections) {
             eprintln!("could not write {}: {e}", path.display());
             failed = true;
         } else {

@@ -1,7 +1,14 @@
-//! Matrix-planner performance harness shared by the `matrix` Criterion
-//! bench and the experiments binary's `--bench-json` mode.
+//! Performance harness shared by the Criterion benches and the
+//! experiments binary's `--bench-json` mode.
 //!
-//! The baseline here, [`naive_matrix`], is the pre-planner `run_matrix`:
+//! Each `run_*_bench` measures one dataset for one section of the
+//! committed `BENCH_*.json` and returns a [`Row`]: the dataset plus named
+//! [`Field`]s in JSON order, each tagged with the precision it is written
+//! at. Four functions over rows are the one report path:
+//! [`write_bench_json`], [`row_summary`], [`false_flags`] and
+//! [`check_baseline`] (the `ci/bench-baseline.txt` gate).
+//!
+//! The matrix baseline, [`naive_matrix`], is the pre-planner `run_matrix`:
 //! one scoped thread per configuration, each calling
 //! [`MeasurementEngine::run`] and therefore re-windowing, re-building,
 //! and re-sorting the block stream independently. The planner
@@ -9,6 +16,7 @@
 //! `run_matrix`) shares that work across every configuration with the
 //! same window spec, which is where the measured speedup comes from.
 
+use self::Field::{Flag, Int, Rate, Secs, Speedup, Text};
 use crate::datasets::Dataset;
 use blockdec_chain::time::SECS_PER_DAY;
 use blockdec_chain::{AttributedBlock, Credit, Granularity};
@@ -16,10 +24,86 @@ use blockdec_core::engine::{run_matrix, MeasurementEngine};
 use blockdec_core::metrics::MetricKind;
 use blockdec_core::series::MeasurementSeries;
 use blockdec_core::MatrixPlan;
-use blockdec_store::{BlockStore, ScanPredicate};
+use blockdec_store::{BlockStore, ScanOptions, ScanPredicate};
+use std::fmt;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// One value of a bench [`Row`], tagged with how the JSON writes it.
+#[derive(Debug, PartialEq)]
+pub enum Field {
+    /// A string, written as a JSON string literal.
+    Text(String),
+    /// A count.
+    Int(u64),
+    /// Seconds or a fraction, written with 6 decimals.
+    Secs(f64),
+    /// A speedup ratio, written with 3 decimals.
+    Speedup(f64),
+    /// A rate (blocks/s, events/s, MB/s), written with 1 decimal.
+    Rate(f64),
+    /// A yes/no check.
+    Flag(bool),
+}
+
+impl Field {
+    /// The value as a number, for every variant but `Text` and `Flag`.
+    fn number(&self) -> Option<f64> {
+        match *self {
+            Int(n) => Some(n as f64),
+            Secs(x) | Speedup(x) | Rate(x) => Some(x),
+            Text(_) | Flag(_) => None,
+        }
+    }
+}
+
+/// The value's JSON text.
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Text(s) => f.write_str(&serde_json::to_string(s).map_err(|_| fmt::Error)?),
+            Int(n) => write!(f, "{n}"),
+            Secs(x) => write!(f, "{x:.6}"),
+            Speedup(x) => write!(f, "{x:.3}"),
+            Rate(x) => write!(f, "{x:.1}"),
+            Flag(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// One dataset's result in one bench section: `dataset` first, then every
+/// field in the order the JSON writes it.
+#[derive(Debug, PartialEq)]
+pub struct Row(pub Vec<(&'static str, Field)>);
+
+impl Row {
+    fn get(&self, name: &str) -> Option<&Field> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    fn dataset(&self) -> &str {
+        match self.get("dataset") {
+            Some(Text(name)) => name,
+            _ => panic!("bench row has no dataset: {self:?}"),
+        }
+    }
+
+    /// A numeric field as `f64`. Panics when the row has no number `name`.
+    pub fn num(&self, name: &str) -> f64 {
+        self.get(name)
+            .and_then(Field::number)
+            .unwrap_or_else(|| panic!("bench row has no number {name:?}: {self:?}"))
+    }
+
+    /// A flag field. Panics when the row has no flag `name`.
+    pub fn flag(&self, name: &str) -> bool {
+        match self.get(name) {
+            Some(Flag(b)) => *b,
+            _ => panic!("bench row has no flag {name:?}: {self:?}"),
+        }
+    }
+}
 
 /// The pre-planner `run_matrix`: fan out one scoped thread per
 /// configuration, each running the full window pipeline on its own.
@@ -60,33 +144,78 @@ pub fn paper_matrix(ds: &Dataset, sliding_size: usize) -> Vec<MeasurementEngine>
     configs
 }
 
-/// One dataset's naive-vs-planner measurement.
-pub struct MatrixBench {
-    /// Chain label ("bitcoin" / "ethereum").
-    pub dataset: String,
-    /// Blocks in the stream.
-    pub blocks: usize,
-    /// Configurations in the matrix.
-    pub configs: usize,
-    /// Unique window specs after planner dedup.
-    pub window_specs: usize,
-    /// Seconds to generate the dataset (context, not part of the ratio).
-    pub generate_secs: f64,
-    /// Wall seconds for the per-config naive baseline.
-    pub naive_secs: f64,
-    /// Wall seconds for the shared-window planner.
-    pub planner_secs: f64,
-    /// Planner throughput: `blocks / planner_secs`.
-    pub planner_blocks_per_sec: f64,
-    /// `naive_secs / planner_secs`.
-    pub speedup: f64,
-    /// Whether the planner's output equalled the naive output exactly.
-    pub exact_match: bool,
+/// A throwaway bench directory under the temp dir, removed on drop.
+struct BenchDir(PathBuf);
+
+impl BenchDir {
+    fn new(bench: &str, ds: &Dataset) -> BenchDir {
+        let dir = std::env::temp_dir().join(format!(
+            "blockdec-{bench}-{}-{}",
+            ds.name,
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        BenchDir(dir)
+    }
+
+    /// Persist `ds` into a fresh store here, sealed in `flushes` chunked
+    /// flushes (so a parallel scan has segments to fan out over), then
+    /// compacted into the sorted layout a chain-year store settles into
+    /// when `compact` is set.
+    fn store(&self, ds: &Dataset, flushes: usize, compact: bool) -> BlockStore {
+        let mut store = BlockStore::create(&self.0).expect("create bench store");
+        let step = ds.attributed.len().div_ceil(flushes).max(1);
+        for chunk in ds.attributed.chunks(step) {
+            store
+                .append_attributed(chunk, &ds.registry)
+                .expect("append bench dataset");
+            store.flush().expect("flush bench store");
+        }
+        if compact {
+            store.compact().expect("compact bench store");
+        }
+        store
+    }
+}
+
+impl Drop for BenchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Best-of-3 wall seconds for `run`, with the last run's output.
+fn best_of_3<T>(mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..3 {
+        let t = Instant::now();
+        let r = run();
+        best = best.min(t.elapsed().as_secs_f64());
+        out = Some(r);
+    }
+    (best, out.expect("three runs happened"))
+}
+
+/// The ~3-day window in the middle of the dataset's time range.
+fn mid_window(ds: &Dataset) -> ScanPredicate {
+    let times = ds.attributed.iter().map(|b| b.timestamp.0);
+    let ts_min = times.clone().min().unwrap_or(0);
+    let ts_max = times.max().unwrap_or(0);
+    let lo = ts_min + (ts_max - ts_min) / 2;
+    ScanPredicate::all().times(lo, lo + 3 * SECS_PER_DAY)
+}
+
+/// `n / secs`, guarded against a zero-length timing.
+fn per_sec(n: f64, secs: f64) -> f64 {
+    n / secs.max(1e-9)
 }
 
 /// Run the naive baseline and the planner once each over the same
 /// matrix, check the outputs for exact equality, and report timings.
-pub fn run_matrix_bench(ds: &Dataset, generate_secs: f64, sliding_size: usize) -> MatrixBench {
+/// `generate_secs` (the dataset's generation time) is context, not part
+/// of the ratio.
+pub fn run_matrix_bench(ds: &Dataset, generate_secs: f64, sliding_size: usize) -> Row {
     let configs = paper_matrix(ds, sliding_size);
     let blocks = &ds.attributed;
 
@@ -98,47 +227,25 @@ pub fn run_matrix_bench(ds: &Dataset, generate_secs: f64, sliding_size: usize) -
     let planned = run_matrix(blocks, &configs);
     let planner_secs = t.elapsed().as_secs_f64();
 
-    MatrixBench {
-        dataset: ds.name.clone(),
-        blocks: blocks.len(),
-        configs: configs.len(),
-        window_specs: MatrixPlan::new(&configs).window_specs(),
-        generate_secs,
-        naive_secs,
-        planner_secs,
-        planner_blocks_per_sec: blocks.len() as f64 / planner_secs.max(1e-9),
-        speedup: naive_secs / planner_secs.max(1e-9),
-        exact_match: naive == planned,
-    }
-}
-
-/// One dataset's AoS-vs-columnar end-to-end pipeline measurement:
-/// store scan plus full paper-matrix planner run, once over
-/// `Vec<AttributedBlock>` and once over [`blockdec_chain::BlockColumns`].
-pub struct ColumnarBench {
-    /// Chain label ("bitcoin" / "ethereum").
-    pub dataset: String,
-    /// Blocks in the stream.
-    pub blocks: usize,
-    /// Total attribution credits across all blocks.
-    pub credits: usize,
-    /// Configurations in the matrix.
-    pub configs: usize,
-    /// Wall seconds for `scan_attributed` + `MatrixPlan::run` (AoS).
-    pub aos_secs: f64,
-    /// Wall seconds for `scan_columnar` + `MatrixPlan::run_columns` (SoA).
-    pub columnar_secs: f64,
-    /// `aos_secs / columnar_secs`.
-    pub speedup: f64,
-    /// Resident bytes of the AoS block stream (blocks plus their
-    /// per-block credit `Vec` buffers), computed analytically.
-    pub aos_resident_bytes: usize,
-    /// Resident bytes of the columnar stream (five flat columns),
-    /// computed analytically via `BlockColumns::resident_bytes`.
-    pub columnar_resident_bytes: usize,
-    /// Whether the columnar pipeline's output equalled the AoS output
-    /// bitwise (`==` on the full series, not an epsilon comparison).
-    pub exact_match: bool,
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("blocks", Int(blocks.len() as u64)),
+        ("configs", Int(configs.len() as u64)),
+        // Unique window specs after planner dedup.
+        (
+            "window_specs",
+            Int(MatrixPlan::new(&configs).window_specs() as u64),
+        ),
+        ("generate_secs", Secs(generate_secs)),
+        ("naive_secs", Secs(naive_secs)),
+        ("planner_secs", Secs(planner_secs)),
+        (
+            "planner_blocks_per_sec",
+            Rate(per_sec(blocks.len() as f64, planner_secs)),
+        ),
+        ("speedup", Speedup(per_sec(naive_secs, planner_secs))),
+        ("exact_match", Flag(naive == planned)),
+    ])
 }
 
 /// Analytic resident footprint of an AoS attributed stream: the block
@@ -151,28 +258,20 @@ pub fn aos_resident_bytes(blocks: &[AttributedBlock]) -> usize {
 }
 
 /// Run both end-to-end pipelines — store scan through planner — over the
-/// same dataset and matrix, check outputs for bitwise equality, and
-/// report timings plus resident-memory footprints.
+/// same dataset and matrix, once over `Vec<AttributedBlock>` and once over
+/// [`blockdec_chain::BlockColumns`], check outputs for bitwise equality
+/// (`==` on the full series), and report timings plus resident-memory
+/// footprints.
 ///
 /// The dataset is first persisted to a throwaway store so both sides pay
 /// the same I/O: `scan_attributed` materializes `Vec<AttributedBlock>`
 /// (one heap `Vec<Credit>` per block) while `scan_columnar` streams rows
 /// straight into flat columns.
-pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> ColumnarBench {
+pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> Row {
     let configs = paper_matrix(ds, sliding_size);
     let plan = MatrixPlan::new(&configs);
-
-    let dir = std::env::temp_dir().join(format!(
-        "blockdec-colbench-{}-{}",
-        ds.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = BlockStore::create(&dir).expect("create bench store");
-    store
-        .append_attributed(&ds.attributed, &ds.registry)
-        .expect("append bench dataset");
-    store.flush().expect("flush bench store");
+    let dir = BenchDir::new("colbench", ds);
+    let store = dir.store(ds, 1, false);
     let pred = ScanPredicate::all();
 
     let t = Instant::now();
@@ -187,80 +286,30 @@ pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> ColumnarBench {
     let col_series = plan.run_columns(cols.as_slice());
     let columnar_secs = t.elapsed().as_secs_f64();
 
-    let result = ColumnarBench {
-        dataset: ds.name.clone(),
-        blocks: cols.len(),
-        credits: cols.credit_count(),
-        configs: configs.len(),
-        aos_secs,
-        columnar_secs,
-        speedup: aos_secs / columnar_secs.max(1e-9),
-        aos_resident_bytes: aos_bytes,
-        columnar_resident_bytes: cols.resident_bytes(),
-        exact_match: aos_series == col_series,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("blocks", Int(cols.len() as u64)),
+        ("credits", Int(cols.credit_count() as u64)),
+        ("configs", Int(configs.len() as u64)),
+        ("aos_secs", Secs(aos_secs)),
+        ("columnar_secs", Secs(columnar_secs)),
+        ("speedup", Speedup(per_sec(aos_secs, columnar_secs))),
+        ("aos_resident_bytes", Int(aos_bytes as u64)),
+        ("columnar_resident_bytes", Int(cols.resident_bytes() as u64)),
+        ("exact_match", Flag(aos_series == col_series)),
+    ])
 }
 
-/// One dataset's sequential-vs-parallel store→columns decode
-/// measurement: the raw [`BlockStore::scan_columnar_with`] path, timed
-/// at one worker (sequential) and at the auto thread count, with the two
-/// outputs compared bitwise.
-pub struct DecodeBench {
-    /// Chain label ("bitcoin" / "ethereum").
-    pub dataset: String,
-    /// Blocks decoded.
-    pub blocks: usize,
-    /// Attribution rows (credits) decoded.
-    pub credits: usize,
-    /// Sealed segment files in the store.
-    pub segments: usize,
-    /// Total bytes of segment files on disk.
-    pub store_bytes: u64,
-    /// Worker threads used by the parallel run (auto = one per CPU,
-    /// clamped to the segment count).
-    pub threads: usize,
-    /// Best-of-3 wall seconds for the one-worker scan.
-    pub sequential_secs: f64,
-    /// Best-of-3 wall seconds for the auto-thread scan.
-    pub parallel_secs: f64,
-    /// `blocks / sequential_secs`.
-    pub sequential_blocks_per_sec: f64,
-    /// `blocks / parallel_secs`.
-    pub parallel_blocks_per_sec: f64,
-    /// `store_bytes / sequential_secs`, in MB (2^20 bytes) per second.
-    pub sequential_mb_per_sec: f64,
-    /// `store_bytes / parallel_secs`, in MB per second.
-    pub parallel_mb_per_sec: f64,
-    /// Whether the parallel scan's `BlockColumns` equalled the
-    /// sequential scan's bitwise (`==` on every column, CSR offsets
-    /// included).
-    pub exact_match: bool,
-}
-
-/// Persist the dataset to a throwaway store (sealed in chunks so the
-/// worker pool has segments to fan out over), then time the columnar
-/// scan sequentially and in parallel, best of three runs each.
-pub fn run_decode_bench(ds: &Dataset) -> DecodeBench {
-    use blockdec_store::ScanOptions;
-
-    let dir = std::env::temp_dir().join(format!(
-        "blockdec-decbench-{}-{}",
-        ds.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = BlockStore::create(&dir).expect("create bench store");
-    let step = ds.attributed.len().div_ceil(8).max(1);
-    for chunk in ds.attributed.chunks(step) {
-        store
-            .append_attributed(chunk, &ds.registry)
-            .expect("append bench dataset");
-        store.flush().expect("flush bench store");
-    }
+/// Persist the dataset to a throwaway store sealed in 8 chunks, then time
+/// the raw [`BlockStore::scan_columnar_with`] decode at one worker
+/// (sequential) and at the auto thread count (one per CPU, clamped to
+/// the segment count), best of three runs each, and compare the two
+/// `BlockColumns` bitwise (every column, CSR offsets included).
+pub fn run_decode_bench(ds: &Dataset) -> Row {
+    let dir = BenchDir::new("decbench", ds);
+    let store = dir.store(ds, 8, false);
     let segments = store.segment_count();
-    let store_bytes: u64 = std::fs::read_dir(&dir)
+    let store_bytes: u64 = std::fs::read_dir(&dir.0)
         .expect("read bench store dir")
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "bds"))
@@ -268,145 +317,76 @@ pub fn run_decode_bench(ds: &Dataset) -> DecodeBench {
         .map(|m| m.len())
         .sum();
     let pred = ScanPredicate::all();
-
-    let time_scan = |threads: usize| {
+    let scan = |threads| {
         let opts = ScanOptions::strict().with_threads(threads);
-        let mut best = f64::INFINITY;
-        let mut cols = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let (c, _) = store
+        best_of_3(|| {
+            store
                 .scan_columnar_with(&pred, opts, |_| true)
-                .expect("bench scan");
-            best = best.min(t.elapsed().as_secs_f64());
-            cols = Some(c);
-        }
-        (best, cols.expect("three runs happened"))
+                .expect("bench scan")
+                .0
+        })
     };
-    let (sequential_secs, sequential) = time_scan(1);
-    let (parallel_secs, parallel) = time_scan(0);
+    let (sequential_secs, sequential) = scan(1);
+    let (parallel_secs, parallel) = scan(0);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(segments.max(1));
 
+    // MB here is 2^20 bytes.
     let mb = store_bytes as f64 / (1024.0 * 1024.0);
-    let result = DecodeBench {
-        dataset: ds.name.clone(),
-        blocks: sequential.len(),
-        credits: sequential.credit_count(),
-        segments,
-        store_bytes,
-        threads,
-        sequential_secs,
-        parallel_secs,
-        sequential_blocks_per_sec: sequential.len() as f64 / sequential_secs.max(1e-9),
-        parallel_blocks_per_sec: parallel.len() as f64 / parallel_secs.max(1e-9),
-        sequential_mb_per_sec: mb / sequential_secs.max(1e-9),
-        parallel_mb_per_sec: mb / parallel_secs.max(1e-9),
-        exact_match: sequential == parallel,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// One dataset's pruned-vs-full scan measurement over the compacted
-/// chain-year layout: a narrow time-range scan (page-group zone
-/// pruning) and a rare-producer scan (manifest/segment bloom pruning),
-/// each timed against a full columnar decode of the same store.
-pub struct PrunedBench {
-    /// Chain label ("bitcoin" / "ethereum").
-    pub dataset: String,
-    /// Blocks in the store (after the full decode).
-    pub blocks: usize,
-    /// Attribution rows (credits) in the store.
-    pub credits: usize,
-    /// Sealed segments after compaction.
-    pub segments: usize,
-    /// Best-of-3 wall seconds for the full columnar decode (no
-    /// predicate, nothing prunable).
-    pub full_secs: f64,
-    /// `blocks / full_secs`.
-    pub full_blocks_per_sec: f64,
-    /// Credit rows matched by the 3-day time-range predicate.
-    pub time_rows: u64,
-    /// Best-of-3 wall seconds for the pruned time-range scan.
-    pub time_secs: f64,
-    /// Effective coverage rate `blocks / time_secs` — how fast the
-    /// pruned scan sweeps the *whole* store, so it exceeds the full
-    /// decode rate exactly when pruning skips work.
-    pub time_blocks_per_sec: f64,
-    /// Segments skipped outright by the time-range scan.
-    pub time_segments_pruned: usize,
-    /// Column pages skipped inside decoded segments.
-    pub time_pages_pruned: u64,
-    /// `full_secs / time_secs`.
-    pub time_speedup: f64,
-    /// Name of the scanned producer (the store's most segment-local
-    /// producer — the worst case for a full decode, the best case for
-    /// bloom pruning, and exactly the per-entity query the SoK
-    /// literature runs).
-    pub producer: String,
-    /// Credit rows matched by the producer predicate.
-    pub producer_rows: u64,
-    /// Best-of-3 wall seconds for the pruned producer scan.
-    pub producer_secs: f64,
-    /// Effective coverage rate `blocks / producer_secs`.
-    pub producer_blocks_per_sec: f64,
-    /// Segments skipped by the producer scan (zone or bloom).
-    pub producer_segments_pruned: usize,
-    /// Segments skipped specifically by a producer-bloom miss.
-    pub producer_bloom_skips: usize,
-    /// Column pages skipped inside decoded segments.
-    pub producer_pages_pruned: u64,
-    /// `full_secs / producer_secs`.
-    pub producer_speedup: f64,
-    /// Whether both pruned scans were bitwise-identical to a full scan
-    /// plus residual filter, at one worker and at the auto thread count.
-    pub exact_match: bool,
+    let blocks = sequential.len() as f64;
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("blocks", Int(sequential.len() as u64)),
+        ("credits", Int(sequential.credit_count() as u64)),
+        ("segments", Int(segments as u64)),
+        ("store_bytes", Int(store_bytes)),
+        ("threads", Int(threads as u64)),
+        ("sequential_secs", Secs(sequential_secs)),
+        ("parallel_secs", Secs(parallel_secs)),
+        (
+            "sequential_blocks_per_sec",
+            Rate(per_sec(blocks, sequential_secs)),
+        ),
+        (
+            "parallel_blocks_per_sec",
+            Rate(per_sec(parallel.len() as f64, parallel_secs)),
+        ),
+        ("sequential_mb_per_sec", Rate(per_sec(mb, sequential_secs))),
+        ("parallel_mb_per_sec", Rate(per_sec(mb, parallel_secs))),
+        ("exact_match", Flag(sequential == parallel)),
+    ])
 }
 
 /// Persist the dataset, compact it into large sorted v3 segments (the
 /// layout a chain-year store settles into), then time a full columnar
-/// decode against two pruned scans: a ~3-day time window in the middle
-/// of the range, and the producer whose rows span the fewest segments.
+/// decode against two pruned scans, best of three each: a ~3-day time
+/// window in the middle of the range (page-group zone pruning), and the
+/// producer whose rows span the fewest segments (manifest/segment bloom
+/// pruning) — the worst case for a full decode, the best case for bloom
+/// pruning, and exactly the per-entity query the SoK literature runs.
 ///
+/// The `*_blocks_per_sec` rates are effective coverage, store blocks over
+/// the pruned scan's seconds: how fast it sweeps the *whole* store, so
+/// they exceed the full decode rate exactly when pruning skips work.
 /// Both pruned outputs are checked bitwise against a full scan with the
 /// same predicate applied as a residual row filter, at `--scan-threads`
 /// 1 and auto.
-pub fn run_pruned_bench(ds: &Dataset) -> PrunedBench {
-    use blockdec_chain::time::SECS_PER_DAY as DAY;
+pub fn run_pruned_bench(ds: &Dataset) -> Row {
     use blockdec_store::segment::SEGMENT_ROWS;
-    use blockdec_store::ScanOptions;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
-    let dir = std::env::temp_dir().join(format!(
-        "blockdec-prunebench-{}-{}",
-        ds.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = BlockStore::create(&dir).expect("create bench store");
-    let step = ds.attributed.len().div_ceil(8).max(1);
-    for chunk in ds.attributed.chunks(step) {
-        store
-            .append_attributed(chunk, &ds.registry)
-            .expect("append bench dataset");
-        store.flush().expect("flush bench store");
-    }
-    store.compact().expect("compact bench store");
+    let dir = BenchDir::new("prunebench", ds);
+    let store = dir.store(ds, 8, true);
     let segments = store.segment_count();
+    let time_pred = mid_window(ds);
 
-    // Derive the predicates from the store itself: a 3-day window in the
-    // middle of the covered time range, and the producer whose rows land
-    // in the fewest (height-sorted, SEGMENT_ROWS-aligned) segments.
+    // The producer whose rows land in the fewest (height-sorted,
+    // SEGMENT_ROWS-aligned) segments; ties go to the fewest rows, then
+    // the lowest id.
     let rows = store.scan(&ScanPredicate::all()).expect("row scan");
-    let ts_min = rows.iter().map(|r| r.timestamp).min().unwrap_or(0);
-    let ts_max = rows.iter().map(|r| r.timestamp).max().unwrap_or(0);
-    let lo = ts_min + (ts_max - ts_min) / 2;
-    let time_pred = ScanPredicate::all().times(lo, lo + 3 * DAY);
-
-    let mut locality: HashMap<u32, (usize, usize, u64)> = HashMap::new();
+    let mut locality: BTreeMap<u32, (usize, usize, u64)> = BTreeMap::new();
     for (i, r) in rows.iter().enumerate() {
         let bucket = i / SEGMENT_ROWS;
         let e = locality.entry(r.producer).or_insert((bucket, bucket, 0));
@@ -414,7 +394,7 @@ pub fn run_pruned_bench(ds: &Dataset) -> PrunedBench {
         e.1 = e.1.max(bucket);
         e.2 += 1;
     }
-    let (&rare, _) = locality // blockdec-lint: allow(determinism-order) — min_by_key's key ends with the producer id — a total order, so the minimum is unique whatever the iteration order
+    let (&rare, _) = locality
         .iter()
         .min_by_key(|(id, (first, last, n))| (last - first, *n, **id))
         .expect("store is non-empty");
@@ -426,24 +406,17 @@ pub fn run_pruned_bench(ds: &Dataset) -> PrunedBench {
     let producer_pred = ScanPredicate::all().producer(rare);
     drop(rows);
 
-    let bench_scan = |pred: &ScanPredicate| {
+    let scan = |pred: &ScanPredicate| {
         let opts = ScanOptions::strict().with_threads(0);
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let r = store
+        best_of_3(|| {
+            store
                 .scan_columnar_with(pred, opts, |_| true)
-                .expect("bench scan");
-            best = best.min(t.elapsed().as_secs_f64());
-            out = Some(r);
-        }
-        let (cols, stats) = out.expect("three runs happened");
-        (best, cols, stats)
+                .expect("bench scan")
+        })
     };
-    let (full_secs, full_cols, _) = bench_scan(&ScanPredicate::all());
-    let (time_secs, _, time_stats) = bench_scan(&time_pred);
-    let (producer_secs, _, producer_stats) = bench_scan(&producer_pred);
+    let (full_secs, (full_cols, _)) = scan(&ScanPredicate::all());
+    let (time_secs, (_, time_stats)) = scan(&time_pred);
+    let (producer_secs, (_, producer_stats)) = scan(&producer_pred);
 
     let mut exact_match = true;
     for pred in [&time_pred, &producer_pred] {
@@ -462,95 +435,65 @@ pub fn run_pruned_bench(ds: &Dataset) -> PrunedBench {
         }
     }
 
-    let blocks = full_cols.len();
-    let result = PrunedBench {
-        dataset: ds.name.clone(),
-        blocks,
-        credits: full_cols.credit_count(),
-        segments,
-        full_secs,
-        full_blocks_per_sec: blocks as f64 / full_secs.max(1e-9),
-        time_rows: time_stats.rows_returned,
-        time_secs,
-        time_blocks_per_sec: blocks as f64 / time_secs.max(1e-9),
-        time_segments_pruned: time_stats.segments_pruned,
-        time_pages_pruned: time_stats.pages_pruned,
-        time_speedup: full_secs / time_secs.max(1e-9),
-        producer: producer_name,
-        producer_rows: producer_stats.rows_returned,
-        producer_secs,
-        producer_blocks_per_sec: blocks as f64 / producer_secs.max(1e-9),
-        producer_segments_pruned: producer_stats.segments_pruned,
-        producer_bloom_skips: producer_stats.bloom_skips,
-        producer_pages_pruned: producer_stats.pages_pruned,
-        producer_speedup: full_secs / producer_secs.max(1e-9),
-        exact_match,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Result of one backend bytes-fetched / sim-parity bench.
-#[derive(Clone, Debug)]
-pub struct BackendBench {
-    /// Dataset label (`bitcoin` / `ethereum`).
-    pub dataset: String,
-    /// Blocks decoded by the full scan.
-    pub blocks: usize,
-    /// Sealed (compacted) segment count.
-    pub segments: usize,
-    /// Total committed segment bytes in the store.
-    pub store_bytes: u64,
-    /// Credit rows matched by the 3-day pruned window.
-    pub window_rows: u64,
-    /// Backend bytes actually read by the pruned window scan on a cold
-    /// page cache (index blocks plus matching page groups only).
-    pub bytes_fetched: u64,
-    /// `bytes_fetched / store_bytes` — the paper-workload fetch
-    /// fraction the CI ceiling gates on.
-    pub fetch_fraction: f64,
-    /// Page-cache hits during the pruned window scan.
-    pub page_cache_hits: u64,
-    /// Page-cache misses (ranged backend reads) during the scan.
-    pub page_cache_misses: u64,
-    /// Transient read faults injected and retried during the
-    /// sim-backend parity scans.
-    pub sim_retries: u64,
-    /// Whether every sim-backend scan (full and pruned, at 1 worker and
-    /// at the auto thread count) was bitwise-identical to LocalFs.
-    pub sim_exact_match: bool,
+    let blocks = full_cols.len() as f64;
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("blocks", Int(full_cols.len() as u64)),
+        ("credits", Int(full_cols.credit_count() as u64)),
+        ("segments", Int(segments as u64)),
+        ("full_secs", Secs(full_secs)),
+        ("full_blocks_per_sec", Rate(per_sec(blocks, full_secs))),
+        ("time_rows", Int(time_stats.rows_returned)),
+        ("time_secs", Secs(time_secs)),
+        ("time_blocks_per_sec", Rate(per_sec(blocks, time_secs))),
+        (
+            "time_segments_pruned",
+            Int(time_stats.segments_pruned as u64),
+        ),
+        ("time_pages_pruned", Int(time_stats.pages_pruned)),
+        ("time_speedup", Speedup(per_sec(full_secs, time_secs))),
+        ("producer", Text(producer_name)),
+        ("producer_rows", Int(producer_stats.rows_returned)),
+        ("producer_secs", Secs(producer_secs)),
+        (
+            "producer_blocks_per_sec",
+            Rate(per_sec(blocks, producer_secs)),
+        ),
+        (
+            "producer_segments_pruned",
+            Int(producer_stats.segments_pruned as u64),
+        ),
+        (
+            "producer_bloom_skips",
+            Int(producer_stats.bloom_skips as u64),
+        ),
+        ("producer_pages_pruned", Int(producer_stats.pages_pruned)),
+        (
+            "producer_speedup",
+            Speedup(per_sec(full_secs, producer_secs)),
+        ),
+        ("exact_match", Flag(exact_match)),
+    ])
 }
 
 /// Persist the dataset into a compacted store, then measure what the
 /// `ObjectStore` layer actually reads: a cold-cache pruned 3-day window
-/// scan's `store.backend.bytes_fetched` against the total store size,
-/// plus a bitwise LocalFs-vs-SimBackend parity check under injected
-/// transient read faults.
-pub fn run_backend_bench(ds: &Dataset) -> BackendBench {
-    use blockdec_chain::time::SECS_PER_DAY as DAY;
-    use blockdec_store::{LocalFs, ObjectStore, ScanOptions, SimBackend, SimProfile};
+/// scan's `store.backend.bytes_fetched` (index blocks plus matching page
+/// groups only) against the total store size — the `fetch_fraction` the
+/// CI ceiling gates on — plus a bitwise LocalFs-vs-SimBackend parity
+/// check of every scan (full and pruned, at 1 worker and at the auto
+/// thread count) under injected transient read faults.
+pub fn run_backend_bench(ds: &Dataset) -> Row {
+    use blockdec_store::{LocalFs, ObjectStore, SimBackend, SimProfile};
     use std::sync::Arc;
 
-    let dir = std::env::temp_dir().join(format!(
-        "blockdec-backendbench-{}-{}",
-        ds.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = BlockStore::create(&dir).expect("create bench store");
-    let step = ds.attributed.len().div_ceil(8).max(1);
-    for chunk in ds.attributed.chunks(step) {
-        store
-            .append_attributed(chunk, &ds.registry)
-            .expect("append bench dataset");
-        store.flush().expect("flush bench store");
-    }
-    store.compact().expect("compact bench store");
+    let dir = BenchDir::new("backendbench", ds);
+    let store = dir.store(ds, 8, true);
     let segments = store.segment_count();
     drop(store);
 
     // Total committed bytes, via the backend itself.
-    let fs_backend: Arc<dyn ObjectStore> = Arc::new(LocalFs::new(&dir));
+    let fs_backend: Arc<dyn ObjectStore> = Arc::new(LocalFs::new(&dir.0));
     let store_bytes: u64 = fs_backend
         .list()
         .expect("list store")
@@ -558,26 +501,11 @@ pub fn run_backend_bench(ds: &Dataset) -> BackendBench {
         .filter(|n| n.ends_with(".bds"))
         .map(|n| fs_backend.size(n).expect("segment size"))
         .sum();
-
-    // The 3-day window in the middle of the dataset's time range.
-    let ts_min = ds
-        .attributed
-        .iter()
-        .map(|b| b.timestamp.0)
-        .min()
-        .unwrap_or(0);
-    let ts_max = ds
-        .attributed
-        .iter()
-        .map(|b| b.timestamp.0)
-        .max()
-        .unwrap_or(0);
-    let lo = ts_min + (ts_max - ts_min) / 2;
-    let time_pred = ScanPredicate::all().times(lo, lo + 3 * DAY);
+    let time_pred = mid_window(ds);
 
     // Cold-cache pruned scan: a fresh handle, so the page cache starts
     // empty and every backend read shows up in the counter deltas.
-    let cold = BlockStore::open_with(Arc::new(LocalFs::new(&dir))).expect("open bench store");
+    let cold = BlockStore::open_with(Arc::new(LocalFs::new(&dir.0))).expect("open bench store");
     let fetched0 = blockdec_obs::counter("store.backend.bytes_fetched").get();
     let hits0 = blockdec_obs::counter("store.backend.hit").get();
     let misses0 = blockdec_obs::counter("store.backend.miss").get();
@@ -592,7 +520,7 @@ pub fn run_backend_bench(ds: &Dataset) -> BackendBench {
 
     // Sim parity: the same store through seeded latency, jitter, and an
     // injected transient fault every 7th read must decode identically.
-    let local = BlockStore::open_with(Arc::new(LocalFs::new(&dir))).expect("open local");
+    let local = BlockStore::open_with(Arc::new(LocalFs::new(&dir.0))).expect("open local");
     let profile = SimProfile {
         seed: 42,
         latency_us: 20,
@@ -601,7 +529,7 @@ pub fn run_backend_bench(ds: &Dataset) -> BackendBench {
         fail_every: 7,
     };
     let sim_backend: Arc<dyn ObjectStore> =
-        Arc::new(SimBackend::new(Arc::new(LocalFs::new(&dir)), profile));
+        Arc::new(SimBackend::new(Arc::new(LocalFs::new(&dir.0)), profile));
     let sim = BlockStore::open_with(sim_backend).expect("open sim");
     let retries0 = blockdec_obs::counter("store.backend.retries").get();
     let mut sim_exact_match = true;
@@ -622,64 +550,22 @@ pub fn run_backend_bench(ds: &Dataset) -> BackendBench {
     }
     let sim_retries = blockdec_obs::counter("store.backend.retries").get() - retries0;
 
-    let result = BackendBench {
-        dataset: ds.name.clone(),
-        blocks,
-        segments,
-        store_bytes,
-        window_rows,
-        bytes_fetched,
-        fetch_fraction: bytes_fetched as f64 / store_bytes.max(1) as f64,
-        page_cache_hits,
-        page_cache_misses,
-        sim_retries,
-        sim_exact_match,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Result of one head-following ingestion bench: the live feed with
-/// seeded forks driven through a [`blockdec_ingest::ChainView`], plus a
-/// delta-stream-vs-periodic-recompute comparison over the finalized
-/// chain.
-#[derive(Clone, Debug)]
-pub struct FollowBench {
-    /// Dataset label (`bitcoin` / `ethereum`).
-    pub dataset: String,
-    /// Head events applied (canonical blocks plus fork-branch blocks).
-    pub events: usize,
-    /// Canonical blocks finalized into the store.
-    pub blocks: usize,
-    /// Reorgs applied by the chain view.
-    pub reorgs_applied: u64,
-    /// Pending blocks dropped across all reorgs.
-    pub blocks_rolled_back: u64,
-    /// Deepest single rollback, in blocks (never exceeds finality).
-    pub deepest_reorg: usize,
-    /// Wall seconds for the follow loop (attach, reorg, attribute,
-    /// append — no metric work).
-    pub follow_secs: f64,
-    /// `events / follow_secs` — head-event throughput.
-    pub blocks_per_sec: f64,
-    /// Delta streams driven (PAPER metrics × {fixed:day, sliding}).
-    pub streams: usize,
-    /// Total windows the delta streams emitted.
-    pub windows: usize,
-    /// Wall seconds for the incremental consumer: one pass pushing every
-    /// finalized block through every delta stream.
-    pub delta_secs: f64,
-    /// Wall seconds for the recomputing consumer: a full batch-engine
-    /// run over the growing prefix at each of the checkpoints.
-    pub recompute_secs: f64,
-    /// `recompute_secs / delta_secs`.
-    pub delta_speedup: f64,
-    /// Whether the follow store's scan (blocks and registry) equalled
-    /// the batch-generated stream bitwise.
-    pub store_exact_match: bool,
-    /// Whether every delta stream's points equalled the batch engine's
-    /// series bitwise (`==`, not an epsilon comparison).
-    pub delta_exact_match: bool,
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("blocks", Int(blocks as u64)),
+        ("segments", Int(segments as u64)),
+        ("store_bytes", Int(store_bytes)),
+        ("window_rows", Int(window_rows)),
+        ("bytes_fetched", Int(bytes_fetched)),
+        (
+            "fetch_fraction",
+            Secs(bytes_fetched as f64 / store_bytes.max(1) as f64),
+        ),
+        ("page_cache_hits", Int(page_cache_hits)),
+        ("page_cache_misses", Int(page_cache_misses)),
+        ("sim_retries", Int(sim_retries)),
+        ("sim_exact_match", Flag(sim_exact_match)),
+    ])
 }
 
 /// Checkpoints for the recomputing consumer in [`run_follow_bench`]: the
@@ -696,25 +582,24 @@ const FOLLOW_CHECKPOINTS: usize = 16;
 const FOLLOW_FINALITY: usize = 6;
 
 /// Drive the scenario's live head feed (seeded forks every 50 blocks,
-/// up to 3 deep) through a `ChainView` into a throwaway store, then
-/// compare two consumers over the finalized chain: incremental delta
-/// streams (one pass) against periodic full recomputes
-/// (16 batch-engine runs over growing prefixes — `FOLLOW_CHECKPOINTS`).
+/// up to 3 deep) through a [`blockdec_ingest::ChainView`] into a
+/// throwaway store, then compare two consumers over the finalized chain:
+/// incremental delta streams (PAPER metrics × {fixed:day, sliding}, one
+/// pass) against periodic full recomputes (16 batch-engine runs over
+/// growing prefixes — `FOLLOW_CHECKPOINTS`).
 ///
-/// Correctness is checked bitwise both ways: the follow store's scan
-/// must equal the batch-generated stream, and every delta stream's
-/// points must equal the batch engine's series.
-pub fn run_follow_bench(ds: &Dataset, sliding_size: usize) -> FollowBench {
+/// `blocks_per_sec` is head events (canonical plus fork-branch blocks)
+/// per second of the follow loop, which attaches, reorgs, attributes and
+/// appends but does no metric work. Correctness is checked bitwise both
+/// ways: the follow store's scan (blocks and registry) must equal the
+/// batch-generated stream, and every delta stream's points must equal
+/// the batch engine's series.
+pub fn run_follow_bench(ds: &Dataset, sliding_size: usize) -> Row {
     use blockdec_ingest::ChainView;
     use blockdec_sim::FeedConfig;
 
-    let dir = std::env::temp_dir().join(format!(
-        "blockdec-followbench-{}-{}",
-        ds.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = BlockStore::create(&dir).expect("create bench store");
+    let dir = BenchDir::new("followbench", ds);
+    let store = BlockStore::create(&dir.0).expect("create bench store");
     let mut view = ChainView::new(
         store,
         ds.scenario.chain,
@@ -803,428 +688,267 @@ pub fn run_follow_bench(ds: &Dataset, sliding_size: usize) -> FollowBench {
     let delta_exact_match = delta_points.len() == batch.len()
         && delta_points.iter().zip(&batch).all(|(d, s)| *d == s.points);
 
-    let result = FollowBench {
-        dataset: ds.name.clone(),
-        events,
-        blocks: finalized.len(),
-        reorgs_applied: reorgs.applied,
-        blocks_rolled_back: reorgs.blocks_dropped,
-        deepest_reorg: reorgs.deepest,
-        follow_secs,
-        blocks_per_sec: events as f64 / follow_secs.max(1e-9),
-        streams: configs.len(),
-        windows: delta_points.iter().map(Vec::len).sum(),
-        delta_secs,
-        recompute_secs,
-        delta_speedup: recompute_secs / delta_secs.max(1e-9),
-        store_exact_match,
-        delta_exact_match,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    Row(vec![
+        ("dataset", Text(ds.name.clone())),
+        ("events", Int(events as u64)),
+        ("blocks", Int(finalized.len() as u64)),
+        ("reorgs_applied", Int(reorgs.applied)),
+        ("blocks_rolled_back", Int(reorgs.blocks_dropped)),
+        // Deepest single rollback, in blocks (never exceeds finality).
+        ("deepest_reorg", Int(reorgs.deepest as u64)),
+        ("follow_secs", Secs(follow_secs)),
+        ("blocks_per_sec", Rate(per_sec(events as f64, follow_secs))),
+        ("streams", Int(configs.len() as u64)),
+        (
+            "windows",
+            Int(delta_points.iter().map(Vec::len).sum::<usize>() as u64),
+        ),
+        ("delta_secs", Secs(delta_secs)),
+        ("recompute_secs", Secs(recompute_secs)),
+        (
+            "delta_speedup",
+            Speedup(per_sec(recompute_secs, delta_secs)),
+        ),
+        ("store_exact_match", Flag(store_exact_match)),
+        ("delta_exact_match", Flag(delta_exact_match)),
+    ])
 }
 
-/// One human-readable summary line for a follow bench result.
-pub fn follow_summary_line(b: &FollowBench) -> String {
-    format!(
-        "{}: {} head events -> {} finalized blocks in {:.3}s ({:.0} blocks/s), \
-         {} reorg(s) dropped {} block(s) (deepest {}); {} delta streams emitted \
-         {} windows in {:.4}s vs {:.4}s recompute ({:.1}x); store match: {}, \
-         delta match: {}",
-        b.dataset,
-        b.events,
-        b.blocks,
-        b.follow_secs,
-        b.blocks_per_sec,
-        b.reorgs_applied,
-        b.blocks_rolled_back,
-        b.deepest_reorg,
-        b.streams,
-        b.windows,
-        b.delta_secs,
-        b.recompute_secs,
-        b.delta_speedup,
-        b.store_exact_match,
-        b.delta_exact_match
-    )
-}
-
-/// One human-readable summary line for a backend bench result.
-pub fn backend_summary_line(b: &BackendBench) -> String {
-    format!(
-        "{}: {} blocks in {} segment(s) ({:.1} MiB) — 3-day window fetched {:.1} MiB \
-         ({:.1}% of the store; {} hits / {} misses, {} rows); sim parity with {} retried \
-         fault(s): {}",
-        b.dataset,
-        b.blocks,
-        b.segments,
-        b.store_bytes as f64 / (1024.0 * 1024.0),
-        b.bytes_fetched as f64 / (1024.0 * 1024.0),
-        b.fetch_fraction * 100.0,
-        b.page_cache_hits,
-        b.page_cache_misses,
-        b.window_rows,
-        b.sim_retries,
-        b.sim_exact_match
-    )
-}
-
-/// One human-readable summary line for a pruned-scan bench result.
-pub fn pruned_summary_line(b: &PrunedBench) -> String {
-    format!(
-        "{}: {} blocks in {} compacted segment(s) — full decode {:.4}s ({:.0} blocks/s); \
-         3-day window {:.4}s ({:.1}x, {}/{} segments + {} pages skipped, {} rows); \
-         producer {:?} {:.4}s ({:.1}x, {}/{} segments skipped ({} bloom) + {} pages, {} rows); \
-         exact match: {}",
-        b.dataset,
-        b.blocks,
-        b.segments,
-        b.full_secs,
-        b.full_blocks_per_sec,
-        b.time_secs,
-        b.time_speedup,
-        b.time_segments_pruned,
-        b.segments,
-        b.time_pages_pruned,
-        b.time_rows,
-        b.producer,
-        b.producer_secs,
-        b.producer_speedup,
-        b.producer_segments_pruned,
-        b.segments,
-        b.producer_bloom_skips,
-        b.producer_pages_pruned,
-        b.producer_rows,
-        b.exact_match
-    )
-}
-
-/// One human-readable summary line for a decode bench result.
-pub fn decode_summary_line(b: &DecodeBench) -> String {
-    format!(
-        "{}: {} blocks / {} credits in {} segments ({:.1} MiB) — sequential {:.3}s \
-         ({:.0} blocks/s, {:.1} MB/s), {} threads {:.3}s ({:.0} blocks/s, {:.1} MB/s), \
-         exact match: {}",
-        b.dataset,
-        b.blocks,
-        b.credits,
-        b.segments,
-        b.store_bytes as f64 / (1024.0 * 1024.0),
-        b.sequential_secs,
-        b.sequential_blocks_per_sec,
-        b.sequential_mb_per_sec,
-        b.threads,
-        b.parallel_secs,
-        b.parallel_blocks_per_sec,
-        b.parallel_mb_per_sec,
-        b.exact_match
-    )
-}
-
-/// One human-readable summary line for a columnar bench result.
-pub fn columnar_summary_line(b: &ColumnarBench) -> String {
-    format!(
-        "{}: {} blocks / {} credits — AoS {:.3}s / {:.1} MiB, columnar {:.3}s / {:.1} MiB \
-         ({:.2}x time, {:.2}x memory), exact match: {}",
-        b.dataset,
-        b.blocks,
-        b.credits,
-        b.aos_secs,
-        b.aos_resident_bytes as f64 / (1024.0 * 1024.0),
-        b.columnar_secs,
-        b.columnar_resident_bytes as f64 / (1024.0 * 1024.0),
-        b.speedup,
-        b.aos_resident_bytes as f64 / (b.columnar_resident_bytes.max(1) as f64),
-        b.exact_match
-    )
-}
-
-/// One human-readable summary line for a bench result.
-pub fn summary_line(b: &MatrixBench) -> String {
-    format!(
-        "{}: {} blocks, {} configs / {} specs — naive {:.3}s, planner {:.3}s \
-         ({:.2}x, {:.0} blocks/s), exact match: {}",
-        b.dataset,
-        b.blocks,
-        b.configs,
-        b.window_specs,
-        b.naive_secs,
-        b.planner_secs,
-        b.speedup,
-        b.planner_blocks_per_sec,
-        b.exact_match
-    )
-}
-
-/// Write results as a machine-readable JSON document so successive runs
-/// can be committed (`BENCH_*.json`) and compared as a trajectory.
+/// Write the sections as a machine-readable JSON document so successive
+/// runs can be committed (`BENCH_*.json`) and compared as a trajectory.
 ///
-/// Version 6 carries six sections: `matrix` (naive-vs-planner, as in
-/// version 1), `columnar` (AoS-vs-SoA end-to-end pipeline, added in
-/// version 2), `decode` (sequential-vs-parallel store→columns decode
-/// throughput, added in version 3), `pruned` (full decode vs
-/// index/bloom-pruned filtered scans over the compacted layout),
-/// `backend` (ObjectStore bytes-fetched for a pruned window plus
-/// LocalFs-vs-SimBackend bitwise parity under injected faults), and
-/// `follow` (live head-following ingestion through the reorg-aware
-/// chain view plus delta-stream-vs-recompute timing).
-pub fn write_bench_json(
-    path: &Path,
-    matrix: &[MatrixBench],
-    columnar: &[ColumnarBench],
-    decode: &[DecodeBench],
-    pruned: &[PrunedBench],
-    backend: &[BackendBench],
-    follow: &[FollowBench],
-) -> io::Result<()> {
-    let mut out = String::from("{\n  \"bench\": \"matrix\",\n  \"version\": 6,\n");
-    out.push_str("  \"matrix\": [\n");
-    for (i, b) in matrix.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"blocks\": {},\n      \
-             \"configs\": {},\n      \"window_specs\": {},\n      \
-             \"generate_secs\": {:.6},\n      \"naive_secs\": {:.6},\n      \
-             \"planner_secs\": {:.6},\n      \"planner_blocks_per_sec\": {:.1},\n      \
-             \"speedup\": {:.3},\n      \"exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.blocks,
-            b.configs,
-            b.window_specs,
-            b.generate_secs,
-            b.naive_secs,
-            b.planner_secs,
-            b.planner_blocks_per_sec,
-            b.speedup,
-            b.exact_match,
-            if i + 1 < matrix.len() { "," } else { "" }
-        ));
+/// Version 6 carries six sections, in run order: `matrix`
+/// (naive-vs-planner), `columnar` (AoS-vs-SoA end-to-end pipeline),
+/// `decode` (sequential-vs-parallel store→columns decode), `pruned` (full
+/// decode vs index/bloom-pruned filtered scans over the compacted
+/// layout), `backend` (ObjectStore bytes fetched for a pruned window plus
+/// LocalFs-vs-SimBackend parity under injected faults), and `follow`
+/// (live head-following through the reorg-aware chain view plus
+/// delta-stream-vs-recompute timing).
+pub fn write_bench_json(path: &Path, sections: &[(&str, Vec<Row>)]) -> io::Result<()> {
+    let mut out = String::from("{\n  \"bench\": \"matrix\",\n  \"version\": 6");
+    for (section, rows) in sections {
+        out.push_str(&format!(",\n  \"{section}\": [\n"));
+        for (i, row) in rows.iter().enumerate() {
+            let fields: Vec<String> = row
+                .0
+                .iter()
+                .map(|(name, value)| format!("      \"{name}\": {value}"))
+                .collect();
+            let sep = if i + 1 < rows.len() { "," } else { "" };
+            out.push_str(&format!("    {{\n{}\n    }}{sep}\n", fields.join(",\n")));
+        }
+        out.push_str("  ]");
     }
-    out.push_str("  ],\n  \"columnar\": [\n");
-    for (i, b) in columnar.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"blocks\": {},\n      \
-             \"credits\": {},\n      \"configs\": {},\n      \
-             \"aos_secs\": {:.6},\n      \"columnar_secs\": {:.6},\n      \
-             \"speedup\": {:.3},\n      \"aos_resident_bytes\": {},\n      \
-             \"columnar_resident_bytes\": {},\n      \"exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.blocks,
-            b.credits,
-            b.configs,
-            b.aos_secs,
-            b.columnar_secs,
-            b.speedup,
-            b.aos_resident_bytes,
-            b.columnar_resident_bytes,
-            b.exact_match,
-            if i + 1 < columnar.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"decode\": [\n");
-    for (i, b) in decode.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"blocks\": {},\n      \
-             \"credits\": {},\n      \"segments\": {},\n      \
-             \"store_bytes\": {},\n      \"threads\": {},\n      \
-             \"sequential_secs\": {:.6},\n      \"parallel_secs\": {:.6},\n      \
-             \"sequential_blocks_per_sec\": {:.1},\n      \
-             \"parallel_blocks_per_sec\": {:.1},\n      \
-             \"sequential_mb_per_sec\": {:.1},\n      \
-             \"parallel_mb_per_sec\": {:.1},\n      \"exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.blocks,
-            b.credits,
-            b.segments,
-            b.store_bytes,
-            b.threads,
-            b.sequential_secs,
-            b.parallel_secs,
-            b.sequential_blocks_per_sec,
-            b.parallel_blocks_per_sec,
-            b.sequential_mb_per_sec,
-            b.parallel_mb_per_sec,
-            b.exact_match,
-            if i + 1 < decode.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"pruned\": [\n");
-    for (i, b) in pruned.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"blocks\": {},\n      \
-             \"credits\": {},\n      \"segments\": {},\n      \
-             \"full_secs\": {:.6},\n      \"full_blocks_per_sec\": {:.1},\n      \
-             \"time_rows\": {},\n      \"time_secs\": {:.6},\n      \
-             \"time_blocks_per_sec\": {:.1},\n      \
-             \"time_segments_pruned\": {},\n      \"time_pages_pruned\": {},\n      \
-             \"time_speedup\": {:.3},\n      \"producer\": \"{}\",\n      \
-             \"producer_rows\": {},\n      \"producer_secs\": {:.6},\n      \
-             \"producer_blocks_per_sec\": {:.1},\n      \
-             \"producer_segments_pruned\": {},\n      \
-             \"producer_bloom_skips\": {},\n      \"producer_pages_pruned\": {},\n      \
-             \"producer_speedup\": {:.3},\n      \"exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.blocks,
-            b.credits,
-            b.segments,
-            b.full_secs,
-            b.full_blocks_per_sec,
-            b.time_rows,
-            b.time_secs,
-            b.time_blocks_per_sec,
-            b.time_segments_pruned,
-            b.time_pages_pruned,
-            b.time_speedup,
-            b.producer,
-            b.producer_rows,
-            b.producer_secs,
-            b.producer_blocks_per_sec,
-            b.producer_segments_pruned,
-            b.producer_bloom_skips,
-            b.producer_pages_pruned,
-            b.producer_speedup,
-            b.exact_match,
-            if i + 1 < pruned.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"backend\": [\n");
-    for (i, b) in backend.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"blocks\": {},\n      \
-             \"segments\": {},\n      \"store_bytes\": {},\n      \
-             \"window_rows\": {},\n      \"bytes_fetched\": {},\n      \
-             \"fetch_fraction\": {:.6},\n      \"page_cache_hits\": {},\n      \
-             \"page_cache_misses\": {},\n      \"sim_retries\": {},\n      \
-             \"sim_exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.blocks,
-            b.segments,
-            b.store_bytes,
-            b.window_rows,
-            b.bytes_fetched,
-            b.fetch_fraction,
-            b.page_cache_hits,
-            b.page_cache_misses,
-            b.sim_retries,
-            b.sim_exact_match,
-            if i + 1 < backend.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"follow\": [\n");
-    for (i, b) in follow.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"events\": {},\n      \
-             \"blocks\": {},\n      \"reorgs_applied\": {},\n      \
-             \"blocks_rolled_back\": {},\n      \"deepest_reorg\": {},\n      \
-             \"follow_secs\": {:.6},\n      \"blocks_per_sec\": {:.1},\n      \
-             \"streams\": {},\n      \"windows\": {},\n      \
-             \"delta_secs\": {:.6},\n      \"recompute_secs\": {:.6},\n      \
-             \"delta_speedup\": {:.3},\n      \"store_exact_match\": {},\n      \
-             \"delta_exact_match\": {}\n    }}{}\n",
-            b.dataset,
-            b.events,
-            b.blocks,
-            b.reorgs_applied,
-            b.blocks_rolled_back,
-            b.deepest_reorg,
-            b.follow_secs,
-            b.blocks_per_sec,
-            b.streams,
-            b.windows,
-            b.delta_secs,
-            b.recompute_secs,
-            b.delta_speedup,
-            b.store_exact_match,
-            b.delta_exact_match,
-            if i + 1 < follow.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n}\n");
     std::fs::write(path, out)
+}
+
+/// One human-readable line for a row: `section dataset: field value, …`.
+pub fn row_summary(section: &str, row: &Row) -> String {
+    let fields: Vec<String> = row
+        .0
+        .iter()
+        .filter(|(name, _)| *name != "dataset")
+        .map(|(name, value)| format!("{name} {value}"))
+        .collect();
+    format!("{section} {}: {}", row.dataset(), fields.join(", "))
+}
+
+/// Every `*exact_match` flag that came out false, named
+/// `<section>.<dataset>.<field>`.
+pub fn false_flags(sections: &[(&str, Vec<Row>)]) -> Vec<String> {
+    let mut names = Vec::new();
+    for (section, rows) in sections {
+        for row in rows {
+            for (name, value) in &row.0 {
+                if name.ends_with("exact_match") && *value == Flag(false) {
+                    names.push(format!("{section}.{}.{name}", row.dataset()));
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Check a baseline file's bounds against the rows; returns one message
+/// per breached bound, malformed line, or unknown name (empty = pass).
+///
+/// Each line reads `<section>.<dataset>.<field> min|max <bound>`; blank
+/// lines and `#` comments are skipped. `decode.<dataset>.blocks_per_sec`
+/// is the better of the sequential and parallel decode rates — the one
+/// gate value not read straight from a JSON field.
+pub fn check_baseline(baseline: &str, sections: &[(&str, Vec<Row>)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for line in bound_lines(baseline) {
+        let Some((name, kind, bound)) = parse_bound(line) else {
+            failures.push(format!("bad baseline line {line:?}"));
+            continue;
+        };
+        match gate_value(sections, name) {
+            None => failures.push(format!("baseline names unknown value {name:?}")),
+            Some(v) if (kind == "min" && v < bound) || (kind == "max" && v > bound) => {
+                failures.push(format!("{name} = {v:.3} breaches its {kind} bound {bound}"));
+            }
+            Some(_) => {}
+        }
+    }
+    failures
+}
+
+/// The bound lines of a baseline file: blank lines and `#` comments
+/// skipped.
+fn bound_lines(baseline: &str) -> impl Iterator<Item = &str> {
+    baseline
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// `<name> min|max <bound>` as `(name, kind, bound)`; the bound must be
+/// a finite number.
+fn parse_bound(line: &str) -> Option<(&str, &str, f64)> {
+    match line.split_whitespace().collect::<Vec<_>>()[..] {
+        [name, kind @ ("min" | "max"), bound] => {
+            let bound: f64 = bound.parse().ok()?;
+            bound.is_finite().then_some((name, kind, bound))
+        }
+        _ => None,
+    }
+}
+
+/// The value a gate name `<section>.<dataset>.<field>` refers to.
+fn gate_value(sections: &[(&str, Vec<Row>)], name: &str) -> Option<f64> {
+    let mut parts = name.splitn(3, '.');
+    let (section, dataset, field) = (parts.next()?, parts.next()?, parts.next()?);
+    let row = sections
+        .iter()
+        .filter(|(s, _)| *s == section)
+        .flat_map(|(_, rows)| rows)
+        .find(|row| row.dataset() == dataset)?;
+    if section == "decode" && field == "blocks_per_sec" {
+        let sequential = row.num("sequential_blocks_per_sec");
+        return Some(sequential.max(row.num("parallel_blocks_per_sec")));
+    }
+    row.get(field)?.number()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(dataset: &str, mut fields: Vec<(&'static str, Field)>) -> Row {
+        fields.insert(0, ("dataset", Text(dataset.into())));
+        Row(fields)
+    }
+
     #[test]
     fn naive_matches_planner_and_json_is_written() {
         let ds = Dataset::bitcoin(7);
         let bench = run_matrix_bench(&ds, 0.0, 144);
-        assert!(bench.exact_match, "planner diverged from naive baseline");
-        assert_eq!(bench.configs, 15);
-        assert_eq!(bench.window_specs, 5);
+        assert!(
+            bench.flag("exact_match"),
+            "planner diverged from naive baseline"
+        );
+        assert_eq!(bench.num("configs"), 15.0);
+        assert_eq!(bench.num("window_specs"), 5.0);
 
         let col = run_columnar_bench(&ds, 144);
-        assert!(col.exact_match, "columnar pipeline diverged from AoS");
-        assert_eq!(col.blocks, ds.len());
         assert!(
-            col.columnar_resident_bytes < col.aos_resident_bytes,
-            "columns must be smaller: {} vs {}",
-            col.columnar_resident_bytes,
-            col.aos_resident_bytes
+            col.flag("exact_match"),
+            "columnar pipeline diverged from AoS"
+        );
+        assert_eq!(col.num("blocks"), ds.len() as f64);
+        assert!(
+            col.num("columnar_resident_bytes") < col.num("aos_resident_bytes"),
+            "columns must be smaller: {col:?}"
         );
 
         let dec = run_decode_bench(&ds);
-        assert!(dec.exact_match, "parallel decode diverged from sequential");
-        assert_eq!(dec.blocks, ds.len());
-        assert!(dec.segments >= 2, "bench store must span segments");
-        assert!(dec.store_bytes > 0);
+        assert!(
+            dec.flag("exact_match"),
+            "parallel decode diverged from sequential"
+        );
+        assert_eq!(dec.num("blocks"), ds.len() as f64);
+        assert!(dec.num("segments") >= 2.0, "bench store must span segments");
+        assert!(dec.num("store_bytes") > 0.0);
 
         let pruned = run_pruned_bench(&ds);
         assert!(
-            pruned.exact_match,
+            pruned.flag("exact_match"),
             "pruned scan diverged from full scan plus filter"
         );
-        assert_eq!(pruned.blocks, ds.len());
+        assert_eq!(pruned.num("blocks"), ds.len() as f64);
         assert_eq!(
-            pruned.segments, 1,
+            pruned.num("segments"),
+            1.0,
             "7 simulated days must compact to a single segment"
         );
-        assert!(pruned.time_rows > 0, "3-day window matched nothing");
-        assert!(pruned.producer_rows > 0, "rare producer matched nothing");
+        assert!(
+            pruned.num("time_rows") > 0.0,
+            "3-day window matched nothing"
+        );
+        assert!(
+            pruned.num("producer_rows") > 0.0,
+            "rare producer matched nothing"
+        );
 
         let backend = run_backend_bench(&ds);
-        assert!(backend.sim_exact_match, "sim backend diverged from LocalFs");
-        assert_eq!(backend.blocks, ds.len());
-        assert!(backend.store_bytes > 0);
-        assert!(backend.bytes_fetched > 0, "window scan read nothing");
-        assert!(backend.window_rows > 0, "3-day window matched nothing");
         assert!(
-            backend.fetch_fraction <= 1.05,
-            "pruned scan fetched more than the store holds: {}",
-            backend.fetch_fraction
+            backend.flag("sim_exact_match"),
+            "sim backend diverged from LocalFs"
+        );
+        assert_eq!(backend.num("blocks"), ds.len() as f64);
+        assert!(backend.num("store_bytes") > 0.0);
+        assert!(
+            backend.num("bytes_fetched") > 0.0,
+            "window scan read nothing"
+        );
+        assert!(
+            backend.num("window_rows") > 0.0,
+            "3-day window matched nothing"
+        );
+        assert!(
+            backend.num("fetch_fraction") <= 1.05,
+            "pruned scan fetched more than the store holds: {backend:?}"
         );
 
         let follow = run_follow_bench(&ds, 144);
         assert!(
-            follow.store_exact_match,
+            follow.flag("store_exact_match"),
             "follow store diverged from the batch stream"
         );
         assert!(
-            follow.delta_exact_match,
+            follow.flag("delta_exact_match"),
             "delta streams diverged from the batch engine"
         );
-        assert_eq!(follow.blocks, ds.len());
-        assert!(follow.events > follow.blocks, "feed emitted no fork blocks");
-        assert!(follow.reorgs_applied > 0, "feed exercised no reorgs");
+        assert_eq!(follow.num("blocks"), ds.len() as f64);
         assert!(
-            follow.deepest_reorg <= FOLLOW_FINALITY,
+            follow.num("events") > follow.num("blocks"),
+            "feed emitted no fork blocks"
+        );
+        assert!(
+            follow.num("reorgs_applied") > 0.0,
+            "feed exercised no reorgs"
+        );
+        assert!(
+            follow.num("deepest_reorg") <= FOLLOW_FINALITY as f64,
             "a reorg crossed the finality watermark"
         );
-        assert!(follow.windows > 0, "delta streams emitted nothing");
+        assert!(follow.num("windows") > 0.0, "delta streams emitted nothing");
 
+        let sections = [
+            ("matrix", vec![bench]),
+            ("columnar", vec![col]),
+            ("decode", vec![dec]),
+            ("pruned", vec![pruned]),
+            ("backend", vec![backend]),
+            ("follow", vec![follow]),
+        ];
+        assert!(false_flags(&sections).is_empty());
         let path =
             std::env::temp_dir().join(format!("blockdec-bench-json-{}.json", std::process::id()));
-        write_bench_json(
-            &path,
-            &[bench],
-            &[col],
-            &[dec],
-            &[pruned],
-            &[backend],
-            &[follow],
-        )
-        .unwrap();
+        write_bench_json(&path, &sections).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"bench\": \"matrix\""));
         assert!(body.contains("\"version\": 6"));
@@ -1245,5 +969,566 @@ mod tests {
         assert!(body.contains("\"delta_exact_match\": true"));
         assert!(body.contains("\"exact_match\": true"));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The committed `BENCH_*.json` layout, byte for byte: section order,
+    /// key order, and each field's decimals (the inputs carry more digits
+    /// than are written, so rounding is pinned too).
+    #[test]
+    fn bench_json_layout_is_pinned() {
+        let matrix = vec![
+            row(
+                "bitcoin",
+                vec![
+                    ("blocks", Int(54096)),
+                    ("configs", Int(15)),
+                    ("window_specs", Int(5)),
+                    ("generate_secs", Secs(0.1234567)),
+                    ("naive_secs", Secs(2.5)),
+                    ("planner_secs", Secs(0.3333333)),
+                    ("planner_blocks_per_sec", Rate(1234567.89)),
+                    ("speedup", Speedup(2.34567)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+            row(
+                "ethereum",
+                vec![
+                    ("blocks", Int(2181973)),
+                    ("configs", Int(15)),
+                    ("window_specs", Int(5)),
+                    ("generate_secs", Secs(1.75)),
+                    ("naive_secs", Secs(12.0000004)),
+                    ("planner_secs", Secs(2.0)),
+                    ("planner_blocks_per_sec", Rate(1090986.45)),
+                    ("speedup", Speedup(6.0004999)),
+                    ("exact_match", Flag(false)),
+                ],
+            ),
+        ];
+        let columnar = vec![
+            row(
+                "bitcoin",
+                vec![
+                    ("blocks", Int(54096)),
+                    ("credits", Int(60012)),
+                    ("configs", Int(15)),
+                    ("aos_secs", Secs(0.4444449)),
+                    ("columnar_secs", Secs(0.2)),
+                    ("speedup", Speedup(2.2222245)),
+                    ("aos_resident_bytes", Int(3461888)),
+                    ("columnar_resident_bytes", Int(1978432)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+            row(
+                "ethereum",
+                vec![
+                    ("blocks", Int(2181973)),
+                    ("credits", Int(2181973)),
+                    ("configs", Int(15)),
+                    ("aos_secs", Secs(1.0000005)),
+                    ("columnar_secs", Secs(0.8333333)),
+                    ("speedup", Speedup(1.2000006)),
+                    ("aos_resident_bytes", Int(139646272)),
+                    ("columnar_resident_bytes", Int(78551028)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+        ];
+        let decode = vec![
+            row(
+                "bitcoin",
+                vec![
+                    ("blocks", Int(54096)),
+                    ("credits", Int(60012)),
+                    ("segments", Int(8)),
+                    ("store_bytes", Int(1234567)),
+                    ("threads", Int(2)),
+                    ("sequential_secs", Secs(0.0123456789)),
+                    ("parallel_secs", Secs(0.00987654321)),
+                    ("sequential_blocks_per_sec", Rate(4381776.04)),
+                    ("parallel_blocks_per_sec", Rate(5477220.05)),
+                    ("sequential_mb_per_sec", Rate(95.36)),
+                    ("parallel_mb_per_sec", Rate(119.21)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+            row(
+                "ethereum",
+                vec![
+                    ("blocks", Int(2181973)),
+                    ("credits", Int(2181973)),
+                    ("segments", Int(8)),
+                    ("store_bytes", Int(16777216)),
+                    ("threads", Int(2)),
+                    ("sequential_secs", Secs(0.25)),
+                    ("parallel_secs", Secs(0.1666666)),
+                    ("sequential_blocks_per_sec", Rate(8727892.0)),
+                    ("parallel_blocks_per_sec", Rate(13091843.25)),
+                    ("sequential_mb_per_sec", Rate(64.04)),
+                    ("parallel_mb_per_sec", Rate(96.06)),
+                    ("exact_match", Flag(false)),
+                ],
+            ),
+        ];
+        let pruned = vec![
+            row(
+                "bitcoin",
+                vec![
+                    ("blocks", Int(54096)),
+                    ("credits", Int(60012)),
+                    ("segments", Int(1)),
+                    ("full_secs", Secs(0.0054321)),
+                    ("full_blocks_per_sec", Rate(9958579.55)),
+                    ("time_rows", Int(497)),
+                    ("time_secs", Secs(0.0004096)),
+                    ("time_blocks_per_sec", Rate(132070312.46)),
+                    ("time_segments_pruned", Int(0)),
+                    ("time_pages_pruned", Int(52)),
+                    ("time_speedup", Speedup(13.2619629)),
+                    ("producer", Text("SlushPool".into())),
+                    ("producer_rows", Int(4325)),
+                    ("producer_secs", Secs(0.0003779)),
+                    ("producer_blocks_per_sec", Rate(143149000.26)),
+                    ("producer_segments_pruned", Int(0)),
+                    ("producer_bloom_skips", Int(0)),
+                    ("producer_pages_pruned", Int(48)),
+                    ("producer_speedup", Speedup(14.3744377)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+            row(
+                "ethereum",
+                vec![
+                    ("blocks", Int(2181973)),
+                    ("credits", Int(2181973)),
+                    ("segments", Int(9)),
+                    ("full_secs", Secs(0.2104)),
+                    ("full_blocks_per_sec", Rate(10370594.11)),
+                    ("time_rows", Int(17934)),
+                    ("time_secs", Secs(0.0017149)),
+                    ("time_blocks_per_sec", Rate(1272361653.74)),
+                    ("time_segments_pruned", Int(8)),
+                    ("time_pages_pruned", Int(3)),
+                    ("time_speedup", Speedup(122.6893696)),
+                    ("producer", Text("Ethermine".into())),
+                    ("producer_rows", Int(511402)),
+                    ("producer_secs", Secs(0.0121633)),
+                    ("producer_blocks_per_sec", Rate(179389885.04)),
+                    ("producer_segments_pruned", Int(5)),
+                    ("producer_bloom_skips", Int(5)),
+                    ("producer_pages_pruned", Int(11)),
+                    ("producer_speedup", Speedup(17.2979537)),
+                    ("exact_match", Flag(true)),
+                ],
+            ),
+        ];
+        let backend = vec![row(
+            "bitcoin",
+            vec![
+                ("blocks", Int(54096)),
+                ("segments", Int(1)),
+                ("store_bytes", Int(2097152)),
+                ("window_rows", Int(497)),
+                ("bytes_fetched", Int(169869)),
+                ("fetch_fraction", Secs(0.08100080490112305)),
+                ("page_cache_hits", Int(3)),
+                ("page_cache_misses", Int(11)),
+                ("sim_retries", Int(6)),
+                ("sim_exact_match", Flag(true)),
+            ],
+        )];
+        let follow = vec![
+            row(
+                "bitcoin",
+                vec![
+                    ("events", Int(55146)),
+                    ("blocks", Int(54096)),
+                    ("reorgs_applied", Int(1050)),
+                    ("blocks_rolled_back", Int(2100)),
+                    ("deepest_reorg", Int(3)),
+                    ("follow_secs", Secs(0.1544716)),
+                    ("blocks_per_sec", Rate(356999.95)),
+                    ("streams", Int(6)),
+                    ("windows", Int(2115)),
+                    ("delta_secs", Secs(0.0312345)),
+                    ("recompute_secs", Secs(0.0655925)),
+                    ("delta_speedup", Speedup(2.1000015)),
+                    ("store_exact_match", Flag(true)),
+                    ("delta_exact_match", Flag(true)),
+                ],
+            ),
+            row(
+                "ethereum",
+                vec![
+                    ("events", Int(2224872)),
+                    ("blocks", Int(2181973)),
+                    ("reorgs_applied", Int(42899)),
+                    ("blocks_rolled_back", Int(85798)),
+                    ("deepest_reorg", Int(3)),
+                    ("follow_secs", Secs(3.9378407)),
+                    ("blocks_per_sec", Rate(564999.96)),
+                    ("streams", Int(6)),
+                    ("windows", Int(1818)),
+                    ("delta_secs", Secs(0.2500001)),
+                    ("recompute_secs", Secs(0.7750004)),
+                    ("delta_speedup", Speedup(3.0999998)),
+                    ("store_exact_match", Flag(true)),
+                    ("delta_exact_match", Flag(false)),
+                ],
+            ),
+        ];
+        let sections = [
+            ("matrix", matrix),
+            ("columnar", columnar),
+            ("decode", decode),
+            ("pruned", pruned),
+            ("backend", backend),
+            ("follow", follow),
+        ];
+        let path =
+            std::env::temp_dir().join(format!("blockdec-bench-golden-{}.json", std::process::id()));
+        write_bench_json(&path, &sections).unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(body, GOLDEN_BENCH_JSON);
+    }
+
+    const GOLDEN_BENCH_JSON: &str = r#"{
+  "bench": "matrix",
+  "version": 6,
+  "matrix": [
+    {
+      "dataset": "bitcoin",
+      "blocks": 54096,
+      "configs": 15,
+      "window_specs": 5,
+      "generate_secs": 0.123457,
+      "naive_secs": 2.500000,
+      "planner_secs": 0.333333,
+      "planner_blocks_per_sec": 1234567.9,
+      "speedup": 2.346,
+      "exact_match": true
+    },
+    {
+      "dataset": "ethereum",
+      "blocks": 2181973,
+      "configs": 15,
+      "window_specs": 5,
+      "generate_secs": 1.750000,
+      "naive_secs": 12.000000,
+      "planner_secs": 2.000000,
+      "planner_blocks_per_sec": 1090986.4,
+      "speedup": 6.000,
+      "exact_match": false
+    }
+  ],
+  "columnar": [
+    {
+      "dataset": "bitcoin",
+      "blocks": 54096,
+      "credits": 60012,
+      "configs": 15,
+      "aos_secs": 0.444445,
+      "columnar_secs": 0.200000,
+      "speedup": 2.222,
+      "aos_resident_bytes": 3461888,
+      "columnar_resident_bytes": 1978432,
+      "exact_match": true
+    },
+    {
+      "dataset": "ethereum",
+      "blocks": 2181973,
+      "credits": 2181973,
+      "configs": 15,
+      "aos_secs": 1.000001,
+      "columnar_secs": 0.833333,
+      "speedup": 1.200,
+      "aos_resident_bytes": 139646272,
+      "columnar_resident_bytes": 78551028,
+      "exact_match": true
+    }
+  ],
+  "decode": [
+    {
+      "dataset": "bitcoin",
+      "blocks": 54096,
+      "credits": 60012,
+      "segments": 8,
+      "store_bytes": 1234567,
+      "threads": 2,
+      "sequential_secs": 0.012346,
+      "parallel_secs": 0.009877,
+      "sequential_blocks_per_sec": 4381776.0,
+      "parallel_blocks_per_sec": 5477220.0,
+      "sequential_mb_per_sec": 95.4,
+      "parallel_mb_per_sec": 119.2,
+      "exact_match": true
+    },
+    {
+      "dataset": "ethereum",
+      "blocks": 2181973,
+      "credits": 2181973,
+      "segments": 8,
+      "store_bytes": 16777216,
+      "threads": 2,
+      "sequential_secs": 0.250000,
+      "parallel_secs": 0.166667,
+      "sequential_blocks_per_sec": 8727892.0,
+      "parallel_blocks_per_sec": 13091843.2,
+      "sequential_mb_per_sec": 64.0,
+      "parallel_mb_per_sec": 96.1,
+      "exact_match": false
+    }
+  ],
+  "pruned": [
+    {
+      "dataset": "bitcoin",
+      "blocks": 54096,
+      "credits": 60012,
+      "segments": 1,
+      "full_secs": 0.005432,
+      "full_blocks_per_sec": 9958579.6,
+      "time_rows": 497,
+      "time_secs": 0.000410,
+      "time_blocks_per_sec": 132070312.5,
+      "time_segments_pruned": 0,
+      "time_pages_pruned": 52,
+      "time_speedup": 13.262,
+      "producer": "SlushPool",
+      "producer_rows": 4325,
+      "producer_secs": 0.000378,
+      "producer_blocks_per_sec": 143149000.3,
+      "producer_segments_pruned": 0,
+      "producer_bloom_skips": 0,
+      "producer_pages_pruned": 48,
+      "producer_speedup": 14.374,
+      "exact_match": true
+    },
+    {
+      "dataset": "ethereum",
+      "blocks": 2181973,
+      "credits": 2181973,
+      "segments": 9,
+      "full_secs": 0.210400,
+      "full_blocks_per_sec": 10370594.1,
+      "time_rows": 17934,
+      "time_secs": 0.001715,
+      "time_blocks_per_sec": 1272361653.7,
+      "time_segments_pruned": 8,
+      "time_pages_pruned": 3,
+      "time_speedup": 122.689,
+      "producer": "Ethermine",
+      "producer_rows": 511402,
+      "producer_secs": 0.012163,
+      "producer_blocks_per_sec": 179389885.0,
+      "producer_segments_pruned": 5,
+      "producer_bloom_skips": 5,
+      "producer_pages_pruned": 11,
+      "producer_speedup": 17.298,
+      "exact_match": true
+    }
+  ],
+  "backend": [
+    {
+      "dataset": "bitcoin",
+      "blocks": 54096,
+      "segments": 1,
+      "store_bytes": 2097152,
+      "window_rows": 497,
+      "bytes_fetched": 169869,
+      "fetch_fraction": 0.081001,
+      "page_cache_hits": 3,
+      "page_cache_misses": 11,
+      "sim_retries": 6,
+      "sim_exact_match": true
+    }
+  ],
+  "follow": [
+    {
+      "dataset": "bitcoin",
+      "events": 55146,
+      "blocks": 54096,
+      "reorgs_applied": 1050,
+      "blocks_rolled_back": 2100,
+      "deepest_reorg": 3,
+      "follow_secs": 0.154472,
+      "blocks_per_sec": 357000.0,
+      "streams": 6,
+      "windows": 2115,
+      "delta_secs": 0.031234,
+      "recompute_secs": 0.065592,
+      "delta_speedup": 2.100,
+      "store_exact_match": true,
+      "delta_exact_match": true
+    },
+    {
+      "dataset": "ethereum",
+      "events": 2224872,
+      "blocks": 2181973,
+      "reorgs_applied": 42899,
+      "blocks_rolled_back": 85798,
+      "deepest_reorg": 3,
+      "follow_secs": 3.937841,
+      "blocks_per_sec": 565000.0,
+      "streams": 6,
+      "windows": 1818,
+      "delta_secs": 0.250000,
+      "recompute_secs": 0.775000,
+      "delta_speedup": 3.100,
+      "store_exact_match": true,
+      "delta_exact_match": false
+    }
+  ]
+}
+"#;
+
+    fn gate_sections() -> Vec<(&'static str, Vec<Row>)> {
+        vec![
+            (
+                "decode",
+                vec![row(
+                    "bitcoin",
+                    vec![
+                        ("sequential_blocks_per_sec", Rate(5.0)),
+                        ("parallel_blocks_per_sec", Rate(7.0)),
+                        ("exact_match", Flag(true)),
+                    ],
+                )],
+            ),
+            (
+                "backend",
+                vec![row(
+                    "bitcoin",
+                    vec![
+                        ("fetch_fraction", Secs(0.2)),
+                        ("sim_exact_match", Flag(false)),
+                    ],
+                )],
+            ),
+            (
+                "follow",
+                vec![
+                    row("bitcoin", vec![("reorgs_applied", Int(42))]),
+                    row("ethereum", vec![("reorgs_applied", Int(1636))]),
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn min_and_max_bounds_pass_and_breach() {
+        let sections = gate_sections();
+        let pass = "follow.bitcoin.reorgs_applied min 42\nbackend.bitcoin.fetch_fraction max 0.2";
+        assert!(check_baseline(pass, &sections).is_empty());
+        let breach = check_baseline("follow.ethereum.reorgs_applied min 1637", &sections);
+        assert_eq!(breach.len(), 1);
+        assert!(
+            breach[0].contains("follow.ethereum.reorgs_applied"),
+            "{breach:?}"
+        );
+        let breach = check_baseline("backend.bitcoin.fetch_fraction max 0.19", &sections);
+        assert_eq!(breach.len(), 1);
+        assert!(
+            breach[0].contains("backend.bitcoin.fetch_fraction"),
+            "{breach:?}"
+        );
+    }
+
+    #[test]
+    fn blank_and_comment_lines_are_skipped() {
+        let baseline = "\n# follow.bitcoin.reorgs_applied min 1000\n   \n  # indented\n";
+        assert!(check_baseline(baseline, &gate_sections()).is_empty());
+    }
+
+    #[test]
+    fn bad_lines_and_unknown_names_are_reported() {
+        let sections = gate_sections();
+        for line in [
+            "follow.bitcoin.reorgs_applied 20",
+            "follow.bitcoin.reorgs_applied above 20",
+            "follow.bitcoin.reorgs_applied min 20 extra",
+        ] {
+            let failures = check_baseline(line, &sections);
+            assert_eq!(failures.len(), 1, "{line:?}: {failures:?}");
+            assert!(failures[0].starts_with("bad baseline line"), "{failures:?}");
+        }
+        for bound in ["lots", "NaN", "inf"] {
+            let line = format!("follow.bitcoin.reorgs_applied min {bound}");
+            let failures = check_baseline(&line, &sections);
+            assert_eq!(failures.len(), 1, "{line:?}: {failures:?}");
+            assert!(failures[0].starts_with("bad baseline line"), "{failures:?}");
+        }
+        for name in [
+            "follow.bitcoin.reorgs",
+            "follow.solana.reorgs_applied",
+            "pruned.bitcoin.time_blocks_per_sec",
+            "backend.bitcoin.sim_exact_match",
+            "backend_bitcoin_fetch_fraction",
+        ] {
+            let failures = check_baseline(&format!("{name} min 1"), &sections);
+            assert_eq!(failures.len(), 1, "{name}: {failures:?}");
+            assert!(failures[0].contains("unknown value"), "{failures:?}");
+        }
+    }
+
+    #[test]
+    fn false_exact_match_flags_are_named() {
+        assert_eq!(
+            false_flags(&gate_sections()),
+            vec!["backend.bitcoin.sim_exact_match".to_string()]
+        );
+    }
+
+    #[test]
+    fn decode_gate_takes_the_better_rate() {
+        let mut sections = gate_sections();
+        let decode_min = |bound: f64| format!("decode.bitcoin.blocks_per_sec min {bound}");
+        assert!(check_baseline(&decode_min(7.0), &sections).is_empty());
+        assert_eq!(check_baseline(&decode_min(7.5), &sections).len(), 1);
+        // The better rate counts whichever side it is on.
+        sections[0].1[0] = row(
+            "bitcoin",
+            vec![
+                ("sequential_blocks_per_sec", Rate(9.0)),
+                ("parallel_blocks_per_sec", Rate(3.0)),
+            ],
+        );
+        assert!(check_baseline(&decode_min(9.0), &sections).is_empty());
+        assert_eq!(check_baseline(&decode_min(9.5), &sections).len(), 1);
+    }
+
+    /// Every bound in the committed `ci/bench-baseline.txt` parses and
+    /// names a value the benches emit, on both datasets' rows.
+    #[test]
+    fn committed_baseline_names_emitted_values() {
+        let (btc, eth) = (Dataset::bitcoin(2), Dataset::ethereum(1));
+        let sections = [
+            (
+                "decode",
+                vec![run_decode_bench(&btc), run_decode_bench(&eth)],
+            ),
+            (
+                "pruned",
+                vec![run_pruned_bench(&btc), run_pruned_bench(&eth)],
+            ),
+            ("backend", vec![run_backend_bench(&btc)]),
+            (
+                "follow",
+                vec![run_follow_bench(&btc, 144), run_follow_bench(&eth, 6000)],
+            ),
+        ];
+        let baseline = include_str!("../../../ci/bench-baseline.txt");
+        let mut names = 0;
+        for line in bound_lines(baseline) {
+            let (name, _, _) = parse_bound(line).unwrap_or_else(|| panic!("bad line {line:?}"));
+            assert!(
+                gate_value(&sections, name).is_some(),
+                "{name} is not emitted"
+            );
+            names += 1;
+        }
+        assert_eq!(names, 13);
     }
 }
