@@ -1,17 +1,14 @@
 //! # blockdec-bench
 //!
 //! The experiment harness that regenerates every figure and quoted
-//! statistic of the paper (see DESIGN.md's experiment index), the
-//! performance benches behind the committed `BENCH_*.json` files, plus
-//! shared dataset builders for the Criterion benches.
+//! statistic of the paper (see DESIGN.md's experiment index), plus the
+//! performance benches behind the committed `BENCH_*.json` files.
 //!
 //! * `cargo run --release -p blockdec-bench --bin experiments` — run all
 //!   experiments, writing per-figure CSV series and a summary markdown.
 //!   `--bench-json FILE` adds the [`perf`] benches: each returns one
 //!   [`Row`] per dataset, written to the JSON, printed as a summary line,
 //!   and checked against `--baseline ci/bench-baseline.txt`.
-//! * `cargo bench -p blockdec-bench` — performance benchmarks (figure
-//!   regeneration cost, metric kernels, store throughput, ablations).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
-//! Performance harness shared by the Criterion benches and the
-//! experiments binary's `--bench-json` mode.
+//! Performance harness behind the experiments binary's `--bench-json`
+//! mode.
 //!
 //! Each `run_*_bench` measures one dataset for one section of the
 //! committed `BENCH_*.json` and returns a [`Row`]: the dataset plus named
@@ -264,9 +264,10 @@ pub fn aos_resident_bytes(blocks: &[AttributedBlock]) -> usize {
 /// footprints.
 ///
 /// The dataset is first persisted to a throwaway store so both sides pay
-/// the same I/O: `scan_attributed` materializes `Vec<AttributedBlock>`
-/// (one heap `Vec<Credit>` per block) while `scan_columnar` streams rows
-/// straight into flat columns.
+/// the same I/O. `scan_attributed` is the columnar scan converted to
+/// `Vec<AttributedBlock>` (one heap `Vec<Credit>` per block), so the AoS
+/// side times that scan plus the conversion, while the columnar side
+/// runs the planner straight off `scan_columnar`.
 pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> Row {
     let configs = paper_matrix(ds, sliding_size);
     let plan = MatrixPlan::new(&configs);

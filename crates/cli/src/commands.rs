@@ -609,27 +609,6 @@ pub fn analyze(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `blockdec scrub` — verify every on-disk artifact of a store.
-pub fn scrub(args: &Args) -> CmdResult {
-    let store_dir = args.required("store")?;
-    let store =
-        BlockStore::open_with(backend_from_args(store_dir, args)?).map_err(|e| e.to_string())?;
-    let report = store.scrub().map_err(|e| e.to_string())?;
-    println!(
-        "checked {} segments / {} rows",
-        report.segments_checked, report.rows_checked
-    );
-    if report.is_healthy() {
-        println!("store is healthy");
-        Ok(())
-    } else {
-        for e in &report.errors {
-            eprintln!("PROBLEM: {e}");
-        }
-        Err(format!("{} problem(s) found", report.errors.len()))
-    }
-}
-
 /// `blockdec compact` — merge under-filled segments.
 pub fn compact(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?;

@@ -35,10 +35,8 @@ GLOBAL OPTIONS:
                          env-filter string like info,blockdec_store=trace
                          (also via BLOCKDEC_LOG). info+ prints a run summary.
   --log-format <fmt>     compact (default) or json (also BLOCKDEC_LOG_FORMAT)
-  --scan-threads <n>     Decode threads for columnar store scans: 0 (default)
-                         = one per CPU, 1 = sequential. Row scans (report,
-                         query top/count) always run on one thread. See
-                         docs/PERFORMANCE.md
+  --scan-threads <n>     Decode threads for store scans: 0 (default) = one
+                         per CPU, 1 = sequential. See docs/PERFORMANCE.md
   --backend <kind>       Storage backend for --store commands: local (default)
                          or sim — the local filesystem behind seeded latency,
                          jitter, optional throttling, and injected transient
@@ -67,7 +65,6 @@ COMMANDS:
   anomalies  Robust outlier report for a metric series
   analyze    Full markdown report: stats, sparklines, trend, changepoint, anomalies
   query      Ad-hoc query, e.g. --q 'top 5 producers where height between A and B'
-  scrub      Verify a store's on-disk integrity (CRCs, zone maps, dictionary)
   fsck       Classify on-disk faults; --repair quarantines + rewrites the
              manifest; --self-test runs the fault-injection round-trip.
              Exit codes: 0 clean, 1 faults found, 2 repaired, 3 unrepairable
@@ -128,7 +125,6 @@ fn main() -> ExitCode {
         "report" => ok(commands::report(&args)),
         "compare" => ok(commands::compare(&args)),
         "anomalies" => ok(commands::anomalies(&args)),
-        "scrub" => ok(commands::scrub(&args)),
         "fsck" => commands::fsck(&args),
         "compact" => ok(commands::compact(&args)),
         "analyze" => ok(commands::analyze(&args)),

@@ -356,8 +356,8 @@ fn analyze_produces_full_report() {
 }
 
 #[test]
-fn scrub_and_compact() {
-    let dir = workdir("scrub");
+fn fsck_and_compact() {
+    let dir = workdir("fsck-compact");
     let store = dir.join("store");
     // Two loads create two under-filled segments.
     for seed in ["1", "2"] {
@@ -378,14 +378,13 @@ fn scrub_and_compact() {
             assert!(out.status.success(), "{}", stderr(&out));
         }
     }
-    let out = blockdec(&["scrub", "--store", store.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("store is healthy"));
+    let out = blockdec(&["fsck", "--store", store.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 
     let out = blockdec(&["compact", "--store", store.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
 
-    // Corrupt a segment: scrub must fail loudly.
+    // Corrupt a segment: fsck must fail loudly.
     let seg = fs::read_dir(&store)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -396,9 +395,9 @@ fn scrub_and_compact() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     fs::write(&seg, bytes).unwrap();
-    let out = blockdec(&["scrub", "--store", store.to_str().unwrap()]);
+    let out = blockdec(&["fsck", "--store", store.to_str().unwrap()]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("PROBLEM"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("FAULT [bit-rot]"), "{}", stderr(&out));
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -23,9 +23,10 @@ use crate::bloom::ProducerFilter;
 use crate::catalog::{parse_segment_id, segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
 use crate::error::{Result, StoreError};
+use crate::lebytes;
 use crate::row::RowRecord;
 use crate::segment::{
-    check_footer, decode_segment, footer_crc, write_segment_file, FooterCheck, SegmentDecoder,
+    check_footer, decode_segment, write_segment_file, FooterCheck, SegmentDecoder, FOOTER_LEN,
 };
 use crate::zonemap::ZoneMap;
 use blockdec_chain::ProducerRegistry;
@@ -188,7 +189,8 @@ pub struct StoreDoctor {
 
 /// Everything check() learns about one segment file.
 enum SegmentHealth {
-    Healthy(Vec<RowRecord>),
+    /// Decoded rows and the footer CRC that checked out.
+    Healthy(Vec<RowRecord>, u32),
     /// The index block is damaged but every page decoded cleanly via
     /// the sequential salvage path: repair can rebuild the segment
     /// without losing a row.
@@ -210,10 +212,14 @@ fn classify_segment_bytes(bytes: &[u8], what: &str) -> SegmentHealth {
             SegmentHealth::Faulty(FaultKind::BitRot, "whole-file crc mismatch".into())
         }
         FooterCheck::Ok => match decode_segment(bytes, what) {
-            Ok(rows) => SegmentHealth::Healthy(rows),
-            Err(e @ StoreError::CorruptIndex { .. }) => {
-                // The pages may be fine behind the damaged index: try
-                // the index-free salvage decode before giving up.
+            Ok(rows) => {
+                SegmentHealth::Healthy(rows, lebytes::u32_at(bytes, bytes.len() - FOOTER_LEN))
+            }
+            Err(e) => {
+                // Whatever failed, the pages may be intact behind an index
+                // that lies (a group offset inside the previous group's
+                // pages reads as a truncated page): when the index-free
+                // salvage decodes every page, the fault is the index's.
                 let mut dec = SegmentDecoder::new();
                 match dec.decode_salvage(bytes, what) {
                     Ok(n) => SegmentHealth::Recoverable(
@@ -221,16 +227,18 @@ fn classify_segment_bytes(bytes: &[u8], what: &str) -> SegmentHealth {
                         format!("index damaged but all pages intact: {e}"),
                         (0..n).map(|i| dec.row(i)).collect(),
                     ),
+                    Err(_) if matches!(e, StoreError::CorruptIndex { .. }) => {
+                        SegmentHealth::Faulty(
+                            FaultKind::BadIndex,
+                            format!("index damaged and pages unsalvageable: {e}"),
+                        )
+                    }
                     Err(_) => SegmentHealth::Faulty(
-                        FaultKind::BadIndex,
-                        format!("index damaged and pages unsalvageable: {e}"),
+                        FaultKind::BadPage,
+                        format!("finalized but undecodable: {e}"),
                     ),
                 }
             }
-            Err(e) => SegmentHealth::Faulty(
-                FaultKind::BadPage,
-                format!("finalized but undecodable: {e}"),
-            ),
         },
     }
 }
@@ -346,7 +354,7 @@ impl StoreDoctor {
                             detail,
                         });
                     }
-                    SegmentHealth::Healthy(rows) => {
+                    SegmentHealth::Healthy(rows, _) => {
                         report.rows_checked += rows.len() as u64;
                         let zone = ZoneMap::from_rows(&rows);
                         if zone != seg.zone {
@@ -460,10 +468,7 @@ impl StoreDoctor {
             }
             let bytes = get_retry(self.store.as_ref(), &file)?;
             match classify_segment_bytes(&bytes, &file) {
-                SegmentHealth::Healthy(rows) => {
-                    let crc = footer_crc(&bytes).expect("healthy segment has a footer"); // blockdec-lint: allow(panic) — Healthy classification requires a parseable footer
-                    kept.push((file, rows, crc));
-                }
+                SegmentHealth::Healthy(rows, crc) => kept.push((file, rows, crc)),
                 SegmentHealth::Recoverable(kind, detail, rows) => {
                     blockdec_obs::warn!(
                         file = file.clone(),
@@ -753,6 +758,56 @@ mod tests {
         let outcome = doctor.repair().unwrap();
         assert_eq!(outcome.quarantined, vec![victim]);
         assert_eq!(outcome.rows_quarantined, 0);
+        assert!(doctor.check().unwrap().is_clean());
+        let store = BlockStore::open(&dir).unwrap();
+        assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_offset_inside_the_previous_group_is_repaired_without_losing_rows() {
+        // A buggy indexer moves group 1's offset one byte back, into
+        // group 0's last page, behind a refitted index CRC and footer.
+        // Every page is intact in the conventional layout, so the fault
+        // is the index's and repair salvages all 10,000 rows.
+        let dir = tmp_dir("overrun");
+        let mut store = BlockStore::create(&dir).unwrap();
+        let p = store.intern_producer("P");
+        let q = store.intern_producer("Q");
+        let all: Vec<RowRecord> = (0..10_000u64)
+            .map(|h| RowRecord {
+                height: h,
+                timestamp: 1_546_300_800 + h as i64 * 600,
+                producer: if h % 3 == 0 { q } else { p },
+                credit_millis: 1000,
+                tx_count: (h % 50) as u32,
+                size_bytes: 2,
+                difficulty: 3,
+            })
+            .collect();
+        store.append_rows(&all).unwrap();
+        store.flush().unwrap();
+        let victim = segment_file_name(0);
+        let mut bytes = fs::read(dir.join(&victim)).unwrap();
+        let (start, _) = crate::segment::index_bounds(&bytes).unwrap();
+        let at = start + 8 + crate::segment::GROUP_ENTRY_LEN;
+        let moved = lebytes::u32_at(&bytes, at) - 1;
+        bytes[at..at + 4].copy_from_slice(&moved.to_le_bytes());
+        crate::segment::refit_index_crc(&mut bytes);
+        crate::segment::refit_footer(&mut bytes);
+        fs::write(dir.join(&victim), bytes).unwrap();
+
+        let doctor = StoreDoctor::new(&dir);
+        let report = doctor.check().unwrap();
+        assert_eq!(
+            report.kinds(),
+            vec![FaultKind::BadIndex],
+            "{:?}",
+            report.faults
+        );
+        let outcome = doctor.repair().unwrap();
+        assert_eq!(outcome.quarantined, vec![victim]);
+        assert_eq!(outcome.rows_quarantined, 0, "salvage must lose no rows");
         assert!(doctor.check().unwrap().is_clean());
         let store = BlockStore::open(&dir).unwrap();
         assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);

@@ -163,9 +163,9 @@ impl FaultInjector {
 
     /// Widen the first page group's zone entry behind a *valid* index
     /// CRC (index CRC and footer both refitted): the index parses
-    /// cleanly but lies about its rows. Only the full decode's
-    /// cross-check can catch this — the fault class a pruned scan would
-    /// silently trust.
+    /// cleanly but lies about its rows. Only the rows can expose this:
+    /// every decode that reads the group cross-checks its zone, so scans
+    /// over it fail and fsck reports `bad-index`.
     pub fn drift_page_zone(&mut self, file: &str) -> Result<()> {
         let mut bytes = self.read_seg(file)?;
         let (index_off, _) =

@@ -18,13 +18,15 @@
 //!   (min/max height and timestamp), committed atomically via
 //!   write-to-temp + rename.
 //!
-//! Every read — row scans ([`store::BlockStore::scan`] and its
-//! visitor/attributed forms) and columnar scans
-//! ([`store::BlockStore::scan_columnar`]) — runs one scan loop: segments
-//! are pruned by manifest zone map and producer bloom before any byte is
-//! read, and each surviving segment gets a pruned decode of only the
-//! page groups that may match, fetched through one byte-range
-//! [`backend::PageCache`].
+//! Every read — the row scans ([`store::BlockStore::scan`],
+//! [`store::BlockStore::scan_with_options`]) and the columnar scans
+//! ([`store::BlockStore::scan_columnar`], which
+//! [`store::BlockStore::scan_attributed`] converts to blocks) — runs one
+//! scan loop: segments are pruned by manifest zone map and producer
+//! bloom before any byte is read, and each surviving segment gets the
+//! one decode body ([`segment::SegmentDecoder::decode_pruned_ranged`])
+//! over only the page groups that may match, fetched through one
+//! byte-range [`backend::PageCache`].
 //!
 //! Durability: every artifact is committed via [`atomic`] (write-temp +
 //! fsync + atomic rename), segment files carry a finalization footer so

@@ -31,7 +31,7 @@ use crate::page::{read_page, write_page};
 use crate::row::RowRecord;
 use crate::store::ScanPredicate;
 use crate::zonemap::ZoneMap;
-use std::sync::Arc;
+use std::ops::Deref;
 
 /// Magic bytes of a segment file.
 pub const MAGIC: [u8; 4] = *b"BDSG";
@@ -478,22 +478,22 @@ impl PrunedDecode {
 /// Reusable zero-copy segment decoder: the decode core of every scan,
 /// of fsck and of the compactor.
 ///
-/// [`SegmentDecoder::decode`] verifies the footer and header, borrows
-/// each column page straight out of the input buffer (no payload copies
-/// — [`crate::page::read_page`] returns slices), and batch-decodes every
-/// column into scratch buffers owned by the decoder. Reusing one decoder
-/// across segments makes a scan allocation-free after the first segment,
-/// which is what lets scans skip the per-segment `Vec<RowRecord>`
-/// materialization entirely.
+/// There is one decode body, [`SegmentDecoder::decode_pruned_ranged`]:
+/// it fetches byte ranges, decodes only the page groups whose zones and
+/// blooms may match a predicate, and cross-checks each of them against
+/// the index — the header's row count against the index total, the
+/// group's pages against its extent, and its rows against its zone. It
+/// borrows each column page straight out of the fetched bytes (no
+/// payload copies — [`crate::page::read_page`] returns slices) and
+/// batch-decodes every column into scratch buffers owned by the
+/// decoder, so reusing one decoder across segments makes a scan
+/// allocation-free after the first segment.
 ///
-/// Scans use the pruned variants, [`SegmentDecoder::decode_pruned`] and
-/// [`SegmentDecoder::decode_pruned_ranged`], which decode only the page
-/// groups whose zones may match a predicate and cross-check each of them
-/// against the index: the header's row count against the index total,
-/// the group's pages against its extent, and its rows against its zone.
-/// The full [`SegmentDecoder::decode`] (behind [`decode_segment`], which
-/// fsck, scrub and the compactor use) adds the two checks that need
-/// every byte: the whole-file CRC and per-row bloom membership.
+/// [`SegmentDecoder::decode_pruned`] is that body over an in-memory
+/// buffer. The full [`SegmentDecoder::decode`] (behind
+/// [`decode_segment`], which fsck, repair and the compactor use) is the
+/// whole-file CRC, the body over every group, and per-row bloom
+/// membership.
 ///
 /// ```
 /// use blockdec_store::segment::{encode_segment, SegmentDecoder};
@@ -622,139 +622,93 @@ impl SegmentDecoder {
     /// Decode a segment byte buffer into the decoder's columns, replacing
     /// any previous contents. Returns the row count on success.
     ///
-    /// This is the *full* decode: whole-file CRC, every page, and a
-    /// cross-check of the index block against the decoded rows. Index
-    /// inconsistencies surface as [`StoreError::CorruptIndex`].
+    /// This is the *full* decode, in three steps: the whole-file CRC,
+    /// [`SegmentDecoder::decode_pruned`] over every page group, and a
+    /// check that the segment and group blooms hold every decoded
+    /// producer. Index inconsistencies surface as
+    /// [`StoreError::CorruptIndex`].
     pub fn decode(&mut self, data: &[u8], what: &str) -> Result<usize> {
         self.clear();
         verify_footer(data, what)?;
-        let body = &data[..data.len() - FOOTER_LEN];
-        let n = Self::parse_header(body, what)?;
+        let n = self.decode_pruned(data, what, &ScanPredicate::all())?.rows;
         let index = parse_index(data, what)?;
-        check_row_count(&index, n, what)?;
-        let bad_index = |detail: String| StoreError::CorruptIndex {
-            what: what.to_string(),
-            detail,
-        };
-        let idx_field = data.len() - FOOTER_LEN - 4;
-        let index_off = lebytes::u32_at(data, idx_field) as usize;
-        let mut cursor = &data[10..index_off];
-        for (g, group) in index.groups.iter().enumerate() {
-            let pos = index_off - cursor.len();
-            if group.offset as usize != pos {
-                return Err(bad_index(format!(
-                    "group {g}: index offset {} but pages start at {pos}",
-                    group.offset
-                )));
-            }
-            self.decode_group(&mut cursor, group.rows as usize, what)?;
+        let group_of_row = index
+            .groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, group)| std::iter::repeat_n(g, group.rows as usize));
+        // The decode above has checked that every producer fits u32.
+        for (&p, g) in self.producers.iter().zip(group_of_row) {
+            let bloom = if !index.producers.contains(p as u32) {
+                "segment bloom".to_string()
+            } else if !index.group_producers[g].contains(p as u32) {
+                format!("group {g} bloom")
+            } else {
+                continue;
+            };
+            self.clear();
+            return Err(StoreError::CorruptIndex {
+                what: what.to_string(),
+                detail: format!("{bloom} misses producer {p} (false negatives must be impossible)"),
+            });
         }
-        if !cursor.is_empty() {
-            return Err(bad_index(format!(
-                "{} trailing bytes between last page and index",
-                cursor.len()
-            )));
-        }
-
-        // Cross-check the index's zones and blooms against the rows.
-        let mut at = 0usize;
-        for (g, group) in index.groups.iter().enumerate() {
-            self.check_group_zone(at, g, group, what)?;
-            let rows = group.rows as usize;
-            for &p in &self.producers[at..at + rows] {
-                if p > u64::from(u32::MAX) {
-                    continue; // reported by validate_narrow below
-                }
-                if !index.producers.contains(p as u32) {
-                    return Err(bad_index(format!(
-                        "segment bloom misses producer {p} (false negatives must be impossible)"
-                    )));
-                }
-                if !index.group_producers[g].contains(p as u32) {
-                    return Err(bad_index(format!(
-                        "group {g} bloom misses producer {p} (false negatives must be impossible)"
-                    )));
-                }
-            }
-            at += rows;
-        }
-
-        self.validate_narrow(what)?;
-        self.rows = n;
         Ok(n)
     }
 
-    /// Decode only the page groups that may satisfy `pred` — a group is
-    /// skipped when its index zone cannot overlap the predicate's
-    /// height/time range *or* its bloom filter proves the scanned
-    /// producer absent — without reading a byte of the skipped pages,
-    /// and skipping the whole-file CRC, whose cost is proportional to
-    /// the bytes we are trying not to touch. What *is* read stays fully
-    /// checked: the footer frame, the header, the CRC-covered index
-    /// block and its row total, the per-page CRCs of every decoded
-    /// group, and each decoded group's extent and zone against its
-    /// index entry.
-    ///
-    /// The decoder afterwards holds the surviving groups' rows,
-    /// contiguous and in height order; rows that match `pred` are a
-    /// subset of them (zones are conservative), so callers filter
-    /// per-row exactly as they would after a full decode.
+    /// [`SegmentDecoder::decode_pruned_ranged`] over an in-memory segment:
+    /// the fetch slices `data`, so nothing is copied.
     pub fn decode_pruned(
         &mut self,
         data: &[u8],
         what: &str,
         pred: &ScanPredicate,
     ) -> Result<PrunedDecode> {
-        self.clear();
-        verify_footer_frame(data, data.len(), what)?;
-        let body = &data[..data.len() - FOOTER_LEN];
-        let n = Self::parse_header(body, what)?;
-        let index = parse_index(data, what)?;
-        check_row_count(&index, n, what)?;
-        let idx_field = data.len() - FOOTER_LEN - 4;
-        let index_off = lebytes::u32_at(data, idx_field) as usize;
-        let mut decoded = 0usize;
-        for (g, start, end) in surviving_groups(&index, index_off, pred) {
-            self.decode_indexed_group(&data[start..end], &index, g, what)?;
-            decoded += 1;
-        }
-        self.finish_pruned(&index, decoded, what)
+        let mut fetch = |off: u64, len: usize| Ok(&data[off as usize..][..len]);
+        self.decode_pruned_ranged(&mut fetch, data.len() as u64, what, pred)
     }
 
-    /// [`SegmentDecoder::decode_pruned`] over a backend that serves byte
-    /// ranges, so pruning sheds *bytes fetched*, not just decode work.
+    /// The one decode body. Decodes only the page groups that may satisfy
+    /// `pred` — a group is skipped when its index zone cannot overlap the
+    /// predicate's height/time range *or* its bloom filter proves the
+    /// scanned producer absent — without reading a byte of the skipped
+    /// pages, and skipping the whole-file CRC, whose cost is proportional
+    /// to the bytes we are trying not to touch.
     ///
-    /// `fetch(offset, len)` returns that window of the segment object
-    /// (typically via [`crate::backend::PageCache`]); `file_len` is the
-    /// object's total size. The sequence fetches the 16-byte tail
-    /// (footer frame + index offset word), the 10-byte header, the
+    /// `fetch(offset, len)` returns that window of the segment object:
+    /// through [`crate::backend::PageCache`] for a pruned scan, a slice of
+    /// the buffer for [`SegmentDecoder::decode_pruned`]. `file_len` is the
+    /// object's total size. The sequence fetches the tail (footer frame +
+    /// index offset word, at most 16 bytes), the 10-byte header, the
     /// CRC-checked index block, and then only the page extents of the
-    /// groups that survive zone/bloom pruning — a 3-day window over a
-    /// chain-year segment touches a small fraction of the file.
+    /// groups that survive pruning — a 3-day window over a chain-year
+    /// segment touches a small fraction of the file.
     ///
-    /// Validation matches [`SegmentDecoder::decode_pruned`] check for
-    /// check (same error texts in the same order); group extents come
-    /// from the CRC-covered index, every fetched page still passes its
-    /// own CRC, and every decoded group must fill its extent and match
-    /// its zone, so an index that lies about offsets or zones fails
-    /// decoding rather than yielding bad rows.
-    pub fn decode_pruned_ranged(
+    /// What *is* read stays fully checked: the footer frame, the header,
+    /// the index block and its row total, group 0's offset, the per-page
+    /// CRCs of every decoded group, and each decoded group's extent and
+    /// zone against its index entry. So an index that lies about offsets
+    /// or zones fails decoding rather than yielding bad rows.
+    ///
+    /// The decoder afterwards holds the surviving groups' rows,
+    /// contiguous and in height order; rows that match `pred` are a
+    /// subset of them (zones are conservative), so callers filter
+    /// per-row exactly as they would after a full decode.
+    pub fn decode_pruned_ranged<B>(
         &mut self,
-        fetch: &mut dyn FnMut(u64, usize) -> Result<Arc<Vec<u8>>>,
+        fetch: &mut dyn FnMut(u64, usize) -> Result<B>,
         file_len: u64,
         what: &str,
         pred: &ScanPredicate,
-    ) -> Result<PrunedDecode> {
-        const TAIL_LEN: usize = FOOTER_LEN + 4;
-        if file_len < TAIL_LEN as u64 {
-            // Too small to hold even the tail: fetch it whole so the
-            // degenerate cases fail exactly like the in-memory path.
-            let data = fetch(0, file_len as usize)?;
-            return self.decode_pruned(&data, what, pred);
-        }
+    ) -> Result<PrunedDecode>
+    where
+        B: Deref,
+        B::Target: AsRef<[u8]>,
+    {
         self.clear();
-        let tail = fetch(file_len - TAIL_LEN as u64, TAIL_LEN)?;
-        verify_footer_frame(&tail, file_len as usize, what)?;
+        let tail_len = file_len.min((FOOTER_LEN + 4) as u64);
+        let tail = fetch(file_len - tail_len, tail_len as usize)?;
+        let tail = (*tail).as_ref();
+        verify_footer_frame(tail, file_len as usize, what)?;
         let body_len = (file_len as usize) - FOOTER_LEN;
         if body_len < 10 {
             return Err(StoreError::BadFormat {
@@ -762,35 +716,47 @@ impl SegmentDecoder {
                 detail: format!("file too short: {body_len} bytes"),
             });
         }
-        let header = fetch(0, 10)?;
-        let n = Self::parse_header(&header, what)?;
+        let n = Self::parse_header((*fetch(0, 10)?).as_ref(), what)?;
+        let bad_index = |detail: String| StoreError::CorruptIndex {
+            what: what.to_string(),
+            detail,
+        };
         let idx_field = (file_len as usize) - FOOTER_LEN - 4;
-        let index_off = lebytes::u32_at(&tail, 0) as usize;
+        let index_off = lebytes::u32_at(tail, 0) as usize;
         if index_off < 10 || index_off + 4 > idx_field {
-            return Err(StoreError::CorruptIndex {
-                what: what.to_string(),
-                detail: format!("index offset {index_off} out of range"),
-            });
+            return Err(bad_index(format!("index offset {index_off} out of range")));
         }
         let region = fetch(index_off as u64, idx_field - index_off)?;
-        let index = parse_index_region(&region, index_off, what)?;
+        let index = parse_index_region((*region).as_ref(), index_off, what)?;
         check_row_count(&index, n, what)?;
+        if index.groups[0].offset != 10 {
+            return Err(bad_index(format!(
+                "group 0: index offset {} but pages start at 10",
+                index.groups[0].offset
+            )));
+        }
         let mut decoded = 0usize;
         for (g, start, end) in surviving_groups(&index, index_off, pred) {
             let extent = fetch(start as u64, end - start)?;
-            self.decode_indexed_group(&extent, &index, g, what)?;
+            self.decode_indexed_group((*extent).as_ref(), &index, g, what)?;
             decoded += 1;
         }
-        self.finish_pruned(&index, decoded, what)
+        self.validate_narrow(what)?;
+        self.rows = self.heights.len();
+        Ok(PrunedDecode {
+            rows: self.rows,
+            groups_total: index.groups.len(),
+            groups_skipped: index.groups.len() - decoded,
+        })
     }
 
     /// Decode page group `g` of `index` from `extent` — exactly the
     /// bytes from the group's offset to the next group's, or to the
     /// index — and check it against its index entry: its pages must
     /// fill the extent, and its rows must span exactly the entry's
-    /// height and time zone. Both pruned decodes read every group
-    /// through here, so an index that lies about an extent or a zone
-    /// fails every scan that reads the group, not only fsck.
+    /// height and time zone. Every decode reads every group through
+    /// here, so an index that lies about an extent or a zone fails every
+    /// scan that reads the group, not only fsck.
     fn decode_indexed_group(
         &mut self,
         extent: &[u8],
@@ -803,8 +769,8 @@ impl SegmentDecoder {
         let mut cursor = extent;
         self.decode_group(&mut cursor, group.rows as usize, what)?;
         if !cursor.is_empty() {
-            // The full decode's texts: it finds the same gap at the next
-            // group's offset, or before the index.
+            // Name the gap where it ends: at the next group's offset, or
+            // before the index.
             let detail = match index.groups.get(g + 1) {
                 Some(next) => format!(
                     "group {}: index offset {} but pages start at {}",
@@ -856,22 +822,6 @@ impl SegmentDecoder {
             });
         }
         Ok(())
-    }
-
-    /// Close a pruned decode of `decoded` groups out of `index`.
-    fn finish_pruned(
-        &mut self,
-        index: &SegmentIndex,
-        decoded: usize,
-        what: &str,
-    ) -> Result<PrunedDecode> {
-        self.validate_narrow(what)?;
-        self.rows = self.heights.len();
-        Ok(PrunedDecode {
-            rows: self.rows,
-            groups_total: index.groups.len(),
-            groups_skipped: index.groups.len() - decoded,
-        })
     }
 
     /// Last-resort decode for repair: parse the header and decode page
@@ -1009,7 +959,8 @@ pub fn write_segment_file(
 ) -> Result<SegmentStamp> {
     let timer = blockdec_obs::Timer::new("store.segment_write");
     let bytes = encode_segment(rows);
-    let crc = footer_crc(&bytes).expect("freshly encoded segment has a footer"); // blockdec-lint: allow(panic) — encode_segment just wrote the footer it is hashing
+    // encode_segment has just written the footer this CRC opens.
+    let crc = lebytes::u32_at(&bytes, bytes.len() - FOOTER_LEN);
     store.put_atomic(name, &bytes)?;
     let elapsed_ms = timer.stop() * 1e3;
     blockdec_obs::counter("store.segments.written").inc();
@@ -1047,6 +998,7 @@ pub fn read_segment_file(store: &dyn ObjectStore, name: &str) -> Result<Vec<RowR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn rows(n: usize) -> Vec<RowRecord> {
         (0..n)

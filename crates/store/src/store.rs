@@ -6,13 +6,9 @@ use crate::compactor::{CompactionPolicy, Compactor};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
 use crate::error::{Result, StoreError};
 use crate::row::{weight_to_millis, RowRecord};
-use crate::segment::{
-    read_segment_file, write_segment_file, PrunedDecode, SegmentDecoder, SEGMENT_ROWS,
-};
+use crate::segment::{write_segment_file, PrunedDecode, SegmentDecoder, SEGMENT_ROWS};
 use crate::zonemap::ZoneMap;
-use blockdec_chain::{
-    AttributedBlock, BlockColumns, Credit, ProducerId, ProducerRegistry, Timestamp,
-};
+use blockdec_chain::{AttributedBlock, BlockColumns, ProducerId, ProducerRegistry, Timestamp};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -155,9 +151,9 @@ pub struct ScanOptions {
     pub skip_corrupt: bool,
     /// Decode worker threads for columnar scans
     /// ([`BlockStore::scan_columnar_with`]): `0` means one per available
-    /// CPU, `1` decodes inline on the calling thread. Row scans feed one
-    /// `FnMut` visitor, so they always run on the calling thread and
-    /// ignore this.
+    /// CPU, `1` decodes inline on the calling thread. Row scans
+    /// ([`BlockStore::scan_with_options`]) always run on the calling
+    /// thread and ignore this.
     pub threads: usize,
 }
 
@@ -499,107 +495,47 @@ impl BlockStore {
 
     /// Scan rows matching a predicate, in height order.
     pub fn scan(&self, pred: &ScanPredicate) -> Result<Vec<RowRecord>> {
-        Ok(self.scan_with_stats(pred)?.0)
+        Ok(self.scan_with_options(pred, ScanOptions::strict())?.0)
     }
 
-    /// Scan with zone-map pruning statistics.
-    pub fn scan_with_stats(&self, pred: &ScanPredicate) -> Result<(Vec<RowRecord>, ScanStats)> {
-        self.scan_with_options(pred, ScanOptions::strict())
-    }
-
-    /// Materializing scan under explicit [`ScanOptions`] — use
-    /// [`ScanOptions::degraded`] to read past corrupt segments.
+    /// Materializing row scan under explicit [`ScanOptions`], with its
+    /// pruning statistics. With [`ScanOptions::degraded`], an unreadable
+    /// segment is skipped and counted ([`ScanStats::segments_skipped`],
+    /// plus the `store.fault.segments_skipped` counter) instead of
+    /// aborting — the scan yields every row of the surviving segments.
+    /// Rows are decoded on the calling thread, so
+    /// [`ScanOptions::threads`] is ignored.
     pub fn scan_with_options(
         &self,
         pred: &ScanPredicate,
         opts: ScanOptions,
     ) -> Result<(Vec<RowRecord>, ScanStats)> {
-        let mut out = Vec::new();
-        let stats = self.scan_for_each_with(pred, opts, |r| out.push(*r))?;
-        Ok((out, stats))
-    }
-
-    /// Visit matching rows in height order without materializing the
-    /// result set — memory use is bounded by one decoded segment
-    /// regardless of how many rows match. Returns pruning statistics.
-    pub fn scan_for_each(
-        &self,
-        pred: &ScanPredicate,
-        visit: impl FnMut(&RowRecord),
-    ) -> Result<ScanStats> {
-        self.scan_for_each_with(pred, ScanOptions::strict(), visit)
-    }
-
-    /// [`BlockStore::scan_for_each`] under explicit [`ScanOptions`].
-    /// With [`ScanOptions::degraded`], an unreadable segment is skipped
-    /// and counted ([`ScanStats::segments_skipped`], plus the
-    /// `store.fault.segments_skipped` counter) instead of aborting —
-    /// the scan yields every row of the surviving segments. The one
-    /// visitor runs on the calling thread, so [`ScanOptions::threads`]
-    /// is ignored.
-    pub fn scan_for_each_with(
-        &self,
-        pred: &ScanPredicate,
-        opts: ScanOptions,
-        mut visit: impl FnMut(&RowRecord),
-    ) -> Result<ScanStats> {
-        let visit = &mut visit;
-        let (_, stats) = self.scan_loop(
+        let (mut sinks, stats) = self.scan_loop(
             pred,
-            move |selected| {
-                let read = self.read_segments(selected, pred, opts.skip_corrupt, visit);
-                vec![(visit, read)]
+            |selected| {
+                let mut rows = Vec::new();
+                let read =
+                    self.read_segments(selected, pred, opts.skip_corrupt, &mut |r: &RowRecord| {
+                        rows.push(*r)
+                    });
+                vec![(rows, read)]
             },
-            |visit, r| visit(r),
+            |rows, r| rows.push(*r),
         )?;
-        Ok(stats)
+        Ok((sinks.pop().unwrap_or_default(), stats))
     }
 
-    /// Scan and regroup rows into attribution view (one
-    /// [`AttributedBlock`] per height).
-    ///
-    /// Regroups rows *as they stream* out of [`BlockStore::scan_for_each`]
-    /// — the full `Vec<RowRecord>` is never collected, so peak memory is
-    /// one decoded segment plus the result itself. Returns
+    /// Scan into attribution view (one [`AttributedBlock`] per height):
+    /// the columnar scan, converted to blocks at the edge. Returns
     /// [`StoreError::InconsistentCatalog`] if the scan ever yields rows
     /// out of height order (a corrupt manifest, not a caller error).
     pub fn scan_attributed(&self, pred: &ScanPredicate) -> Result<Vec<AttributedBlock>> {
-        let mut out: Vec<AttributedBlock> = Vec::new();
-        let mut disorder: Option<(u64, u64)> = None;
-        self.scan_for_each(pred, |r| {
-            if let Some(b) = out.last_mut() {
-                if b.height == r.height {
-                    b.credits.push(Credit {
-                        producer: ProducerId(r.producer),
-                        weight: r.credit(),
-                    });
-                    return;
-                }
-            }
-            if let Some(b) = out.last() {
-                if r.height < b.height && disorder.is_none() {
-                    disorder = Some((b.height, r.height));
-                }
-            }
-            out.push(AttributedBlock {
-                height: r.height,
-                timestamp: Timestamp(r.timestamp),
-                credits: vec![Credit {
-                    producer: ProducerId(r.producer),
-                    weight: r.credit(),
-                }],
-            });
-        })?;
-        if let Some((prev, next)) = disorder {
-            return Err(StoreError::InconsistentCatalog(format!(
-                "scan yielded rows out of height order: height {next} after {prev}"
-            )));
-        }
-        Ok(out)
+        Ok(self.scan_columnar(pred)?.to_blocks())
     }
 
     /// Scan straight into columnar form — the fastest read path in the
-    /// store. It runs the same scan loop as [`BlockStore::scan_for_each`]
+    /// store, and the one behind [`BlockStore::scan_attributed`] and the
+    /// query layer. It runs the same scan loop as the row scans
     /// (zero-copy [`crate::segment::SegmentDecoder`] decodes into
     /// reusable scratch), pushing rows into [`BlockColumns`] without
     /// ever materializing a `Vec<RowRecord>`; with more than one decode
@@ -881,42 +817,6 @@ impl BlockStore {
         self.pages.stats()
     }
 
-    /// Verify every on-disk artifact: decode all segments (exercising
-    /// page CRCs), re-derive their zone maps against the manifest, and
-    /// check that all row producer ids resolve in the dictionary.
-    /// Collects problems instead of stopping at the first.
-    pub fn scrub(&self) -> Result<ScrubReport> {
-        let mut report = ScrubReport::default();
-        for seg in &self.manifest.segments {
-            report.segments_checked += 1;
-            match read_segment_file(self.store.as_ref(), &seg.file) {
-                Ok(rows) => {
-                    report.rows_checked += rows.len() as u64;
-                    let zone = ZoneMap::from_rows(&rows);
-                    if zone != seg.zone {
-                        report.errors.push(format!(
-                            "{}: zone map drift (manifest {:?}, actual {:?})",
-                            seg.file, seg.zone, zone
-                        ));
-                    }
-                    if let Some(bad) = rows
-                        .iter()
-                        .find(|r| r.producer as usize >= self.registry.len())
-                    {
-                        report.errors.push(format!(
-                            "{}: producer id {} outside dictionary (len {})",
-                            seg.file,
-                            bad.producer,
-                            self.registry.len()
-                        ));
-                    }
-                }
-                Err(e) => report.errors.push(format!("{}: {e}", seg.file)),
-            }
-        }
-        Ok(report)
-    }
-
     /// Run a full fault check over the store's on-disk state without
     /// modifying anything. See [`crate::StoreDoctor::check`].
     pub fn fsck(&self) -> Result<crate::doctor::FsckReport> {
@@ -1023,24 +923,6 @@ fn decode_one_segment(
         let bytes = get_retry(backend, &seg.file)?;
         let pruned = dec.decode_pruned(&bytes, &what, pred)?;
         Ok((bytes.len() as u64, pruned))
-    }
-}
-
-/// Outcome of [`BlockStore::scrub`].
-#[derive(Clone, Debug, Default)]
-pub struct ScrubReport {
-    /// Segments read and decoded.
-    pub segments_checked: usize,
-    /// Rows decoded across all segments.
-    pub rows_checked: u64,
-    /// Problems found (empty = healthy).
-    pub errors: Vec<String>,
-}
-
-impl ScrubReport {
-    /// True when no problems were found.
-    pub fn is_healthy(&self) -> bool {
-        self.errors.is_empty()
     }
 }
 
@@ -1182,7 +1064,10 @@ mod tests {
         store.flush().unwrap();
 
         let (rows, stats) = store
-            .scan_with_stats(&ScanPredicate::all().heights(150, 160))
+            .scan_with_options(
+                &ScanPredicate::all().heights(150, 160),
+                ScanOptions::strict(),
+            )
             .unwrap();
         assert_eq!(rows.len(), 11);
         assert_eq!(stats.segments_total, 2);
@@ -1368,40 +1253,22 @@ mod tests {
     }
 
     #[test]
-    fn visitor_scan_matches_materialized_scan() {
-        let dir = tmp_dir("visitor");
-        let mut store = BlockStore::create(&dir).unwrap();
-        let rows: Vec<RowRecord> = (0..200).map(|h| row(&mut store, h, "P")).collect();
-        store.append_rows(&rows[..150]).unwrap();
-        store.flush().unwrap();
-        store.append_rows(&rows[150..]).unwrap(); // part stays buffered
-
-        let pred = ScanPredicate::all().heights(100, 180);
-        let materialized = store.scan(&pred).unwrap();
-        let mut visited = Vec::new();
-        let stats = store.scan_for_each(&pred, |r| visited.push(*r)).unwrap();
-        assert_eq!(visited, materialized);
-        assert_eq!(stats.rows_returned, materialized.len() as u64);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scrub_reports_healthy_store() {
-        let dir = tmp_dir("scrub-ok");
+    fn fsck_reports_clean_store() {
+        let dir = tmp_dir("fsck-ok");
         let mut store = BlockStore::create(&dir).unwrap();
         let rows: Vec<RowRecord> = (0..100).map(|h| row(&mut store, h, "P")).collect();
         store.append_rows(&rows).unwrap();
         store.flush().unwrap();
-        let report = store.scrub().unwrap();
-        assert!(report.is_healthy(), "{:?}", report.errors);
+        let report = store.fsck().unwrap();
+        assert!(report.is_clean(), "{:?}", report.faults);
         assert_eq!(report.segments_checked, 1);
         assert_eq!(report.rows_checked, 100);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn scrub_catches_corruption_without_aborting() {
-        let dir = tmp_dir("scrub-bad");
+    fn fsck_catches_corruption_without_aborting() {
+        let dir = tmp_dir("fsck-bad");
         let mut store = BlockStore::create(&dir).unwrap();
         for batch in 0..2u64 {
             let rows: Vec<RowRecord> = (batch * 50..batch * 50 + 50)
@@ -1418,9 +1285,9 @@ mod tests {
         fs::write(&seg, bytes).unwrap();
 
         let store = BlockStore::open(&dir).unwrap();
-        let report = store.scrub().unwrap();
-        assert!(!report.is_healthy());
-        assert_eq!(report.errors.len(), 1);
+        let report = store.fsck().unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(report.faults.len(), 1);
         assert_eq!(report.segments_checked, 2);
         // The healthy segment's rows were still counted.
         assert_eq!(report.rows_checked, 50);
@@ -1447,8 +1314,8 @@ mod tests {
         assert_eq!(store.row_count(), 400);
         let after = store.scan(&ScanPredicate::all()).unwrap();
         assert_eq!(before, after, "compaction must not change contents");
-        // Old segment files are gone; scrub is clean.
-        assert!(store.scrub().unwrap().is_healthy());
+        // Old segment files are gone; fsck is clean.
+        assert!(store.fsck().unwrap().is_clean());
         assert!(!dir.join(segment_file_name(0)).exists());
 
         // Idempotent: second compaction is a no-op.
@@ -1563,7 +1430,9 @@ mod tests {
 
         let b = store.intern_producer("OnlyB");
         let pred = ScanPredicate::all().producer(b);
-        let (rows, stats) = store.scan_with_stats(&pred).unwrap();
+        let (rows, stats) = store
+            .scan_with_options(&pred, ScanOptions::strict())
+            .unwrap();
         assert_eq!(rows, rows_b);
         assert_eq!(stats.bloom_skips, 1, "segment A must be bloom-pruned");
         assert_eq!(stats.segments_pruned, 1);
@@ -1597,7 +1466,9 @@ mod tests {
         assert_eq!(stats.pages_pruned, 14, "two of three page groups skipped");
         assert_eq!(stats.segments_pruned, 0);
         // Row scans read through the same pruned decode.
-        let (rows_in_slice, row_stats) = store.scan_with_stats(&pred).unwrap();
+        let (rows_in_slice, row_stats) = store
+            .scan_with_options(&pred, ScanOptions::strict())
+            .unwrap();
         assert_eq!(rows_in_slice.len(), 101);
         assert_eq!(row_stats.pages_pruned, 14);
 
@@ -1631,7 +1502,7 @@ mod tests {
         store.flush().unwrap();
         assert_eq!(store.segment_count(), 1);
         assert_eq!(store.row_count(), 40);
-        assert!(store.scrub().unwrap().is_healthy());
+        assert!(store.fsck().unwrap().is_clean());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1754,7 +1625,7 @@ mod tests {
         check(ScanOptions::strict());
         let (_, inside_one_group) = BlockStore::open(&dir)
             .unwrap()
-            .scan_with_stats(&preds[0])
+            .scan_with_options(&preds[0], ScanOptions::strict())
             .unwrap();
         assert_eq!(inside_one_group.pages_pruned, 14);
         assert_eq!(inside_one_group.segments_pruned, 2);

@@ -65,20 +65,19 @@ fn build_fixture(dir: &Path) -> BlockStore {
     store
 }
 
-/// The row-scan reference: stream rows through [`BlockColumns::push_row`]
-/// exactly as the sequential columnar path would.
+/// The row-scan reference: push the row scan's rows through
+/// [`BlockColumns::push_row`] exactly as the sequential columnar path
+/// would.
 fn reference_columns(store: &BlockStore, pred: &ScanPredicate, opts: ScanOptions) -> BlockColumns {
     let mut cols = BlockColumns::new();
-    store
-        .scan_for_each_with(pred, opts, |r| {
-            cols.push_row(
-                r.height,
-                Timestamp(r.timestamp),
-                ProducerId(r.producer),
-                r.credit(),
-            )
-        })
-        .unwrap();
+    for r in store.scan_with_options(pred, opts).unwrap().0 {
+        cols.push_row(
+            r.height,
+            Timestamp(r.timestamp),
+            ProducerId(r.producer),
+            r.credit(),
+        );
+    }
     cols
 }
 
@@ -110,18 +109,16 @@ fn predicates_and_filters_are_thread_invariant() {
     let pred = ScanPredicate::all().heights(13, 97);
     let keep = |r: &RowRecord| r.tx_count.is_multiple_of(2);
     let mut reference = BlockColumns::new();
-    store
-        .scan_for_each_with(&pred, ScanOptions::strict(), |r| {
-            if keep(r) {
-                reference.push_row(
-                    r.height,
-                    Timestamp(r.timestamp),
-                    ProducerId(r.producer),
-                    r.credit(),
-                );
-            }
-        })
-        .unwrap();
+    for r in store.scan(&pred).unwrap() {
+        if keep(&r) {
+            reference.push_row(
+                r.height,
+                Timestamp(r.timestamp),
+                ProducerId(r.producer),
+                r.credit(),
+            );
+        }
+    }
     assert!(!reference.is_empty());
 
     for threads in [1usize, 2, 5] {

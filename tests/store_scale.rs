@@ -4,7 +4,7 @@
 
 use blockdec::prelude::*;
 use blockdec_chain::Granularity;
-use blockdec_store::RowRecord;
+use blockdec_store::{RowRecord, ScanOptions};
 
 const ROWS: u64 = 200_000;
 const T0: i64 = 1_546_300_800;
@@ -43,7 +43,10 @@ fn multi_segment_store_end_to_end() {
 
     // Zone-map pruning hits on a narrow range.
     let (rows, stats) = store
-        .scan_with_stats(&ScanPredicate::all().heights(6_988_615 + 150_000, 6_988_615 + 150_999))
+        .scan_with_options(
+            &ScanPredicate::all().heights(6_988_615 + 150_000, 6_988_615 + 150_999),
+            ScanOptions::strict(),
+        )
         .unwrap();
     assert_eq!(rows.len(), 1_000);
     assert!(
@@ -65,8 +68,8 @@ fn multi_segment_store_end_to_end() {
         assert!(p.value <= (30f64).log2() + 1e-9);
     }
 
-    // Scrub is clean at this scale; reopening sees the same state.
-    assert!(store.scrub().unwrap().is_healthy());
+    // fsck is clean at this scale; reopening sees the same state.
+    assert!(store.fsck().unwrap().is_clean());
     drop(store);
     let mut store = BlockStore::open(&dir).unwrap();
     assert_eq!(store.row_count(), ROWS);
@@ -92,7 +95,7 @@ fn multi_segment_store_end_to_end() {
     assert!(store.compact().unwrap());
     assert_eq!(store.segment_count(), 4);
     assert_eq!(store.row_count(), ROWS + 3);
-    assert!(store.scrub().unwrap().is_healthy());
+    assert!(store.fsck().unwrap().is_clean());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
