@@ -41,6 +41,7 @@ mkdir -p target/ci-smoke
 ./target/release/experiments --days 14 --bench-json target/ci-smoke/bench.json \
     --baseline ci/bench-baseline.txt
 test -s target/ci-smoke/bench.json
+grep -q '"matrix": \[' target/ci-smoke/bench.json
 grep -q '"columnar": \[' target/ci-smoke/bench.json
 grep -q '"decode": \[' target/ci-smoke/bench.json
 grep -q '"pruned": \[' target/ci-smoke/bench.json

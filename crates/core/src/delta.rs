@@ -210,6 +210,10 @@ impl MetricDeltaStream {
     /// Push one finalized block (flat credit columns). Completed windows
     /// queue up for [`MetricDeltaStream::poll`] / iteration; the return
     /// value is how many completed on this push.
+    ///
+    /// Producer ids are dictionary indices: the stream's distribution
+    /// keeps one slot per id up to the largest id pushed
+    /// ([`crate::ProducerDistribution`]).
     pub fn push(
         &mut self,
         height: u64,

@@ -8,7 +8,7 @@
 
 use crate::expr::Filter;
 use crate::stream::MeasurementSource;
-use blockdec_store::error::{Result, StoreError};
+use blockdec_store::error::Result;
 use blockdec_store::BlockStore;
 
 /// One producer's aggregate within a query range.
@@ -29,23 +29,16 @@ pub struct ProducerAgg {
 /// The range's credits come from the columnar scan
 /// ([`MeasurementSource::block_columns`]) and fold, in scan order, into
 /// one slot per dictionary id. Each producer's sum therefore adds the
-/// same credits in the same order as a row-by-row fold would. A credit
-/// whose producer id lies outside the dictionary is
-/// [`StoreError::InconsistentCatalog`]: appends reject such ids, so only
-/// a damaged catalog holds one (fsck reports it as `unknown-producer`).
+/// same credits in the same order as a row-by-row fold would. The scan
+/// fails with [`blockdec_store::StoreError::InconsistentCatalog`] on a
+/// credit whose producer id lies outside the dictionary, so every id
+/// that reaches the fold has a slot.
 pub fn producer_block_counts(store: &BlockStore, filter: &Filter) -> Result<Vec<(u32, f64)>> {
     let cols = store.block_columns(filter)?;
-    let n = store.registry().len();
-    let mut counts: Vec<Option<f64>> = vec![None; n];
+    let mut counts: Vec<Option<f64>> = vec![None; store.registry().len()];
     for i in 0..cols.len() {
         for (p, &w) in cols.producers_of(i).iter().zip(cols.weights_of(i)) {
-            let slot = counts.get_mut(p.index()).ok_or_else(|| {
-                StoreError::InconsistentCatalog(format!(
-                    "producer id {} outside dictionary (len {n})",
-                    p.0
-                ))
-            })?;
-            *slot.get_or_insert(0.0) += w;
+            *counts[p.index()].get_or_insert(0.0) += w;
         }
     }
     Ok((0..)

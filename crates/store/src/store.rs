@@ -570,7 +570,9 @@ impl BlockStore {
     /// and `skip_corrupt` setting, every thread count yields the same
     /// `BlockColumns`, the same stats, and the same error (the first
     /// unreadable segment in catalog order under strict options; the
-    /// first out-of-order height pair in scan order otherwise).
+    /// first out-of-order height pair in scan order otherwise; then the
+    /// first credit in scan order whose producer id lies outside the
+    /// store's dictionary).
     ///
     /// ```
     /// use blockdec_store::{BlockStore, RowRecord, ScanOptions, ScanPredicate};
@@ -665,6 +667,20 @@ impl BlockStore {
                 "scan yielded rows out of height order: height {} after {}",
                 cols.height(i),
                 cols.height(i - 1)
+            )));
+        }
+        // Appends reject ids outside the dictionary, so only a damaged
+        // catalog yields one (fsck: `unknown-producer`). Readers size
+        // dense per-id slots by these ids (the producer distributions,
+        // the query fold), so an unchecked id could ask for gigabytes.
+        let n = self.registry.len();
+        if let Some(p) = (0..cols.len())
+            .flat_map(|i| cols.producers_of(i))
+            .find(|p| p.index() >= n)
+        {
+            return Err(StoreError::InconsistentCatalog(format!(
+                "producer id {} outside dictionary (len {n})",
+                p.0
             )));
         }
         debug_assert!(cols.validate().is_ok(), "scan built invalid columns");
@@ -1021,6 +1037,52 @@ mod tests {
             difficulty: 0,
         };
         assert!(store.append_rows(&[r]).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn producer_outside_the_dictionary_fails_the_columnar_scan() {
+        let dir = tmp_dir("short-dictionary");
+        let mut store = BlockStore::create(&dir).unwrap();
+        // Three segments of 100 heights; "C" (id 2) takes heights 250..
+        for lo in [0u64, 100, 200] {
+            let rows: Vec<RowRecord> = (lo..lo + 100)
+                .map(|h| {
+                    let name = match h {
+                        250.. => "C",
+                        _ if h % 2 == 0 => "A",
+                        _ => "B",
+                    };
+                    row(&mut store, h, name)
+                })
+                .collect();
+            store.append_rows(&rows).unwrap();
+            store.flush().unwrap();
+        }
+        // Drop "C" from the dictionary, as a damaged catalog would.
+        let mut short = ProducerRegistry::new();
+        short.intern("A");
+        short.intern("B");
+        save_dictionary(store.backend().as_ref(), &short).unwrap();
+        let mut store = BlockStore::open(&dir).unwrap();
+        let want = "inconsistent catalog: producer id 2 outside dictionary (len 2)";
+        for threads in [1, 2] {
+            store.set_scan_threads(threads);
+            let all = ScanPredicate::all();
+            let err = store.scan_columnar(&all).unwrap_err();
+            assert_eq!(err.to_string(), want, "{threads} threads");
+            let err = store.scan_attributed(&all).unwrap_err();
+            assert_eq!(err.to_string(), want, "{threads} threads");
+            // Only credits the scan returns are checked.
+            let before_c = ScanPredicate::all().heights(0, 249);
+            assert_eq!(store.scan_columnar(&before_c).unwrap().len(), 250);
+        }
+        let report = store.fsck().unwrap();
+        assert!(
+            report.has(crate::doctor::FaultKind::UnknownProducer),
+            "{:?}",
+            report.faults
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
