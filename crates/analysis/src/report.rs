@@ -33,7 +33,7 @@ pub fn series_summary_line(label: &str, series: &MeasurementSeries) -> String {
 
 /// Markdown table summarizing many series.
 pub fn series_summary_markdown(rows: &[(String, &MeasurementSeries)]) -> String {
-    let _t = blockdec_obs::span_timed!("stage.report", series = rows.len());
+    let _t = blockdec_obs::span!("stage.report", series = rows.len());
     let mut out = String::from(
         "| series | metric | window | n | mean | std | min | max |\n\
          |---|---|---|---|---|---|---|---|\n",
@@ -68,7 +68,7 @@ pub fn series_summary_markdown(rows: &[(String, &MeasurementSeries)]) -> String 
 
 /// Markdown rendering of a chain comparison, ending with the verdict.
 pub fn comparison_markdown(cmp: &ChainComparison) -> String {
-    let _t = blockdec_obs::span_timed!("stage.report", comparison_rows = cmp.rows.len());
+    let _t = blockdec_obs::span!("stage.report", comparison_rows = cmp.rows.len());
     let mut out = String::new();
     let _ = writeln!(out, "## {} vs {}\n", cmp.label_a, cmp.label_b);
     out.push_str(&format!(

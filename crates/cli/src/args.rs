@@ -1,16 +1,13 @@
 //! Minimal `--flag value` argument parsing (no external dependency).
 
-use std::collections::HashMap;
-
-/// Parsed command line: a subcommand plus `--key value` options.
+/// Parsed command line: a subcommand plus `--key value` options and
+/// bare `--flag` switches, in the order given.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    /// `--key value` pairs.
-    options: HashMap<String, String>,
-    /// Bare `--flag` switches.
-    switches: Vec<String>,
+    /// `(key, Some(value))` per option, `(key, None)` per switch.
+    given: Vec<(String, Option<String>)>,
 }
 
 impl Args {
@@ -18,37 +15,35 @@ impl Args {
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut iter = args.into_iter().peekable();
         let command = iter.next().unwrap_or_else(|| "help".to_string());
-        let mut options = HashMap::new();
-        let mut switches = Vec::new();
+        let mut given = Vec::new();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             };
-            match iter.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    options.insert(key.to_string(), iter.next().expect("peeked"));
-                }
-                _ => switches.push(key.to_string()),
-            }
+            let value = iter.next_if(|v| !v.starts_with("--"));
+            given.push((key.to_string(), value));
         }
-        Ok(Args {
-            command,
-            options,
-            switches,
-        })
+        Ok(Args { command, given })
+    }
+
+    /// The names of every option and switch given, in order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.given.iter().map(|(k, _)| k.as_str())
     }
 
     /// A required option.
     pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.options
-            .get(key)
-            .map(String::as_str)
+        self.get(key)
             .ok_or_else(|| format!("missing required option --{key}"))
     }
 
-    /// An optional option.
+    /// An optional option; the last one given wins.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.given
+            .iter()
+            .rev()
+            .find(|(k, v)| k == key && v.is_some())
+            .and_then(|(_, v)| v.as_deref())
     }
 
     /// An optional option parsed to a type.
@@ -56,7 +51,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.options.get(key) {
+        match self.get(key) {
             None => Ok(None),
             Some(v) => v
                 .parse::<T>()
@@ -67,7 +62,7 @@ impl Args {
 
     /// True when `--flag` was passed without a value.
     pub fn has_switch(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
+        self.given.iter().any(|(k, v)| k == key && v.is_none())
     }
 }
 
@@ -118,5 +113,12 @@ mod tests {
         let a = parse(&["x", "--flag", "--key", "v"]);
         assert!(a.has_switch("flag"));
         assert_eq!(a.get("key"), Some("v"));
+    }
+
+    #[test]
+    fn names_in_order_and_last_value_wins() {
+        let a = parse(&["x", "--b", "1", "--a", "--b", "2"]);
+        assert_eq!(a.names().collect::<Vec<_>>(), ["b", "a", "b"]);
+        assert_eq!(a.get("b"), Some("2"));
     }
 }

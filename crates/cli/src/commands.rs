@@ -166,7 +166,7 @@ fn backend_from_args(dir: &str, args: &Args) -> Result<Arc<dyn ObjectStore>, Str
 }
 
 /// Size the store's one cache, the byte-range page cache, from
-/// `--page-cache-mb` (also `BLOCKDEC_PAGE_CACHE_MB`).
+/// `--page-cache-mb`.
 fn apply_page_cache_flag(store: &mut BlockStore, args: &Args) -> Result<(), String> {
     if let Some(mb) = args.get_parsed::<usize>("page-cache-mb")? {
         store.set_page_cache_bytes(mb.saturating_mul(1024 * 1024));
@@ -397,7 +397,7 @@ pub fn follow(args: &Args) -> CmdResult {
     );
 
     let stats = {
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.follow",
             chain = scenario.chain.to_string(),
             finality = finality,

@@ -44,8 +44,7 @@ GLOBAL OPTIONS:
                          --sim-latency-us N, --sim-jitter-us N,
                          --sim-bandwidth-kbps N, --sim-fail-every N, --sim-seed N
   --page-cache-mb <n>    Capacity in MiB of the store's one cache, which holds
-                         the byte ranges pruned scans fetch (default 64, or
-                         BLOCKDEC_PAGE_CACHE_MB)
+                         the byte ranges pruned scans fetch (default 64)
 
 COMMANDS:
   simulate   Generate a calibrated 2019-like block stream to CSV/JSONL
@@ -95,6 +94,91 @@ fn logging_config(args: &Args) -> Result<Option<blockdec_obs::Config>, String> {
     Ok(Some(cfg))
 }
 
+/// Options every command accepts: logging, scan threads, the storage
+/// backend and its knobs, and the page cache size.
+const GLOBAL_OPTIONS: &[&str] = &[
+    "log-level",
+    "log-format",
+    "scan-threads",
+    "backend",
+    "sim-latency-us",
+    "sim-jitter-us",
+    "sim-bandwidth-kbps",
+    "sim-fail-every",
+    "sim-seed",
+    "page-cache-mb",
+];
+
+/// A command's entry point. Commands yield an exit code so `fsck` can
+/// distinguish clean / faulty / repaired / unrepairable.
+type Run = fn(&Args) -> Result<u8, String>;
+
+/// Every command: its name, the options and switches it reads beyond
+/// [`GLOBAL_OPTIONS`], and its entry point. Any other option on its
+/// command line is an argument error.
+const COMMANDS: &[(&str, &[&str], Run)] = &[
+    (
+        "simulate",
+        &["chain", "days", "seed", "limit", "format", "out", "quiet"],
+        |a| exit_zero(commands::simulate(a)),
+    ),
+    (
+        "load",
+        &["chain", "days", "seed", "limit", "store", "flush-every"],
+        |a| exit_zero(commands::load(a)),
+    ),
+    (
+        "follow",
+        &[
+            "chain",
+            "days",
+            "seed",
+            "limit",
+            "store",
+            "finality",
+            "fork-every",
+            "max-fork",
+            "fork-seed",
+            "metric",
+            "window",
+            "out",
+        ],
+        |a| exit_zero(commands::follow(a)),
+    ),
+    ("ingest", &["chain", "input", "store", "format"], |a| {
+        exit_zero(commands::ingest(a))
+    }),
+    ("measure", &["store", "metric", "window", "out"], |a| {
+        exit_zero(commands::measure(a))
+    }),
+    ("report", &["store", "top"], |a| {
+        exit_zero(commands::report(a))
+    }),
+    (
+        "compare",
+        &["store-a", "store-b", "label-a", "label-b"],
+        |a| exit_zero(commands::compare(a)),
+    ),
+    (
+        "anomalies",
+        &["store", "metric", "window", "threshold"],
+        |a| exit_zero(commands::anomalies(a)),
+    ),
+    ("fsck", &["store", "repair", "self-test"], commands::fsck),
+    ("compact", &["store"], |a| exit_zero(commands::compact(a))),
+    ("analyze", &["store"], |a| exit_zero(commands::analyze(a))),
+    ("query", &["store", "q"], |a| exit_zero(commands::query(a))),
+    ("help", &[], |_| {
+        println!("{HELP}");
+        Ok(0)
+    }),
+];
+
+/// Map a command's `()` success to exit code 0.
+fn exit_zero(r: Result<(), String>) -> Result<u8, String> {
+    r.map(|()| 0)
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -103,6 +187,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let name = match args.command.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let command = COMMANDS.iter().find(|(n, _, _)| *n == name);
+    if let Some((name, options, _)) = command {
+        let known = |o: &&str| options.contains(o) || GLOBAL_OPTIONS.contains(o);
+        if let Some(unknown) = args.names().find(|o| !known(o)) {
+            eprintln!("error: unknown option --{unknown} for {name}");
+            return ExitCode::from(2);
+        }
+    }
     match logging_config(&args) {
         Ok(Some(cfg)) => {
             blockdec_obs::log::init(cfg);
@@ -113,27 +209,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    // Commands yield an exit code so `fsck` can distinguish clean /
-    // faulty / repaired / unrepairable; everything else maps () to 0.
-    let ok = |r: Result<(), String>| r.map(|()| 0u8);
-    let result: Result<u8, String> = match args.command.as_str() {
-        "simulate" => ok(commands::simulate(&args)),
-        "load" => ok(commands::load(&args)),
-        "follow" => ok(commands::follow(&args)),
-        "ingest" => ok(commands::ingest(&args)),
-        "measure" => ok(commands::measure(&args)),
-        "report" => ok(commands::report(&args)),
-        "compare" => ok(commands::compare(&args)),
-        "anomalies" => ok(commands::anomalies(&args)),
-        "fsck" => commands::fsck(&args),
-        "compact" => ok(commands::compact(&args)),
-        "analyze" => ok(commands::analyze(&args)),
-        "query" => ok(commands::query(&args)),
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
-            Ok(0)
-        }
-        other => Err(format!("unknown command {other:?}; try `blockdec help`")),
+    let result = match command {
+        Some((_, _, run)) => run(&args),
+        None => Err(format!("unknown command {name:?}; try `blockdec help`")),
     };
     // End-of-run summary: per-stage wall time, throughput, cache hit
     // rate, windows emitted. Only when logging is on at info or finer.

@@ -495,3 +495,136 @@ fn unknown_metric_is_rejected_with_choices() {
     assert!(stderr(&out).contains("gini"), "{}", stderr(&out));
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn unknown_option_is_rejected_before_the_command_runs() {
+    let dir = workdir("badopt");
+    let store = dir.join("store");
+    let out = blockdec(&[
+        "load",
+        "--chain",
+        "bitcoin",
+        "--days",
+        "1",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let series = dir.join("series.csv");
+    let out = blockdec(&[
+        "measure",
+        "--store",
+        store.to_str().unwrap(),
+        "--metirc",
+        "entropy",
+        "--windw",
+        "sliding:144:72",
+        "--out",
+        series.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("error: unknown option --metirc for measure"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!series.exists(), "measure ran despite the unknown option");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Run `measure` at `debug` with JSON logs over a three-segment store.
+/// Returns the parsed log lines and the command's own result lines.
+fn debug_json_measure(tag: &str) -> (Vec<serde_json::Value>, Vec<String>) {
+    let dir = workdir(tag);
+    let store = dir.join("store");
+    let out = blockdec(&[
+        "load",
+        "--chain",
+        "bitcoin",
+        "--days",
+        "20",
+        "--flush-every",
+        "1000",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = blockdec(&[
+        "measure",
+        "--store",
+        store.to_str().unwrap(),
+        "--metric",
+        "gini,entropy",
+        "--window",
+        "sliding:144:72",
+        "--out",
+        dir.join("series.csv").to_str().unwrap(),
+        "--log-level",
+        "debug",
+        "--log-format",
+        "json",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    fs::remove_dir_all(&dir).unwrap();
+    let (json, text): (Vec<String>, Vec<String>) = stderr(&out)
+        .lines()
+        .map(str::to_string)
+        .partition(|l| l.starts_with('{'));
+    let json = json
+        .iter()
+        .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    (json, text)
+}
+
+/// `(starts, closes)` of the spans named `name`: `<name> start` events,
+/// and `close` events whose span path ends in `name`.
+fn span_events(lines: &[serde_json::Value], name: &str) -> (usize, usize) {
+    let start = format!("{name} start");
+    let nested = format!(":{name}");
+    let mut events = (0, 0);
+    for v in lines {
+        let message = v.get("message").and_then(|m| m.as_str());
+        let span = v.get("span").and_then(|s| s.as_str());
+        if message == Some(start.as_str()) {
+            events.0 += 1;
+        } else if message == Some("close")
+            && span.is_some_and(|s| s == name || s.ends_with(&nested))
+        {
+            events.1 += 1;
+        }
+    }
+    events
+}
+
+#[test]
+fn debug_json_logs_parse_and_every_span_start_has_one_close() {
+    let (json, text) = debug_json_measure("debugjson");
+    // Besides JSON log lines, stderr holds only measure's own result
+    // lines: a summary and a sparkline per series.
+    assert_eq!(text.len(), 4, "{text:?}");
+    assert!(
+        text.iter()
+            .all(|l| l.starts_with("store ") || l.starts_with("series ")),
+        "{text:?}"
+    );
+    for name in [
+        "stage.scan",
+        "store.segment_read",
+        "stage.measure_matrix",
+        "planner.chunk",
+    ] {
+        let (starts, closes) = span_events(&json, name);
+        assert_eq!(starts, closes, "{name}: {starts} starts, {closes} closes");
+    }
+    assert_eq!(span_events(&json, "stage.scan").0, 1);
+    assert_eq!(span_events(&json, "stage.measure_matrix").0, 1);
+}
+
+#[test]
+fn per_segment_and_per_chunk_regions_are_spans_at_debug() {
+    let (json, _) = debug_json_measure("perop");
+    assert_eq!(span_events(&json, "store.segment_read"), (3, 3));
+    let (chunks, _) = span_events(&json, "planner.chunk");
+    assert!(chunks >= 1, "no planner.chunk span opened");
+}

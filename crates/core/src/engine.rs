@@ -145,11 +145,10 @@ impl MeasurementEngine {
     /// over the flat columns and evaluates them in order on the calling
     /// thread.
     pub fn run_columns(&self, cols: ColumnsSlice<'_>) -> MeasurementSeries {
-        let window_label = self.window.label().label();
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.measure",
             metric = self.metric.to_string(),
-            window = window_label,
+            window = self.window.label().label(),
             blocks = cols.len(),
         );
         let windows = Windows::form(cols, self.window);

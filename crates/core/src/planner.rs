@@ -132,7 +132,7 @@ impl MatrixPlan {
         cols: ColumnsSlice<'_>,
         workers: usize,
     ) -> Vec<MeasurementSeries> {
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.measure_matrix",
             configs = self.configs(),
             specs = self.window_specs(),
@@ -197,7 +197,7 @@ where
     let workers = workers.min(total.div_ceil(MIN_CHUNK_WINDOWS)).max(1);
     blockdec_obs::counter("planner.chunks").add(workers as u64);
     if workers == 1 {
-        let _t = blockdec_obs::Timer::new("planner.chunk");
+        let _t = blockdec_obs::span!("planner.chunk", windows = total);
         return eval(0..total);
     }
     let per = total.div_ceil(workers);
@@ -212,7 +212,7 @@ where
             .into_iter()
             .map(|r| {
                 scope.spawn(move || {
-                    let _t = blockdec_obs::Timer::new("planner.chunk");
+                    let _t = blockdec_obs::span!("planner.chunk", windows = r.len());
                     eval(r)
                 })
             })

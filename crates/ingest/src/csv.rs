@@ -103,7 +103,7 @@ pub fn write_blocks_csv(out: &mut impl Write, blocks: &[Block]) -> std::io::Resu
 /// validated; rows must be height-ordered but gaps are allowed (a
 /// filtered export is still measurable).
 pub fn read_blocks_csv(input: impl BufRead, chain: ChainKind) -> Result<Vec<Block>> {
-    let _t = blockdec_obs::span_timed!("stage.ingest", format = "csv");
+    let _t = blockdec_obs::span!("stage.ingest", format = "csv");
     let mut line_count: u64 = 0;
     let mut blocks = Vec::new();
     let mut lines = input.lines();

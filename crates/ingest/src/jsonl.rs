@@ -1,11 +1,11 @@
-//! JSON-lines serialization of blocks and attribution results.
+//! JSON-lines serialization of blocks.
 //!
 //! One JSON object per line — the shape BigQuery exports use and the
 //! easiest format to stream through shell tooling. Uses the chain types'
 //! own serde representations.
 
 use crate::error::{IngestError, Result};
-use blockdec_chain::{AttributedBlock, Block};
+use blockdec_chain::Block;
 use std::io::{BufRead, Write};
 
 /// Write blocks as JSONL.
@@ -20,7 +20,7 @@ pub fn write_blocks_jsonl(out: &mut impl Write, blocks: &[Block]) -> Result<()> 
 
 /// Read blocks from JSONL (empty lines skipped).
 pub fn read_blocks_jsonl(input: impl BufRead) -> Result<Vec<Block>> {
-    let _t = blockdec_obs::span_timed!("stage.ingest", format = "jsonl");
+    let _t = blockdec_obs::span!("stage.ingest", format = "jsonl");
     let mut line_count: u64 = 0;
     let mut out = Vec::new();
     for (i, line) in input.lines().enumerate() {
@@ -44,39 +44,10 @@ pub fn read_blocks_jsonl(input: impl BufRead) -> Result<Vec<Block>> {
     Ok(out)
 }
 
-/// Write attribution results as JSONL.
-pub fn write_attributed_jsonl(out: &mut impl Write, blocks: &[AttributedBlock]) -> Result<()> {
-    for b in blocks {
-        serde_json::to_writer(&mut *out, b)
-            .map_err(|e| IngestError::parse(0, format!("serialize: {e}")))?;
-        out.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Read attribution results from JSONL.
-pub fn read_attributed_jsonl(input: impl BufRead) -> Result<Vec<AttributedBlock>> {
-    let _t = blockdec_obs::span_timed!("stage.ingest", format = "jsonl-attributed");
-    let mut out = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(
-            serde_json::from_str(&line)
-                .map_err(|e| IngestError::parse(i as u64 + 1, e.to_string()))?,
-        );
-    }
-    blockdec_obs::counter("ingest.blocks").add(out.len() as u64);
-    blockdec_obs::debug!(blocks = out.len(); "parsed attributed JSONL");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockdec_chain::{Address, ChainKind, Credit, ProducerId, Timestamp};
+    use blockdec_chain::{Address, ChainKind, Timestamp};
     use std::io::BufReader;
 
     fn block(height: u64) -> Block {
@@ -116,21 +87,5 @@ mod tests {
         buf.extend_from_slice(b"{not json}\n");
         let err = read_blocks_jsonl(BufReader::new(buf.as_slice())).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn attributed_roundtrip() {
-        let blocks = vec![AttributedBlock {
-            height: 9,
-            timestamp: Timestamp(100),
-            credits: vec![Credit {
-                producer: ProducerId(3),
-                weight: 0.5,
-            }],
-        }];
-        let mut buf = Vec::new();
-        write_attributed_jsonl(&mut buf, &blocks).unwrap();
-        let back = read_attributed_jsonl(BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(back, blocks);
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! * [`csv`] — a dependency-free RFC 4180 CSV reader/writer plus the
 //!   repository's canonical block CSV schema;
-//! * [`jsonl`] — JSON-lines serialization of blocks and attribution
-//!   results;
+//! * [`jsonl`] — JSON-lines serialization of blocks;
 //! * [`bigquery`] — parsers for the Google BigQuery public crypto
 //!   dataset export schemas (`crypto_bitcoin.blocks`,
 //!   `crypto_ethereum.blocks`), the exact source the paper collected

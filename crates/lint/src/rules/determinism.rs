@@ -38,7 +38,7 @@ impl Rule for WallClock {
                 &["SystemTime::now", "Instant::now"],
                 self.id(),
                 "reads the wall clock in library code — results must not depend \
-                 on time-of-day; timing lives in blockdec-obs timers",
+                 on time-of-day; timing lives in blockdec-obs spans",
                 out,
             );
         }

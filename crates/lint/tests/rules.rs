@@ -71,7 +71,7 @@ fn wall_clock_fires_on_bad_and_not_on_good() {
     assert!(findings_of(&good, "determinism-time").is_empty());
 
     // Timing is blockdec-obs's and the bench harness's job.
-    for path in ["crates/obs/src/timer.rs", "crates/bench/src/perf.rs"] {
+    for path in ["crates/obs/src/log.rs", "crates/bench/src/perf.rs"] {
         let w = ws(&[(path, include_str!("fixtures/time_bad.rs"))]);
         assert!(
             findings_of(&w, "determinism-time").is_empty(),
@@ -187,6 +187,34 @@ fn obs_drift_fires_both_directions_and_not_when_in_sync() {
         ),
     ]);
     assert!(findings_of(&good, "obs-drift").is_empty());
+}
+
+#[test]
+fn obs_drift_counts_a_span_site_as_a_registration() {
+    let src = (
+        "crates/store/src/flush.rs",
+        "pub fn flush() {\n    let _t = blockdec_obs::span!(\"x.y\", rows = 3u64);\n}\n",
+    );
+    let doc = |names: &str| {
+        format!(
+            "<!-- blockdec-lint: obs-names:begin -->\n| Span | Opened by |\n|---|---|\n\
+             {names}<!-- blockdec-lint: obs-names:end -->\n"
+        )
+    };
+
+    let undocumented = doc("| `x.z` | another span |\n");
+    let hits = findings_of(
+        &ws(&[src, ("docs/OBSERVABILITY.md", &undocumented)]),
+        "obs-drift",
+    );
+    assert!(
+        hits.contains(&("crates/store/src/flush.rs".to_string(), 2)),
+        "undocumented span site: {hits:?}"
+    );
+
+    let documented = doc("| `x.y` | `flush` |\n");
+    let w = ws(&[src, ("docs/OBSERVABILITY.md", &documented)]);
+    assert!(findings_of(&w, "obs-drift").is_empty());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! # blockdec-obs
 //!
-//! Observability for the blockdec pipeline: structured logging with
-//! spans, a process-wide metrics registry (counters + histograms), wall
-//! time helpers, and an end-of-run summary.
+//! Observability for the blockdec pipeline: structured logging, one
+//! timed [`Span`], a process-wide metrics registry (counters +
+//! histograms), and an end-of-run summary.
 //!
 //! The crate is dependency-free and cheap when disabled: every log macro
 //! first checks a single atomic, so uninstrumented-feeling hot paths stay
@@ -20,14 +20,17 @@
 //! blockdec_obs::info!(blocks = 42u64; "pipeline ready");
 //! ```
 //!
-//! ## Events, spans, and timers
+//! ## Events and spans
 //!
-//! Fields come before the message, separated by `;`:
+//! Fields come before the message, separated by `;`. A span is the one
+//! way to time a region: it records one sample into the histogram named
+//! after it when it closes and, at `debug`, logs its start and close and
+//! nests the events in between.
 //!
 //! ```
 //! # blockdec_obs::log::init(blockdec_obs::log::Config::from_env());
 //! blockdec_obs::debug!(file = "seg-00000001.bds", cache_hit = false; "cache miss");
-//! let _t = blockdec_obs::span_timed!("stage.measure", metric = "gini");
+//! let _t = blockdec_obs::span!("stage.measure", metric = "gini");
 //! // ... work ... the span closes (and its histogram records) on drop.
 //! ```
 //!
@@ -44,9 +47,7 @@ pub mod log;
 pub mod metrics;
 pub mod summary;
 mod timefmt;
-pub mod timer;
 
-pub use log::{Config, Level, LogFormat};
+pub use log::{Config, Level, LogFormat, Span};
 pub use metrics::{counter, histogram, Counter, Histogram, HistogramSnapshot};
 pub use summary::RunSummary;
-pub use timer::Timer;

@@ -1,19 +1,21 @@
 //! Structured logging: levels, env-filter, spans, and two line formats.
 //!
 //! This is a self-contained subset of the `tracing` model: events carry a
-//! level, target (module path), fields, and a message; spans are named
-//! regions entered on creation and closed on drop, with the close event
-//! reporting elapsed time. A process-wide [`Logger`] set by [`init`]
+//! level, target (module path), fields, and a message; a [`Span`] is a
+//! named region, entered on creation and closed on drop, that records
+//! its wall time into a histogram of its name and, at `debug`, logs its
+//! start and close. A process-wide [`Logger`] set by [`init`]
 //! filters by level per target prefix and renders each line to stderr in
 //! either `compact` or JSON form.
 //!
 //! Filtering is checked against one atomic before any formatting happens,
 //! so disabled call sites cost a load and a compare.
 
+use crate::metrics::{histogram, Histogram};
 use crate::timefmt::now_rfc3339;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Event/span severity, most severe first.
@@ -452,57 +454,76 @@ pub fn render_line(
     line
 }
 
-/// An entered span; exits (and logs a `close` event with `elapsed_ms`)
-/// on drop. Create with the [`crate::span!`] macro.
+/// A timed region: one guard that records its wall seconds into the
+/// histogram named after it and, when `debug` is enabled for its target,
+/// logs `<name> start`, nests later events on this thread under its
+/// name, and logs `close` with `elapsed_ms`. It closes when dropped or
+/// [`Span::stop`]ped. Create with the [`crate::span!`] macro.
+///
+/// ```
+/// let s = blockdec_obs::span!("stage.example", items = 3u64);
+/// // ... work ...
+/// let secs = s.stop(); // or just drop it
+/// assert_eq!(blockdec_obs::histogram("stage.example").snapshot().sum, secs);
+/// ```
 pub struct Span {
-    level: Level,
+    /// `None` once closed.
+    hist: Option<Arc<Histogram>>,
     target: &'static str,
-    active: bool,
+    logged: bool,
     start: Instant,
 }
 
 impl Span {
-    /// Enter a span. When the level is filtered out the span is inert
-    /// (no stack push, no close event).
+    /// Enter a span. `fields` is called only when `debug` is enabled for
+    /// `target`; otherwise nothing is logged and no span path is pushed.
     pub fn enter(
-        level: Level,
         target: &'static str,
         name: &str,
-        fields: Vec<(&'static str, FieldValue)>,
+        fields: &dyn Fn() -> Vec<(&'static str, FieldValue)>,
     ) -> Span {
-        let active = enabled(level, target);
-        if active {
-            emit(level, target, &fields, &format!("{name} start"));
+        let logged = enabled(Level::Debug, target);
+        if logged {
+            emit(Level::Debug, target, &fields(), &format!("{name} start"));
             SPAN_STACK.with(|s| s.borrow_mut().push(name.to_string()));
         }
         Span {
-            level,
+            hist: Some(histogram(name)),
             target,
-            active,
+            logged,
             start: Instant::now(),
         }
     }
 
-    /// Elapsed time since the span was entered.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.start.elapsed()
+    /// Close now and return the seconds recorded.
+    pub fn stop(mut self) -> f64 {
+        self.close()
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if self.active {
-            let elapsed_ms = self.start.elapsed().as_secs_f64() * 1e3;
+    fn close(&mut self) -> f64 {
+        let Some(hist) = self.hist.take() else {
+            return 0.0;
+        };
+        let secs = self.start.elapsed().as_secs_f64();
+        hist.record(secs);
+        if self.logged {
             emit(
-                self.level,
+                Level::Debug,
                 self.target,
-                &[("elapsed_ms", FieldValue::F64(elapsed_ms))],
+                &[("elapsed_ms", FieldValue::F64(secs * 1e3))],
                 "close",
             );
             SPAN_STACK.with(|s| {
                 s.borrow_mut().pop();
             });
         }
+        secs
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -558,17 +579,16 @@ macro_rules! trace {
     ($($t:tt)+) => { $crate::event!($crate::log::Level::Trace, $($t)+) };
 }
 
-/// Enter a span: `let _s = span!(Level::Debug, "store.segment_read",
-/// file = name);`. The span exits when the guard drops.
+/// Enter a [`Span`]: `let _s = span!("stage.scan", segments = n);`.
+/// Bind the guard; the span closes, and records its histogram sample,
+/// when the guard drops. Field values are evaluated only when the span
+/// logs.
 #[macro_export]
 macro_rules! span {
-    ($lvl:expr, $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::log::Span::enter(
-            $lvl,
-            module_path!(),
-            $name,
-            vec![$((stringify!($key), $crate::log::FieldValue::from($value))),*],
-        )
+    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
+        $crate::log::Span::enter(module_path!(), $name, &|| {
+            vec![$((stringify!($key), $crate::log::FieldValue::from($value))),*]
+        })
     };
 }
 
@@ -632,5 +652,46 @@ mod tests {
         // This test binary never calls init(), so everything is off.
         assert!(!enabled(Level::Error, "anything"));
         assert!(logger().is_none());
+    }
+
+    #[test]
+    fn stop_returns_the_seconds_it_recorded() {
+        let s = crate::span!("test.span.stop");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let secs = s.stop();
+        assert!(secs >= 0.002, "{secs}");
+        let snap = histogram("test.span.stop").snapshot();
+        assert_eq!(snap.count, 1);
+        assert_eq!(snap.sum, secs);
+    }
+
+    #[test]
+    fn a_closed_span_records_nothing_more_when_dropped() {
+        let mut s = crate::span!("test.span.closed");
+        let secs = s.close();
+        drop(s);
+        let snap = histogram("test.span.closed").snapshot();
+        assert_eq!((snap.count, snap.sum), (1, secs));
+        {
+            let _s = crate::span!("test.span.closed");
+        }
+        assert_eq!(histogram("test.span.closed").snapshot().count, 2);
+    }
+
+    #[test]
+    fn with_logging_off_no_span_path_is_pushed() {
+        let evaluated = std::cell::Cell::new(false);
+        let _outer = crate::span!(
+            "test.span.quiet",
+            n = {
+                evaluated.set(true);
+                1u64
+            }
+        );
+        let inner = crate::span!("test.span.quiet.inner");
+        assert_eq!(span_path(), None);
+        assert!(!evaluated.get(), "fields are built only for a logged span");
+        inner.stop();
+        assert_eq!(span_path(), None);
     }
 }

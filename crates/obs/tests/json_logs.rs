@@ -119,9 +119,9 @@ fn init_and_macros_do_not_panic_in_json_mode() {
     blockdec_obs::info!(blocks = 10u64; "info event");
     blockdec_obs::debug!("debug event with fmt {}", 1 + 1);
     blockdec_obs::trace!(cache_hit = true; "trace event");
-    let _s = blockdec_obs::span!(Level::Debug, "outer", tag = "smoke");
+    let _s = blockdec_obs::span!("outer", tag = "smoke");
     {
-        let _t = blockdec_obs::span_timed!("stage.smoke");
+        let _t = blockdec_obs::span!("stage.smoke");
         blockdec_obs::warn!("nested inside two spans");
     }
     assert!(blockdec_obs::log::enabled(Level::Trace, "anything"));

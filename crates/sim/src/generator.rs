@@ -317,7 +317,7 @@ impl Scenario {
     /// attribution results (suitable for the full 2.2M-block Ethereum
     /// year).
     pub fn generate(&self) -> GeneratedStream {
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.simulate",
             chain = self.chain.to_string(),
             days = self.days,
@@ -355,7 +355,7 @@ impl Scenario {
     /// this is the cheapest way to feed the 2.2M-block Ethereum year to
     /// the measurement planner.
     pub fn generate_columns(&self) -> GeneratedColumns {
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.simulate",
             chain = self.chain.to_string(),
             days = self.days,
@@ -390,7 +390,7 @@ impl Scenario {
 
     /// Materialize full [`Block`]s (small runs / tests / export).
     pub fn generate_blocks(&self) -> Vec<Block> {
-        let _t = blockdec_obs::span_timed!(
+        let _t = blockdec_obs::span!(
             "stage.simulate",
             chain = self.chain.to_string(),
             days = self.days,

@@ -111,7 +111,7 @@ impl<'a> Compactor<'a> {
         if runs.is_empty() {
             return Ok(None);
         }
-        let _t = blockdec_obs::span_timed!("stage.compact", runs = runs.len());
+        let _t = blockdec_obs::span!("stage.compact", runs = runs.len());
         let mut report = CompactionReport::default();
         let mut replacements: Vec<(Range<usize>, Vec<SegmentMeta>)> = Vec::new();
         let mut old_files: Vec<String> = Vec::new();

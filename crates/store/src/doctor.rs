@@ -270,7 +270,7 @@ impl StoreDoctor {
     /// anything. Errors only on environmental problems (an unreadable
     /// directory), never on store damage.
     pub fn check(&self) -> Result<FsckReport> {
-        let _t = blockdec_obs::span_timed!("stage.fsck");
+        let _t = blockdec_obs::span!("stage.fsck");
         let mut report = FsckReport::default();
 
         // Stale temp files from interrupted commits.
@@ -438,7 +438,7 @@ impl StoreDoctor {
     /// covering exactly the surviving segments. Returns what was done;
     /// call [`StoreDoctor::check`] afterwards to confirm a clean state.
     pub fn repair(&self) -> Result<RepairOutcome> {
-        let _t = blockdec_obs::span_timed!("stage.fsck_repair");
+        let _t = blockdec_obs::span!("stage.fsck_repair");
         let pre = self.check()?;
         let mut outcome = RepairOutcome {
             pre,

@@ -957,12 +957,12 @@ pub fn write_segment_file(
     name: &str,
     rows: &[RowRecord],
 ) -> Result<SegmentStamp> {
-    let timer = blockdec_obs::Timer::new("store.segment_write");
+    let span = blockdec_obs::span!("store.segment_write", file = name);
     let bytes = encode_segment(rows);
     // encode_segment has just written the footer this CRC opens.
     let crc = lebytes::u32_at(&bytes, bytes.len() - FOOTER_LEN);
     store.put_atomic(name, &bytes)?;
-    let elapsed_ms = timer.stop() * 1e3;
+    let elapsed_ms = span.stop() * 1e3;
     blockdec_obs::counter("store.segments.written").inc();
     blockdec_obs::debug!(
         file = store.describe(name),
@@ -981,10 +981,10 @@ pub fn write_segment_file(
 /// Read and decode a segment object from the backend (transient read
 /// faults retried).
 pub fn read_segment_file(store: &dyn ObjectStore, name: &str) -> Result<Vec<RowRecord>> {
-    let timer = blockdec_obs::Timer::new("store.segment_read");
+    let span = blockdec_obs::span!("store.segment_read", file = name);
     let bytes = get_retry(store, name)?;
     let rows = decode_segment(&bytes, &store.describe(name))?;
-    let elapsed_ms = timer.stop() * 1e3;
+    let elapsed_ms = span.stop() * 1e3;
     blockdec_obs::counter("store.segments.read").inc();
     blockdec_obs::debug!(
         file = store.describe(name),

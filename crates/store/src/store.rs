@@ -211,18 +211,9 @@ pub struct BlockStore {
     compact_policy: Option<CompactionPolicy>,
 }
 
-/// Default page-cache capacity in mebibytes.
-const DEFAULT_PAGE_CACHE_MB: u64 = 64;
-
-/// Page-cache capacity in bytes: `BLOCKDEC_PAGE_CACHE_MB` (in MiB) when
-/// set and parseable, 64 MiB otherwise.
-pub fn default_page_cache_bytes() -> usize {
-    let mb = std::env::var("BLOCKDEC_PAGE_CACHE_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_PAGE_CACHE_MB);
-    usize::try_from(mb.saturating_mul(1024 * 1024)).unwrap_or(usize::MAX)
-}
+/// Page-cache capacity of a new handle, in bytes (64 MiB); change it
+/// with [`BlockStore::set_page_cache_bytes`].
+const DEFAULT_PAGE_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
     let last_height = manifest.segments.last().map(|s| s.zone.max_height);
@@ -230,7 +221,7 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         store,
         manifest,
         registry: ProducerRegistry::new(),
-        pages: PageCache::new(default_page_cache_bytes()),
+        pages: PageCache::new(DEFAULT_PAGE_CACHE_BYTES),
         active: Vec::new(),
         last_height,
         scan_threads: 0,
@@ -478,7 +469,7 @@ impl BlockStore {
     /// runs of small segments are merged after the flush commit.
     pub fn flush(&mut self) -> Result<()> {
         {
-            let _t = blockdec_obs::span_timed!("stage.store_flush", rows = self.active.len());
+            let _t = blockdec_obs::span!("stage.store_flush", rows = self.active.len());
             if self.active.is_empty() {
                 // Still persist dictionary growth from interning.
                 save_dictionary(self.store.as_ref(), &self.registry)?;
@@ -708,7 +699,7 @@ impl BlockStore {
         read: impl FnOnce(&[&SegmentMeta]) -> Vec<(S, SegmentsRead)>,
         mut tail: impl FnMut(&mut S, &RowRecord),
     ) -> Result<(Vec<S>, ScanStats)> {
-        let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
+        let _t = blockdec_obs::span!("stage.scan", segments = self.manifest.segments.len());
         let mut stats = ScanStats {
             segments_total: self.manifest.segments.len(),
             ..ScanStats::default()
@@ -781,7 +772,7 @@ impl BlockStore {
         let mut read = SegmentsRead::default();
         let mut dec = SegmentDecoder::new();
         for seg in segs {
-            let timer = blockdec_obs::Timer::new("store.segment_read");
+            let span = blockdec_obs::span!("store.segment_read", file = seg.file.as_str());
             let decoded = decode_one_segment(self.store.as_ref(), &self.pages, seg, pred, &mut dec);
             let (byte_len, pruned) = match decoded {
                 Ok(v) => v,
@@ -799,7 +790,7 @@ impl BlockStore {
                     break;
                 }
             };
-            let elapsed_ms = timer.stop() * 1e3;
+            let elapsed_ms = span.stop() * 1e3;
             let n = pruned.rows;
             read.segments_decoded += 1;
             read.rows_decoded += n as u64;
