@@ -18,10 +18,20 @@
 //! in the credit columns (the classic CSR layout). Conversions to and
 //! from `&[AttributedBlock]` are lossless, and [`ColumnsSlice`] gives a
 //! cheap borrowed view of any block range without copying credits.
+//!
+//! Because a block range's credits are contiguous, whole ranges move as
+//! flat runs: [`ColumnsSlice::credits_in`] borrows a range's credits as
+//! two parallel slices (what the window core's slide adds and removes),
+//! and [`BlockColumns::extend_columns`] appends a range with five bulk
+//! copies and one offset rebase. That one append serves the chunked
+//! scan's stitch ([`BlockColumns::append_columns`]),
+//! [`ColumnsSlice::to_columns`] and the core's delta streams; none of
+//! them copies a block or a credit at a time.
 
 use crate::attribution::{AttributedBlock, Credit};
 use crate::producer::ProducerId;
 use crate::time::Timestamp;
+use std::ops::Range;
 
 /// Columnar (struct-of-arrays) storage for an attributed block stream.
 ///
@@ -131,36 +141,47 @@ impl BlockColumns {
         self.push_credit(producer, weight);
     }
 
-    /// Append another column set built from the rows that followed this
-    /// one in scan order — the stitch step of a chunked parallel scan,
-    /// where each worker builds a partial `BlockColumns` and the partials
-    /// are concatenated in height order.
+    /// Append the blocks of `other`, a view of other columns, after this
+    /// set's blocks, as separate blocks. All five columns are bulk
+    /// copies, `other`'s credit offsets rebased onto this set's credit
+    /// columns, so the append costs O(moved bytes) with no per-block or
+    /// per-credit work. Every copy of a contiguous block range goes
+    /// through it: [`BlockColumns::append_columns`],
+    /// [`ColumnsSlice::to_columns`] and the core's delta streams.
+    pub fn extend_columns(&mut self, other: ColumnsSlice<'_>) {
+        let base = self.producers.len() as u32;
+        let from = other.credit_starts[0];
+        self.heights.extend_from_slice(other.heights);
+        self.timestamps.extend_from_slice(other.timestamps);
+        self.producers.extend_from_slice(other.producers);
+        self.weights.extend_from_slice(other.weights);
+        self.credit_starts
+            .extend(other.credit_starts[1..].iter().map(|&s| base + (s - from)));
+    }
+
+    /// Append columns built from the rows that followed this set's in
+    /// scan order: the stitch step of a chunked parallel scan, where each
+    /// worker builds a partial `BlockColumns` and the partials are
+    /// concatenated in height order.
     ///
     /// When `other`'s first block has the same height as this set's last
     /// block (a multi-credit block straddling the chunk boundary), the
     /// two are merged into one block: `other`'s leading credits join the
     /// existing block and this set's timestamp wins, exactly as
-    /// [`BlockColumns::push_row`] regroups a same-height run. All five
-    /// columns are appended with bulk copies, so stitching costs O(moved
-    /// bytes) with no per-row branching.
-    pub fn append_columns(&mut self, other: &BlockColumns) {
-        if other.is_empty() {
-            return;
-        }
-        let base = self.producers.len() as u32;
-        let merge_first = self.heights.last() == Some(&other.heights[0]);
-        self.producers.extend_from_slice(&other.producers);
-        self.weights.extend_from_slice(&other.weights);
-        let skip = usize::from(merge_first);
-        if merge_first {
+    /// [`BlockColumns::push_row`] regroups a same-height run. The rest is
+    /// one [`BlockColumns::extend_columns`].
+    pub fn append_columns(&mut self, other: ColumnsSlice<'_>) {
+        let mut rest = other;
+        if !other.is_empty() && self.heights.last() == Some(&other.heights[0]) {
             // The boundary block absorbs other's leading credit run.
+            let (producers, weights) = other.credits_in(0..1);
+            self.producers.extend_from_slice(producers);
+            self.weights.extend_from_slice(weights);
             let end = self.credit_starts.len() - 1;
-            self.credit_starts[end] = base + other.credit_starts[1];
+            self.credit_starts[end] = self.producers.len() as u32;
+            rest = other.slice(1, other.len());
         }
-        self.heights.extend_from_slice(&other.heights[skip..]);
-        self.timestamps.extend_from_slice(&other.timestamps[skip..]);
-        self.credit_starts
-            .extend(other.credit_starts[skip + 1..].iter().map(|&s| base + s));
+        self.extend_columns(rest);
     }
 
     /// Append a whole attributed block (including zero-credit blocks).
@@ -329,21 +350,34 @@ impl<'a> ColumnsSlice<'a> {
         Timestamp(self.timestamps[i])
     }
 
-    /// Credit range of block `i` within [`ColumnsSlice::producers_of`] /
-    /// [`ColumnsSlice::weights_of`] numbering.
-    fn credit_range(&self, i: usize) -> std::ops::Range<usize> {
+    /// Range of this view's credit columns holding the credits of the
+    /// block range `blocks`.
+    fn credit_range(&self, blocks: Range<usize>) -> Range<usize> {
         let base = self.credit_starts[0] as usize;
-        (self.credit_starts[i] as usize - base)..(self.credit_starts[i + 1] as usize - base)
+        (self.credit_starts[blocks.start] as usize - base)
+            ..(self.credit_starts[blocks.end] as usize - base)
     }
 
     /// Producer column for block `i`'s credits.
     pub fn producers_of(&self, i: usize) -> &'a [ProducerId] {
-        &self.producers[self.credit_range(i)]
+        &self.producers[self.credit_range(i..i + 1)]
+    }
+
+    /// The flat producer and weight columns of the contiguous block range
+    /// `blocks`: every credit of those blocks, in block order, as two
+    /// parallel slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is decreasing or ends past [`ColumnsSlice::len`].
+    pub fn credits_in(&self, blocks: Range<usize>) -> (&'a [ProducerId], &'a [f64]) {
+        let credits = self.credit_range(blocks);
+        (&self.producers[credits.clone()], &self.weights[credits])
     }
 
     /// Weight column for block `i`'s credits.
     pub fn weights_of(&self, i: usize) -> &'a [f64] {
-        &self.weights[self.credit_range(i)]
+        &self.weights[self.credit_range(i..i + 1)]
     }
 
     /// Total credit weight of block `i` (1.0 except for multi-credit
@@ -362,15 +396,13 @@ impl<'a> ColumnsSlice<'a> {
             lo <= hi && hi <= self.len(),
             "slice {lo}..{hi} out of range"
         );
-        let base = self.credit_starts[0] as usize;
-        let clo = self.credit_starts[lo] as usize - base;
-        let chi = self.credit_starts[hi] as usize - base;
+        let credits = self.credit_range(lo..hi);
         ColumnsSlice {
             heights: &self.heights[lo..hi],
             timestamps: &self.timestamps[lo..hi],
             credit_starts: &self.credit_starts[lo..=hi],
-            producers: &self.producers[clo..chi],
-            weights: &self.weights[clo..chi],
+            producers: &self.producers[credits.clone()],
+            weights: &self.weights[credits],
         }
     }
 
@@ -393,11 +425,27 @@ impl<'a> ColumnsSlice<'a> {
     /// Copy the view into fresh owned columns (offsets rebased to 0).
     pub fn to_columns(&self) -> BlockColumns {
         let mut cols = BlockColumns::with_capacity(self.len(), self.credit_count());
-        for i in 0..self.len() {
-            cols.push_block(self.height(i), self.timestamp(i));
-            for (&p, &w) in self.producers_of(i).iter().zip(self.weights_of(i)) {
-                cols.push_credit(p, w);
-            }
+        cols.extend_columns(*self);
+        cols
+    }
+
+    /// Copy the blocks at positions `order` into fresh owned columns, in
+    /// that order: block `j` of the result is block `order[j]` of this
+    /// view. Each block's credits move as one slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of range.
+    pub fn gather(&self, order: &[u32]) -> BlockColumns {
+        let mut cols = BlockColumns::with_capacity(order.len(), self.credit_count());
+        for &i in order {
+            let i = i as usize;
+            let (producers, weights) = self.credits_in(i..i + 1);
+            cols.heights.push(self.heights[i]);
+            cols.timestamps.push(self.timestamps[i]);
+            cols.producers.extend_from_slice(producers);
+            cols.weights.extend_from_slice(weights);
+            cols.credit_starts.push(cols.producers.len() as u32);
         }
         cols
     }
@@ -525,7 +573,7 @@ mod tests {
             for &(h, t, p) in &rows[split..] {
                 right.push_row(h, Timestamp(t), ProducerId(p), 1.0);
             }
-            left.append_columns(&right);
+            left.append_columns(right.as_slice());
             left.validate().unwrap();
             assert_eq!(left, reference, "split at {split}");
         }
@@ -537,7 +585,7 @@ mod tests {
         left.push_row(9, Timestamp(90), ProducerId(0), 1.0);
         let mut right = BlockColumns::new();
         right.push_row(9, Timestamp(999), ProducerId(1), 1.0);
-        left.append_columns(&right);
+        left.append_columns(right.as_slice());
         left.validate().unwrap();
         assert_eq!(left.len(), 1);
         assert_eq!(left.timestamp(0), Timestamp(90), "first timestamp wins");

@@ -9,7 +9,7 @@
 use crate::error::ChainError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Sub};
+use std::ops::{Add, Range, Sub};
 
 /// Seconds per day.
 pub const SECS_PER_DAY: i64 = 86_400;
@@ -79,7 +79,13 @@ impl std::str::FromStr for Granularity {
 ///
 /// Hinnant's algorithm; exact for all representable dates.
 pub fn days_from_civil(y: i32, m: u8, d: u8) -> i64 {
-    let y = i64::from(y) - i64::from(m <= 2);
+    days_from_civil_i64(i64::from(y), m, d)
+}
+
+/// [`days_from_civil`] for an `i64` year: the days at either end of the
+/// `i64` second range lie in years outside the `i32` range.
+fn days_from_civil_i64(y: i64, m: u8, d: u8) -> i64 {
+    let y = y - i64::from(m <= 2);
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = y - era * 400; // [0, 399]
     let m = i64::from(m);
@@ -91,6 +97,17 @@ pub fn days_from_civil(y: i32, m: u8, d: u8) -> i64 {
 
 /// Inverse of [`days_from_civil`].
 pub fn civil_from_days(z: i64) -> CivilDate {
+    let (year, month, day) = civil_from_days_i64(z);
+    CivilDate {
+        year: year as i32,
+        month,
+        day,
+    }
+}
+
+/// [`civil_from_days`] as `(year, month, day)` with an `i64` year, which
+/// the days at either end of the `i64` second range need.
+fn civil_from_days_i64(z: i64) -> (i64, u8, u8) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = z - era * 146_097; // [0, 146096]
@@ -100,11 +117,13 @@ pub fn civil_from_days(z: i64) -> CivilDate {
     let mp = (5 * doy + 2) / 153; // [0, 11]
     let d = (doy - (153 * mp + 2) / 5 + 1) as u8; // [1, 31]
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u8; // [1, 12]
-    CivilDate {
-        year: (y + i64::from(m <= 2)) as i32,
-        month: m,
-        day: d,
-    }
+    (y + i64::from(m <= 2), m, d)
+}
+
+/// `origin + days` whole days, in seconds, saturated to the `i64` range.
+fn secs_after_days(origin: Timestamp, days: i64) -> i64 {
+    let secs = i128::from(origin.0) + i128::from(days) * i128::from(SECS_PER_DAY);
+    secs.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
 impl CivilDate {
@@ -202,7 +221,11 @@ impl Timestamp {
     /// Zero-based day index relative to an origin timestamp. Negative
     /// before the origin.
     pub fn day_index(self, origin: Timestamp) -> i64 {
-        (self.0 - origin.0).div_euclid(SECS_PER_DAY)
+        // floor((self - origin) / day), without forming a difference that
+        // can overflow: whole days of each, less one when self's time of
+        // day is earlier than origin's.
+        let borrow = self.seconds_of_day() < origin.seconds_of_day();
+        self.0.div_euclid(SECS_PER_DAY) - origin.0.div_euclid(SECS_PER_DAY) - i64::from(borrow)
     }
 
     /// Zero-based 7-day week index relative to an origin timestamp.
@@ -213,9 +236,9 @@ impl Timestamp {
     /// Zero-based calendar-month index relative to an origin timestamp
     /// (months since the origin's month).
     pub fn month_index(self, origin: Timestamp) -> i64 {
-        let a = self.date();
-        let b = origin.date();
-        i64::from(a.year - b.year) * 12 + i64::from(a.month) - i64::from(b.month)
+        let (year, month, _) = civil_from_days_i64(self.0.div_euclid(SECS_PER_DAY));
+        let (from_year, from_month, _) = civil_from_days_i64(origin.0.div_euclid(SECS_PER_DAY));
+        (year - from_year) * 12 + i64::from(month) - i64::from(from_month)
     }
 
     /// Bucket index for a granularity relative to an origin.
@@ -225,6 +248,40 @@ impl Timestamp {
             Granularity::Week => self.week_index(origin),
             Granularity::Month => self.month_index(origin),
         }
+    }
+
+    /// This instant's [`Timestamp::bucket`] and the half-open range of
+    /// seconds that share it, so a caller bucketing a run of timestamps
+    /// calls `bucket` again only for one outside the range.
+    ///
+    /// Day and week ranges are aligned to `origin`. A month range is the
+    /// UTC calendar month, because [`Timestamp::month_index`] depends only
+    /// on the UTC date. Range ends saturate at the `i64` range, so an
+    /// extreme timestamp cannot overflow; an instant past a saturated end
+    /// lies outside the range and is bucketed afresh.
+    pub fn bucket_span(self, g: Granularity, origin: Timestamp) -> (i64, Range<i64>) {
+        let bucket = self.bucket(g, origin);
+        let span = match g {
+            Granularity::Day => {
+                secs_after_days(origin, bucket)..secs_after_days(origin, bucket + 1)
+            }
+            Granularity::Week => {
+                secs_after_days(origin, bucket * 7)..secs_after_days(origin, (bucket + 1) * 7)
+            }
+            Granularity::Month => {
+                let (year, month, _) = civil_from_days_i64(self.0.div_euclid(SECS_PER_DAY));
+                let (next_year, next_month) = if month == 12 {
+                    (year + 1, 1)
+                } else {
+                    (year, month + 1)
+                };
+                let epoch = Timestamp(0);
+                let first = days_from_civil_i64(year, month, 1);
+                let next = days_from_civil_i64(next_year, next_month, 1);
+                secs_after_days(epoch, first)..secs_after_days(epoch, next)
+            }
+        };
+        (bucket, span)
     }
 
     /// ISO-8601 rendering (`YYYY-MM-DDTHH:MM:SSZ`).
@@ -346,6 +403,88 @@ mod tests {
         let d = Timestamp(-1).date();
         assert_eq!((d.year, d.month, d.day), (1969, 12, 31));
         assert_eq!(Timestamp(-1).seconds_of_day(), SECS_PER_DAY - 1);
+    }
+
+    /// Seeded instants between 1900 and 2100, plus the last and first
+    /// second of every month end of 2019 and 2020 (2020-02-29 among
+    /// them) and of the year ends 1969/1970 and 2019/2020.
+    fn sample_instants() -> Vec<Timestamp> {
+        let lo = CivilDate::new(1900, 1, 1).unwrap().midnight().secs();
+        let hi = CivilDate::new(2100, 1, 1).unwrap().midnight().secs();
+        let width = (hi - lo) as u64;
+        let mut out: Vec<Timestamp> = (0..2_000u64)
+            .map(|k| Timestamp(lo + (crate::hash::splitmix64(k) % width) as i64))
+            .collect();
+        let mut firsts = vec![CivilDate::new(1970, 1, 1).unwrap()];
+        for year in [2019, 2020] {
+            firsts.extend((1..=12).map(|m| CivilDate::new(year, m, 1).unwrap()));
+        }
+        firsts.push(CivilDate::new(2021, 1, 1).unwrap());
+        for first in firsts {
+            out.extend([first.midnight() + (-1), first.midnight()]);
+        }
+        out.push(CivilDate::new(2020, 2, 29).unwrap().midnight() + 43_200);
+        out
+    }
+
+    #[test]
+    fn bucket_span_agrees_with_bucket() {
+        let origins = [
+            Timestamp::year_2019_start(),
+            Timestamp::year_2019_start() + 12_345,
+            CivilDate::new(1969, 7, 20).unwrap().midnight() + 73_800,
+            CivilDate::new(1900, 3, 1).unwrap().midnight(),
+        ];
+        for t in sample_instants() {
+            for g in Granularity::ALL {
+                for origin in origins {
+                    let what = format!("{t:?} {g} from {origin:?}");
+                    let (bucket, span) = t.bucket_span(g, origin);
+                    assert_eq!(bucket, t.bucket(g, origin), "{what}");
+                    assert!(span.contains(&t.secs()), "{what}: {span:?}");
+                    let at = |secs: i64| Timestamp(secs).bucket(g, origin);
+                    assert_eq!(at(span.start), bucket, "{what}: start");
+                    assert_eq!(at(span.end - 1), bucket, "{what}: last");
+                    assert_ne!(at(span.start - 1), bucket, "{what}: before");
+                    assert_ne!(at(span.end), bucket, "{what}: end");
+                }
+            }
+        }
+        // Month ranges are UTC calendar months, whatever the origin.
+        let feb29 = CivilDate::new(2020, 2, 29).unwrap().midnight();
+        let (_, span) = feb29.bucket_span(Granularity::Month, origins[1]);
+        let feb1 = CivilDate::new(2020, 2, 1).unwrap().midnight();
+        let mar1 = CivilDate::new(2020, 3, 1).unwrap().midnight();
+        assert_eq!(span, feb1.secs()..mar1.secs());
+    }
+
+    #[test]
+    fn bucket_span_of_extreme_instants_does_not_panic() {
+        let day = SECS_PER_DAY;
+        let extremes = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN + 40 * day,
+            i64::MAX - 40 * day,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let origins = [
+            Timestamp::year_2019_start(),
+            Timestamp(-1),
+            Timestamp(i64::MIN),
+            Timestamp(i64::MAX),
+        ];
+        for t in extremes.map(Timestamp) {
+            for g in Granularity::ALL {
+                for origin in origins {
+                    let (bucket, span) = t.bucket_span(g, origin);
+                    assert_eq!(bucket, t.bucket(g, origin), "{t:?} {g} from {origin:?}");
+                    assert!(span.start <= t.secs(), "{t:?} {g}: {span:?}");
+                    assert!(t.secs() < span.end || span.end == i64::MAX, "{t:?} {g}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,5 +83,32 @@ proptest! {
             prop_assert_eq!(window.timestamp(k), blk.timestamp);
             prop_assert_eq!(window.producers_of(k).len(), blk.credits.len());
         }
+
+        // The flat credits of a block range are its blocks' credits in
+        // block order.
+        let (producers, weights) = cols.as_slice().credits_in(lo..hi);
+        let flat: Vec<Credit> = blocks[lo..hi].iter().flat_map(|b| b.credits.clone()).collect();
+        prop_assert_eq!(producers.to_vec(), flat.iter().map(|c| c.producer).collect::<Vec<_>>());
+        prop_assert_eq!(weights.to_vec(), flat.iter().map(|c| c.weight).collect::<Vec<_>>());
+
+        // Appending the sub-slice to non-empty columns rebases its credit
+        // offsets: the same as converting the concatenation.
+        let head = vec![
+            AttributedBlock {
+                height: 1,
+                timestamp: Timestamp(1_546_300_000),
+                credits: vec![Credit { producer: ProducerId(7), weight: 2.0 }],
+            },
+            AttributedBlock {
+                height: 2,
+                timestamp: Timestamp(1_546_300_100),
+                credits: Vec::new(),
+            },
+        ];
+        let mut appended = BlockColumns::from_blocks(&head);
+        appended.append_columns(window);
+        prop_assert!(appended.validate().is_ok());
+        let joined: Vec<AttributedBlock> = head.iter().chain(&blocks[lo..hi]).cloned().collect();
+        prop_assert_eq!(appended, BlockColumns::from_blocks(&joined));
     }
 }

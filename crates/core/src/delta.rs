@@ -9,8 +9,15 @@
 //! because the stream drives the same slide step of the
 //! windowed-evaluation core over the same blocks in the same order.
 //!
-//! Pushed blocks wait in one set of flat [`BlockColumns`]. Two window
-//! families stream:
+//! Pushed blocks wait in one set of flat [`BlockColumns`], and every
+//! trim of them is a bulk copy ([`BlockColumns::extend_columns`]): a
+//! sliding stream re-slices its held blocks past each emitted window's
+//! start, and a fixed stream keeps its later buckets' blocks in arrival
+//! order, one copy per run of kept blocks (a single run when buckets
+//! arrive in order). Copying them one block and one credit at a time
+//! held the incremental path back: once the batch engine it is checked
+//! against got faster, the `follow` bench's delta-vs-recompute speedup
+//! fell below its CI floor in some runs. Two window families stream:
 //!
 //! * **sliding block windows** — window `i` is emitted as soon as block
 //!   `i·step + size − 1` arrives, by sliding one carried distribution; only
@@ -27,11 +34,9 @@
 
 use crate::metrics::MetricKind;
 use crate::series::{MeasurementPoint, WindowLabel};
-use crate::window::{Blocks, Slider, Windows};
+use crate::window::{calendar_buckets, Slider, Windows};
 use crate::windows::sliding::SlidingWindowSpec;
-use blockdec_chain::{
-    AttributedBlock, BlockColumns, ColumnsSlice, Granularity, ProducerId, Timestamp,
-};
+use blockdec_chain::{AttributedBlock, BlockColumns, Granularity, ProducerId, Timestamp};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -84,27 +89,6 @@ impl fmt::Display for DeltaError {
 }
 
 impl std::error::Error for DeltaError {}
-
-/// `cols` read at stream positions: stream block `base + i` is block `i`
-/// of `cols`.
-struct Offset<'a> {
-    cols: ColumnsSlice<'a>,
-    base: usize,
-}
-
-impl Blocks for Offset<'_> {
-    fn height(&self, i: usize) -> u64 {
-        self.cols.height(i - self.base)
-    }
-
-    fn timestamp(&self, i: usize) -> Timestamp {
-        self.cols.timestamp(i - self.base)
-    }
-
-    fn credits(&self, i: usize) -> (&[ProducerId], &[f64]) {
-        self.cols.credits(i - self.base)
-    }
-}
 
 /// Append one block and its credits to `cols`.
 fn push_into(
@@ -295,13 +279,10 @@ impl MetricDeltaStream {
             return;
         };
         while let Some(range) = spec.window_range(*next_window, *base + self.held.len()) {
-            let held = Offset {
-                cols: self.held.as_slice(),
-                base: *base,
-            };
             let ready = &mut self.ready;
             slider.window(
-                &held,
+                self.held.as_slice(),
+                *base,
                 *next_window as i64,
                 range.clone(),
                 &[self.metric],
@@ -328,22 +309,24 @@ impl MetricDeltaStream {
             return;
         };
         let held = self.held.as_slice();
-        let buckets: Vec<i64> = (0..held.len())
-            .map(|i| held.timestamp(i).bucket(*granularity, *origin))
-            .collect();
-        let windows = Windows::by_bucket(&buckets);
+        let buckets = calendar_buckets(held, *granularity, *origin);
+        let windows = Windows::by_bucket(held, &buckets);
         let due = windows.ranges.partition_point(|(b, _)| *b <= horizon);
         if due == 0 {
             return;
         }
         *emitted_through = Some(windows.ranges[due - 1].0);
-        let points = windows.evaluate(&held, 0..due, &[self.metric]);
+        let points = windows.evaluate(0..due, &[self.metric]);
         self.ready.extend(points.into_iter().flatten());
+        // Keep the later buckets' blocks in arrival order, one bulk copy
+        // per run of kept blocks: one run when buckets arrive in order.
         let mut kept = BlockColumns::new();
-        for i in (0..held.len()).filter(|&i| buckets[i] > horizon) {
-            let (producers, weights) = held.credits(i);
-            let credits = producers.iter().copied().zip(weights.iter().copied());
-            push_into(&mut kept, held.height(i), held.timestamp(i), credits);
+        let mut at = 0;
+        for run in buckets.chunk_by(|a, b| (*a > horizon) == (*b > horizon)) {
+            if run[0] > horizon {
+                kept.extend_columns(held.slice(at, at + run.len()));
+            }
+            at += run.len();
         }
         self.held = kept;
     }

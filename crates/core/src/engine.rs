@@ -153,7 +153,7 @@ impl MeasurementEngine {
         );
         let windows = Windows::form(cols, self.window);
         let points = windows
-            .evaluate(&cols, 0..windows.len(), &[self.metric])
+            .evaluate(0..windows.len(), &[self.metric])
             .pop()
             .unwrap_or_default();
         blockdec_obs::counter("engine.runs").inc();

@@ -10,9 +10,9 @@
 //! 1. **Group by window spec.** Configurations are grouped by their
 //!    [`WindowSpec`] (`Eq + Hash`), and duplicate `(metric, window)`
 //!    pairs collapse to one evaluation. Each unique spec is formed once —
-//!    the fixed-calendar bucketing, the sliding ranges, and the
-//!    time-window permutation sort happen once per *spec*, not once per
-//!    *config*.
+//!    the fixed-calendar bucketing, the sliding ranges, and the sort and
+//!    gather of input out of evaluation order happen once per *spec*,
+//!    not once per *config*.
 //! 2. **One sorted scratch buffer per window.** The windowed-evaluation
 //!    core sorts each window's weights into a reusable scratch once and
 //!    evaluates every requested metric with
@@ -166,7 +166,7 @@ impl MatrixPlan {
 fn eval_group(group: &SpecGroup, cols: ColumnsSlice<'_>, workers: usize) -> Vec<MeasurementSeries> {
     let windows = Windows::form(cols, group.window);
     let per_metric = run_chunked(windows.len(), workers, |chunk| {
-        windows.evaluate(&cols, chunk, &group.metrics)
+        windows.evaluate(chunk, &group.metrics)
     });
     // Each window's scratch fill served every metric past the first for free.
     blockdec_obs::counter("planner.scratch_reuse")

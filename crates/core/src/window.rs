@@ -4,13 +4,13 @@
 //! It owns three things, each written once:
 //!
 //! * **Window formation** ([`Windows::form`]): any [`WindowSpec`] becomes
-//!   an evaluation order over block positions plus one range of that
-//!   order per window. Block-count sliding windows use the identity
-//!   order. Time windows order blocks by `(timestamp, height)` and walk
-//!   two cursors. Fixed calendar windows (§II-C) stably sort positions by
-//!   bucket, so each non-empty bucket is one range in height order.
-//!   Assignment is by timestamp, so an out-of-order timestamp lands in
-//!   the bucket its miner declared, like a BigQuery
+//!   the blocks in evaluation order plus one contiguous range of them per
+//!   window. Block-count sliding windows take the stream as it is. Time
+//!   windows evaluate blocks in `(timestamp, height)` order and walk two
+//!   cursors. Fixed calendar windows (§II-C) evaluate blocks stably
+//!   ordered by bucket, so each non-empty bucket is one range in height
+//!   order. Assignment is by timestamp, so an out-of-order timestamp
+//!   lands in the bucket its miner declared, like a BigQuery
 //!   `GROUP BY DATE(timestamp)`.
 //! * **The slide step** ([`Slider`]): where the next window overlaps the
 //!   one held, remove the leading blocks and add the trailing ones;
@@ -19,6 +19,37 @@
 //! * **The row builder**: one sorted scratch fill per window
 //!   ([`ProducerDistribution::sorted_weights_into`]), then
 //!   [`MetricKind::compute_sorted`] for each metric.
+//!
+//! # Flat credit runs
+//!
+//! Every window is a contiguous range of blocks in evaluation order, so
+//! each slide adds and removes whole runs of the flat credit columns
+//! ([`ColumnsSlice::credits_in`]): one tight loop over two parallel
+//! slices per edge, not one credit slice per block.
+//!
+//! A spec whose input is already in evaluation order (fixed windows whose
+//! buckets never decrease, time windows whose `(timestamp, height)` never
+//! decreases, and block-count windows always) is evaluated over the input
+//! itself, with no position vector and no sort. Any other input is sorted
+//! (stably by bucket; unstably by `(timestamp, height)`) and its blocks
+//! gathered once into evaluation-order columns ([`ColumnsSlice::gather`]).
+//! A stable sort leaves in-order input where it is, and so does the
+//! unstable one here, as `(timestamp, height)` keys tie only between
+//! blocks of one height, which the store never yields. So skipping the
+//! sort changes no window's blocks or their order: every distribution
+//! sees the same f64 operations in the same order, and every output is
+//! bitwise the same under every attribution mode. Fixed buckets come
+//! from [`calendar_buckets`], which does the calendar math once per
+//! bucket instead of once per block.
+//!
+//! Why: over the 60-day Ethereum stream (359k blocks, one credit each)
+//! on a 2-vCPU KVM guest, 359k adds take 1.2–2.4 ms as one flat run but
+//! 3.3–6.4 ms through per-block credit slices, and bucketing every block
+//! takes 9.5–12.5 ms for months (two civil-date conversions per block)
+//! against 0.4–0.8 ms once per bucket. One Gini series per spec went
+//! from 6–19 ms to 2.3–6.7 ms, and perfbench `measure` from 11.3 to 18.5
+//! ops per CPU-second. PERFORMANCE.md, "Flat credit runs", has the
+//! tables.
 //!
 //! [`crate::planner::MatrixPlan`] evaluates chunks of a formed spec on
 //! scoped workers, [`crate::engine::MeasurementEngine`] evaluates one
@@ -30,112 +61,89 @@ use crate::engine::WindowSpec;
 use crate::metrics::MetricKind;
 use crate::series::MeasurementPoint;
 use crate::windows::sliding_time::TimeWindowSpec;
-use blockdec_chain::{ColumnsSlice, ProducerId, Timestamp};
+use blockdec_chain::{BlockColumns, ColumnsSlice, Granularity, Timestamp};
 use std::ops::Range;
 
-/// Positional read access to a block sequence: all that the slide step
-/// and the row builder read.
-pub(crate) trait Blocks {
-    /// Height of the block at position `i`.
-    fn height(&self, i: usize) -> u64;
-    /// Timestamp of the block at position `i`.
-    fn timestamp(&self, i: usize) -> Timestamp;
-    /// Parallel producer and weight columns of the block at position `i`.
-    fn credits(&self, i: usize) -> (&[ProducerId], &[f64]);
-}
-
-impl Blocks for ColumnsSlice<'_> {
-    fn height(&self, i: usize) -> u64 {
-        ColumnsSlice::height(self, i)
-    }
-
-    fn timestamp(&self, i: usize) -> Timestamp {
-        ColumnsSlice::timestamp(self, i)
-    }
-
-    fn credits(&self, i: usize) -> (&[ProducerId], &[f64]) {
-        (self.producers_of(i), self.weights_of(i))
-    }
-}
-
-/// `blocks` read through an evaluation order: position `j` is block
-/// `order[j]`.
-struct Ordered<'a, B> {
-    blocks: &'a B,
-    order: &'a [u32],
-}
-
-impl<B: Blocks> Blocks for Ordered<'_, B> {
-    fn height(&self, j: usize) -> u64 {
-        self.blocks.height(self.order[j] as usize)
-    }
-
-    fn timestamp(&self, j: usize) -> Timestamp {
-        self.blocks.timestamp(self.order[j] as usize)
-    }
-
-    fn credits(&self, j: usize) -> (&[ProducerId], &[f64]) {
-        self.blocks.credits(self.order[j] as usize)
-    }
-}
-
 /// A window spec formed over a block sequence.
-pub(crate) struct Windows {
-    /// Block positions in evaluation order. Positions are `u32`, like the
-    /// credit offsets of [`blockdec_chain::BlockColumns`].
-    pub(crate) order: Vec<u32>,
-    /// Each window's index and its range of `order`, in emission order.
-    /// Ranges are never empty and both ends never move backwards.
+pub(crate) struct Windows<'a> {
+    /// The sequence the spec was formed over.
+    input: ColumnsSlice<'a>,
+    /// The input gathered into evaluation order, when it was not in it.
+    gathered: Option<BlockColumns>,
+    /// Each window's index and its range of [`Windows::blocks`], in
+    /// emission order. Ranges are never empty and both ends never move
+    /// backwards.
     pub(crate) ranges: Vec<(i64, Range<usize>)>,
 }
 
-impl Windows {
+impl<'a> Windows<'a> {
     /// Form `spec` over a height-ordered columnar block stream.
-    pub(crate) fn form(cols: ColumnsSlice<'_>, spec: WindowSpec) -> Windows {
-        let n = cols.len();
+    pub(crate) fn form(cols: ColumnsSlice<'a>, spec: WindowSpec) -> Windows<'a> {
+        // `reordered` repeats the order check, but only when the span logs.
+        let _t = blockdec_obs::span!(
+            "window.form",
+            spec = spec.label().label(),
+            blocks = cols.len(),
+            reordered = !in_evaluation_order(cols, spec),
+        );
         match spec {
             WindowSpec::FixedCalendar {
                 granularity,
                 origin,
-            } => {
-                let buckets: Vec<i64> = (0..n)
-                    .map(|i| cols.timestamp(i).bucket(granularity, origin))
-                    .collect();
-                Windows::by_bucket(&buckets)
-            }
+            } => Windows::by_bucket(cols, &calendar_buckets(cols, granularity, origin)),
             WindowSpec::SlidingBlocks(spec) => Windows {
-                order: (0..n as u32).collect(),
-                ranges: (0..).zip(spec.iter(n)).collect(),
+                input: cols,
+                gathered: None,
+                ranges: (0..).zip(spec.iter(cols.len())).collect(),
             },
             WindowSpec::SlidingTime(spec) => {
                 // Miner clock jitter makes height order only approximately
                 // time order.
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.sort_unstable_by_key(|&i| {
-                    (cols.timestamp(i as usize), cols.height(i as usize))
+                let gathered = (!time_ordered(cols)).then(|| {
+                    let mut order: Vec<u32> = (0..cols.len() as u32).collect();
+                    order.sort_unstable_by_key(|&i| {
+                        (cols.timestamp(i as usize), cols.height(i as usize))
+                    });
+                    cols.gather(&order)
                 });
-                let ranges = time_ranges(n, |j| cols.timestamp(order[j] as usize).secs(), spec);
-                Windows { order, ranges }
+                let mut windows = Windows {
+                    input: cols,
+                    gathered,
+                    ranges: Vec::new(),
+                };
+                windows.ranges = time_ranges(windows.blocks(), spec);
+                windows
             }
         }
     }
 
-    /// Fixed calendar formation: `buckets[i]` is the bucket of block `i`.
-    /// Positions are stably sorted by bucket, so blocks keep their stream
-    /// order inside a bucket, and every non-empty bucket becomes one
-    /// window indexed by its bucket number, ascending.
-    pub(crate) fn by_bucket(buckets: &[i64]) -> Windows {
+    /// Fixed calendar formation: `buckets[i]` is the bucket of block `i`
+    /// of `cols`. Blocks are evaluated stably ordered by bucket, so they
+    /// keep their stream order inside a bucket, and every non-empty
+    /// bucket becomes one window indexed by its bucket number, ascending.
+    pub(crate) fn by_bucket(cols: ColumnsSlice<'a>, buckets: &[i64]) -> Windows<'a> {
+        if buckets.is_sorted() {
+            return Windows {
+                input: cols,
+                gathered: None,
+                ranges: bucket_runs(buckets),
+            };
+        }
         let mut order: Vec<u32> = (0..buckets.len() as u32).collect();
         order.sort_by_key(|&i| buckets[i as usize]);
-        let mut ranges: Vec<(i64, Range<usize>)> = Vec::new();
-        for (j, &i) in order.iter().enumerate() {
-            let bucket = buckets[i as usize];
-            match ranges.last_mut() {
-                Some((b, range)) if *b == bucket => range.end = j + 1,
-                _ => ranges.push((bucket, j..j + 1)),
-            }
+        let sorted: Vec<i64> = order.iter().map(|&i| buckets[i as usize]).collect();
+        Windows {
+            input: cols,
+            gathered: Some(cols.gather(&order)),
+            ranges: bucket_runs(&sorted),
         }
-        Windows { order, ranges }
+    }
+
+    /// The blocks in evaluation order: the ranges index these.
+    pub(crate) fn blocks(&self) -> ColumnsSlice<'_> {
+        self.gathered
+            .as_ref()
+            .map_or(self.input, BlockColumns::as_slice)
     }
 
     /// Number of windows.
@@ -143,26 +151,22 @@ impl Windows {
         self.ranges.len()
     }
 
-    /// Evaluate the windows `chunk` of this formation over `blocks` (the
-    /// sequence it was formed over) with one [`Slider`]. Returns one
-    /// point vector per metric, in `metrics` order.
-    pub(crate) fn evaluate<B: Blocks>(
+    /// Evaluate the windows `chunk` of this formation with one
+    /// [`Slider`]. Returns one point vector per metric, in `metrics`
+    /// order.
+    pub(crate) fn evaluate(
         &self,
-        blocks: &B,
         chunk: Range<usize>,
         metrics: &[MetricKind],
     ) -> Vec<Vec<MeasurementPoint>> {
-        let blocks = Ordered {
-            blocks,
-            order: &self.order,
-        };
+        let blocks = self.blocks();
         let mut out: Vec<Vec<MeasurementPoint>> = metrics
             .iter()
             .map(|_| Vec::with_capacity(chunk.len()))
             .collect();
         let mut slider = Slider::default();
         for (index, range) in &self.ranges[chunk] {
-            slider.window(&blocks, *index, range.clone(), metrics, |slot, point| {
+            slider.window(blocks, 0, *index, range.clone(), metrics, |slot, point| {
                 out[slot].push(point)
             });
         }
@@ -170,18 +174,69 @@ impl Windows {
     }
 }
 
-/// The two-cursor walk over `len` timestamp-ordered positions (`ts_at`
-/// gives each one's timestamp in seconds): window `i` spans
-/// `spec.window_span(i, origin)` and holds the positions inside it.
+/// The calendar bucket of every block of `cols`, in stream order. The
+/// calendar math runs once per bucket run, not once per block: a block
+/// whose timestamp lies in the span of the bucket computed last reuses
+/// that bucket, and only the others call [`Timestamp::bucket_span`].
+pub(crate) fn calendar_buckets(
+    cols: ColumnsSlice<'_>,
+    granularity: Granularity,
+    origin: Timestamp,
+) -> Vec<i64> {
+    let mut last: (i64, Range<i64>) = (0, 0..0);
+    (0..cols.len())
+        .map(|i| {
+            let t = cols.timestamp(i);
+            if !last.1.contains(&t.secs()) {
+                last = t.bucket_span(granularity, origin);
+            }
+            last.0
+        })
+        .collect()
+}
+
+/// Whether `cols` is already in `spec`'s evaluation order, so formation
+/// neither sorts nor gathers.
+fn in_evaluation_order(cols: ColumnsSlice<'_>, spec: WindowSpec) -> bool {
+    match spec {
+        WindowSpec::FixedCalendar {
+            granularity,
+            origin,
+        } => calendar_buckets(cols, granularity, origin).is_sorted(),
+        WindowSpec::SlidingBlocks(_) => true,
+        WindowSpec::SlidingTime(_) => time_ordered(cols),
+    }
+}
+
+/// Whether `(timestamp, height)` never decreases along `cols`.
+fn time_ordered(cols: ColumnsSlice<'_>) -> bool {
+    (1..cols.len())
+        .all(|i| (cols.timestamp(i - 1), cols.height(i - 1)) <= (cols.timestamp(i), cols.height(i)))
+}
+
+/// One window per run of equal buckets in the ascending `buckets`,
+/// indexed by its bucket and holding that run's positions.
+fn bucket_runs(buckets: &[i64]) -> Vec<(i64, Range<usize>)> {
+    let mut at = 0;
+    buckets
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let range = at..at + run.len();
+            at = range.end;
+            (run[0], range)
+        })
+        .collect()
+}
+
+/// The two-cursor walk over the timestamp-ordered `blocks`: window `i`
+/// spans `spec.window_span(i, origin)` and holds the blocks inside it.
 /// Windows holding no block are skipped.
-fn time_ranges(
-    len: usize,
-    ts_at: impl Fn(usize) -> i64,
-    spec: TimeWindowSpec,
-) -> Vec<(i64, Range<usize>)> {
+fn time_ranges(blocks: ColumnsSlice<'_>, spec: TimeWindowSpec) -> Vec<(i64, Range<usize>)> {
+    let len = blocks.len();
     if len == 0 {
         return Vec::new();
     }
+    let ts_at = |j: usize| blocks.timestamp(j).secs();
     let (first, last) = (ts_at(0), ts_at(len - 1));
     // Anchor at the explicit alignment when given, snapped forward so the
     // first window is the earliest aligned one that can contain a block.
@@ -229,20 +284,23 @@ pub(crate) struct Slider {
 }
 
 impl Slider {
-    /// Evaluate the window over the non-empty positions `range` of
-    /// `blocks`: slide to it, sort its weights into the scratch once, and
+    /// Evaluate the window over the non-empty positions `range`, where
+    /// block `0` of `blocks` is position `base` (the batch paths pass 0;
+    /// a delta stream passes the stream position of its first held
+    /// block): slide to it, sort its weights into the scratch once, and
     /// `emit` one point per metric with that metric's slot.
-    pub(crate) fn window<B: Blocks>(
+    pub(crate) fn window(
         &mut self,
-        blocks: &B,
+        blocks: ColumnsSlice<'_>,
+        base: usize,
         index: i64,
         range: Range<usize>,
         metrics: &[MetricKind],
         mut emit: impl FnMut(usize, MeasurementPoint),
     ) {
-        self.slide(blocks, range.clone());
+        self.slide(blocks, base, range.clone());
         self.dist.sorted_weights_into(&mut self.scratch);
-        let (first, last) = (range.start, range.end - 1);
+        let (first, last) = (range.start - base, range.end - 1 - base);
         for (slot, metric) in metrics.iter().enumerate() {
             emit(
                 slot,
@@ -261,26 +319,22 @@ impl Slider {
     }
 
     /// The slide step. Where `range` overlaps the held window, remove the
-    /// leading blocks and add the trailing ones: O(step), not O(size).
-    /// Otherwise (first window, gap, or next bucket) clear and add.
-    fn slide<B: Blocks>(&mut self, blocks: &B, range: Range<usize>) {
+    /// credits of the leading blocks, then add those of the trailing
+    /// ones: O(step), not O(size). Otherwise (first window, gap, or next
+    /// bucket) clear and add. Each edge is one contiguous credit run.
+    fn slide(&mut self, blocks: ColumnsSlice<'_>, base: usize, range: Range<usize>) {
+        let credits = |run: Range<usize>| blocks.credits_in(run.start - base..run.end - base);
         match self.held.take() {
             Some(prev) if prev.end > range.start => {
-                for i in prev.start..range.start {
-                    let (producers, weights) = blocks.credits(i);
-                    self.dist.remove_credits(producers, weights);
-                }
-                for i in prev.end..range.end {
-                    let (producers, weights) = blocks.credits(i);
-                    self.dist.add_credits(producers, weights);
-                }
+                let (producers, weights) = credits(prev.start..range.start);
+                self.dist.remove_credits(producers, weights);
+                let (producers, weights) = credits(prev.end..range.end);
+                self.dist.add_credits(producers, weights);
             }
             _ => {
                 self.dist.clear();
-                for i in range.clone() {
-                    let (producers, weights) = blocks.credits(i);
-                    self.dist.add_credits(producers, weights);
-                }
+                let (producers, weights) = credits(range.clone());
+                self.dist.add_credits(producers, weights);
             }
         }
         self.held = Some(range);
@@ -295,7 +349,7 @@ mod tests {
     use crate::planner::MatrixPlan;
     use crate::windows::sliding::SlidingWindowSpec;
     use blockdec_chain::time::SECS_PER_DAY;
-    use blockdec_chain::{AttributedBlock, BlockColumns, Credit, Granularity};
+    use blockdec_chain::{AttributedBlock, Credit, ProducerId};
     use std::collections::BTreeMap;
 
     fn block_at(height: u64, t: i64) -> AttributedBlock {
@@ -314,7 +368,7 @@ mod tests {
     }
 
     /// Each fixed calendar window of `blocks`: its bucket and the
-    /// positions of its blocks, in evaluation order.
+    /// positions in `blocks` of its blocks, in evaluation order.
     fn fixed(blocks: &[AttributedBlock], granularity: Granularity) -> Vec<(i64, Vec<u32>)> {
         let cols = BlockColumns::from_blocks(blocks);
         let spec = WindowSpec::FixedCalendar {
@@ -322,9 +376,15 @@ mod tests {
             origin: origin(),
         };
         let w = Windows::form(cols.as_slice(), spec);
+        let evaluated = w.blocks();
+        // Heights are unique here, so each one names its input position.
+        let position = |j: usize| {
+            let height = evaluated.height(j);
+            blocks.iter().position(|b| b.height == height).unwrap() as u32
+        };
         w.ranges
             .iter()
-            .map(|(bucket, range)| (*bucket, w.order[range.clone()].to_vec()))
+            .map(|(bucket, range)| (*bucket, range.clone().map(position).collect()))
             .collect()
     }
 
@@ -428,15 +488,14 @@ mod tests {
         assert_eq!(months[1].1.len(), 112);
     }
 
-    /// Two months of 30-minute blocks with ±2000 s miner clock jitter,
-    /// so timestamps often run backwards across window and bucket edges.
-    /// Every 37th block credits several producers; every 101st credits
-    /// none.
-    fn jittered_stream() -> Vec<AttributedBlock> {
+    /// Two months of 30-minute blocks, block `i` declared `jitter(i)`
+    /// seconds off its slot. Every 37th block credits several producers;
+    /// every 101st credits none.
+    fn test_stream(jitter: impl Fn(i64) -> i64) -> Vec<AttributedBlock> {
         let o = origin().secs();
         (0..3000u32)
             .map(|i| {
-                let jitter = ((i as i64 * 7919) % 4001) - 2000;
+                let jitter = jitter(i64::from(i));
                 let credits = if i % 101 == 0 {
                     Vec::new()
                 } else if i % 37 == 0 {
@@ -585,8 +644,24 @@ mod tests {
 
     #[test]
     fn every_evaluation_path_equals_a_from_scratch_oracle() {
-        let blocks = jittered_stream();
-        let cols = BlockColumns::from_blocks(&blocks);
+        // ±2000 s of miner clock jitter. Consecutive blocks still step
+        // forward, by 1800 + 3918 or 1800 − 83 s.
+        let jittered = test_stream(|i| (i * 7919) % 4001 - 2000);
+        // Strictly increasing timestamps on a fixed grid.
+        let in_order = test_stream(|_| 0);
+        // ±2 h: consecutive blocks step by 1800 + 7919 or 1800 − 6482 s,
+        // so timestamps run backwards across bucket and window edges.
+        let reordered = test_stream(|i| (i * 7919) % 14401 - 7200);
+        for (blocks, reorders) in [(jittered, false), (in_order, false), (reordered, true)] {
+            every_path_equals_the_oracle_over(&blocks, reorders);
+        }
+    }
+
+    /// The oracle comparison over one input. When `reorders`, every fixed
+    /// and time spec gathers its blocks into evaluation order; otherwise
+    /// every spec is formed over the input in place.
+    fn every_path_equals_the_oracle_over(blocks: &[AttributedBlock], reorders: bool) {
+        let cols = BlockColumns::from_blocks(blocks);
         let mut specs: Vec<WindowSpec> = Granularity::ALL
             .iter()
             .map(|&granularity| WindowSpec::FixedCalendar {
@@ -609,6 +684,11 @@ mod tests {
         // start at 0.
         for (lo, hi) in [(0, blocks.len()), (211, 2700)] {
             let view = cols.slice(lo, hi);
+            for &spec in &specs {
+                let gathered = Windows::form(view, spec).gathered.is_some();
+                let by_time = !matches!(spec, WindowSpec::SlidingBlocks(_));
+                assert_eq!(gathered, reorders && by_time, "{spec:?}, blocks {lo}..{hi}");
+            }
             let expected: Vec<Vec<PointBits>> = configs
                 .iter()
                 .map(|c| {
@@ -628,7 +708,8 @@ mod tests {
                     assert_eq!(
                         &bits(&series.points),
                         want,
-                        "planner at {workers} workers: {:?} over {:?}, blocks {lo}..{hi}",
+                        "planner at {workers} workers: {:?} over {:?}, blocks {lo}..{hi}, \
+                         reorders {reorders}",
                         cfg.metric(),
                         cfg.window()
                     );
@@ -636,7 +717,7 @@ mod tests {
             }
             for (cfg, want) in configs.iter().zip(&expected) {
                 let what = format!(
-                    "{:?} over {:?}, blocks {lo}..{hi}",
+                    "{:?} over {:?}, blocks {lo}..{hi}, reorders {reorders}",
                     cfg.metric(),
                     cfg.window()
                 );

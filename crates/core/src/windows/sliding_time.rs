@@ -106,14 +106,12 @@ mod tests {
     ) -> Vec<(usize, Vec<AttributedBlock>)> {
         let cols = BlockColumns::from_blocks(blocks);
         let w = Windows::form(cols.as_slice(), WindowSpec::SlidingTime(spec));
+        let evaluated = w.blocks();
         w.ranges
             .iter()
             .map(|(index, range)| {
-                let inside = w.order[range.clone()].iter();
-                (
-                    *index as usize,
-                    inside.map(|&i| blocks[i as usize].clone()).collect(),
-                )
+                let inside = evaluated.slice(range.start, range.end);
+                (*index as usize, inside.to_blocks())
             })
             .collect()
     }

@@ -643,11 +643,12 @@ impl BlockStore {
             push,
         )?;
 
-        let blocks: usize = partials.iter().map(|p| p.len()).sum();
-        let credits: usize = partials.iter().map(|p| p.credit_count()).sum();
-        let mut cols = BlockColumns::with_capacity(blocks, credits);
-        for p in &partials {
-            cols.append_columns(p);
+        // Stitch into the first partial: a one-chunk scan returns its
+        // columns without a copy.
+        let mut partials = partials.into_iter();
+        let mut cols = partials.next().unwrap_or_default();
+        for p in partials {
+            cols.append_columns(p.as_slice());
         }
         // Each accepted row either joins the last block (same height) or
         // starts a new one, and stitching merges a straddling block, so
@@ -665,10 +666,8 @@ impl BlockStore {
         // dense per-id slots by these ids (the producer distributions,
         // the query fold), so an unchecked id could ask for gigabytes.
         let n = self.registry.len();
-        if let Some(p) = (0..cols.len())
-            .flat_map(|i| cols.producers_of(i))
-            .find(|p| p.index() >= n)
-        {
+        let (producers, _) = cols.as_slice().credits_in(0..cols.len());
+        if let Some(p) = producers.iter().find(|p| p.index() >= n) {
             return Err(StoreError::InconsistentCatalog(format!(
                 "producer id {} outside dictionary (len {n})",
                 p.0

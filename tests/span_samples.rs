@@ -2,7 +2,8 @@
 //!
 //! The metrics registry is process-global, so this binary holds a single
 //! test: nothing else in the process records while it reads the deltas
-//! of the span histograms around a flush, a whole scan and a matrix run.
+//! of the span histograms around a flush, a whole scan and a matrix run
+//! (one `window.form` sample per window spec).
 
 use blockdec::core::planner::MatrixPlan;
 use blockdec::prelude::*;
@@ -65,14 +66,19 @@ fn each_span_records_one_sample_per_entry() {
         MeasurementEngine::new(MetricKind::ShannonEntropy).sliding(144, 72),
         MeasurementEngine::new(MetricKind::Nakamoto).sliding(144, 72),
     ];
-    let (matrices, chunks, chunk_samples) = (
+    let (matrices, chunks, chunk_samples, forms) = (
         samples("stage.measure_matrix"),
         count("planner.chunks"),
         samples("planner.chunk"),
+        samples("window.form"),
     );
-    let series = MatrixPlan::new(&configs).run_columns(cols.as_slice());
+    let plan = MatrixPlan::new(&configs);
+    let series = plan.run_columns(cols.as_slice());
     assert_eq!(series.len(), configs.len());
     assert_eq!(samples("stage.measure_matrix") - matrices, 1);
+    // One formation per window spec: the two sliding configs share one.
+    assert_eq!(plan.window_specs(), 2);
+    assert_eq!(samples("window.form") - forms, plan.window_specs() as u64);
     let chunks = count("planner.chunks") - chunks;
     assert!(chunks >= 2, "one chunk per window spec at least: {chunks}");
     assert_eq!(samples("planner.chunk") - chunk_samples, chunks);
