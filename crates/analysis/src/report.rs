@@ -31,41 +31,6 @@ pub fn series_summary_line(label: &str, series: &MeasurementSeries) -> String {
     }
 }
 
-/// Markdown table summarizing many series.
-pub fn series_summary_markdown(rows: &[(String, &MeasurementSeries)]) -> String {
-    let _t = blockdec_obs::span!("stage.report", series = rows.len());
-    let mut out = String::from(
-        "| series | metric | window | n | mean | std | min | max |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    for (label, series) in rows {
-        match SeriesStats::from_values(&series.values()) {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "| {label} | {} | {} | {} | {:.4} | {:.4} | {:.4} | {:.4} |",
-                    series.metric.label(),
-                    series.window.label(),
-                    s.count,
-                    s.mean,
-                    s.std,
-                    s.min,
-                    s.max
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "| {label} | {} | {} | 0 | - | - | - | - |",
-                    series.metric.label(),
-                    series.window.label()
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Markdown rendering of a chain comparison, ending with the verdict.
 pub fn comparison_markdown(cmp: &ChainComparison) -> String {
     let _t = blockdec_obs::span!("stage.report", comparison_rows = cmp.rows.len());
@@ -199,18 +164,6 @@ mod tests {
         assert!(line.contains("mean=0.5000"));
         let empty = series_summary_line("x", &series(&[]));
         assert!(empty.contains("empty"));
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let s1 = series(&[0.5]);
-        let s2 = series(&[]);
-        let md = series_summary_markdown(&[("a".into(), &s1), ("b".into(), &s2)]);
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("| series |"));
-        assert!(lines[3].contains("| b |"));
-        assert!(lines[3].contains("| 0 |"));
     }
 
     #[test]

@@ -145,14 +145,17 @@ pub fn paper_matrix(ds: &Dataset, sliding_size: usize) -> Vec<MeasurementEngine>
 }
 
 /// A throwaway bench directory under the temp dir, removed on drop.
+/// Its name carries the thread id: tests on parallel threads of one
+/// process run the same bench on the same dataset.
 struct BenchDir(PathBuf);
 
 impl BenchDir {
     fn new(bench: &str, ds: &Dataset) -> BenchDir {
         let dir = std::env::temp_dir().join(format!(
-            "blockdec-{bench}-{}-{}",
+            "blockdec-{bench}-{}-{}-{:?}",
             ds.name,
-            std::process::id()
+            std::process::id(),
+            std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         BenchDir(dir)
@@ -184,11 +187,14 @@ impl Drop for BenchDir {
     }
 }
 
-/// Best-of-3 wall seconds for `run`, with the last run's output.
+/// Best-of-3 wall seconds for `run`, with the last run's output. Each
+/// output is dropped before the next run starts, so no run is timed
+/// while an earlier result holds memory it could reuse.
 fn best_of_3<T>(mut run: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..3 {
+        drop(out.take());
         let t = Instant::now();
         let r = run();
         best = best.min(t.elapsed().as_secs_f64());
@@ -841,6 +847,27 @@ mod tests {
     fn row(dataset: &str, mut fields: Vec<(&'static str, Field)>) -> Row {
         fields.insert(0, ("dataset", Text(dataset.into())));
         Row(fields)
+    }
+
+    #[test]
+    fn best_of_3_drops_each_output_before_the_next_run() {
+        struct Live<'a>(&'a std::cell::Cell<usize>);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() - 1);
+            }
+        }
+        let live = std::cell::Cell::new(0);
+        let mut live_at_start = Vec::new();
+        let (_, last) = best_of_3(|| {
+            live_at_start.push(live.get());
+            live.set(live.get() + 1);
+            Live(&live)
+        });
+        assert_eq!(live_at_start, [0, 0, 0]);
+        assert_eq!(live.get(), 1);
+        drop(last);
+        assert_eq!(live.get(), 0);
     }
 
     #[test]

@@ -350,6 +350,11 @@ impl<'a> ColumnsSlice<'a> {
         Timestamp(self.timestamps[i])
     }
 
+    /// The timestamp column (seconds), one entry per block.
+    pub fn timestamps(&self) -> &'a [i64] {
+        self.timestamps
+    }
+
     /// Range of this view's credit columns holding the credits of the
     /// block range `blocks`.
     fn credit_range(&self, blocks: Range<usize>) -> Range<usize> {

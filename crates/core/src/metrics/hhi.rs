@@ -4,8 +4,7 @@
 //! concentration measure. Ranges from `1/n` (n equal producers) to 1
 //! (monopoly). Lower is more decentralized. Related follow-up work on
 //! blockchain decentralization reports it alongside the paper's three
-//! metrics, and its reciprocal `1/HHI` is the "effective number of
-//! producers".
+//! metrics.
 
 use super::{debug_check_sorted, sorted_positive};
 
@@ -28,16 +27,6 @@ pub fn hhi_sorted(sorted: &[f64]) -> f64 {
     }
     let sum_sq: f64 = sorted.iter().map(|&x| x * x).sum();
     (sum_sq / (total * total)).clamp(0.0, 1.0)
-}
-
-/// Effective number of producers: `1 / HHI`. 0.0 for an empty input.
-pub fn effective_producers(weights: &[f64]) -> f64 {
-    let h = hhi(weights);
-    if h <= 0.0 {
-        0.0
-    } else {
-        1.0 / h
-    }
 }
 
 #[cfg(test)]
@@ -63,19 +52,12 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(hhi(&[]), 0.0);
         assert_eq!(hhi(&[0.0]), 0.0);
-        assert_eq!(effective_producers(&[]), 0.0);
     }
 
     #[test]
     fn known_case() {
         // Shares (0.5, 0.3, 0.2): HHI = 0.25 + 0.09 + 0.04 = 0.38.
         assert_close(hhi(&[5.0, 3.0, 2.0]), 0.38);
-    }
-
-    #[test]
-    fn effective_producers_inverts() {
-        assert_close(effective_producers(&[1.0; 8]), 8.0);
-        assert_close(effective_producers(&[10.0]), 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! producers — the quantity behind the paper's Fig. 7 pie charts and the
 //! most direct "who controls the chain" number.
 
-use super::{debug_check_sorted, positive_weights, sorted_positive};
+use super::{debug_check_sorted, sorted_positive};
 
 /// Combined share of the `k` heaviest producers, in 0..=1. Returns 0.0
 /// for an empty distribution or `k == 0`; returns 1.0 when `k` covers all
@@ -30,15 +30,6 @@ pub fn top_k_share_sorted(sorted: &[f64], k: usize) -> f64 {
     // Largest-first summation, matching the historical descending walk.
     let top: f64 = sorted[sorted.len() - k..].iter().rev().sum();
     (top / total).clamp(0.0, 1.0)
-}
-
-/// The `k` largest weights themselves, descending — used to build the
-/// Fig. 7-style share breakdowns.
-pub fn top_k_weights(weights: &[f64], k: usize) -> Vec<f64> {
-    let mut w: Vec<f64> = positive_weights(weights).collect();
-    w.sort_unstable_by(|a, b| b.total_cmp(a));
-    w.truncate(k);
-    w
 }
 
 #[cfg(test)]
@@ -83,13 +74,6 @@ mod tests {
             prev = s;
         }
         assert_close(prev, 1.0);
-    }
-
-    #[test]
-    fn top_k_weights_sorted_desc() {
-        let w = [3.0, 9.0, 1.0, 7.0];
-        assert_eq!(top_k_weights(&w, 3), vec![9.0, 7.0, 3.0]);
-        assert_eq!(top_k_weights(&w, 10), vec![9.0, 7.0, 3.0, 1.0]);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! * **Window formation** ([`Windows::form`]): any [`WindowSpec`] becomes
 //!   the blocks in evaluation order plus one contiguous range of them per
 //!   window. Block-count sliding windows take the stream as it is. Time
-//!   windows evaluate blocks in `(timestamp, height)` order and walk two
-//!   cursors. Fixed calendar windows (§II-C) evaluate blocks stably
-//!   ordered by bucket, so each non-empty bucket is one range in height
-//!   order. Assignment is by timestamp, so an out-of-order timestamp
-//!   lands in the bucket its miner declared, like a BigQuery
-//!   `GROUP BY DATE(timestamp)`.
+//!   windows evaluate blocks in `(timestamp, height)` order and find
+//!   each window's edges by binary search. Fixed calendar windows
+//!   (§II-C) evaluate blocks stably ordered by bucket, so each non-empty
+//!   bucket is one range in height order. Assignment is by timestamp, so
+//!   an out-of-order timestamp lands in the bucket its miner declared,
+//!   like a BigQuery `GROUP BY DATE(timestamp)`.
 //! * **The slide step** ([`Slider`]): where the next window overlaps the
 //!   one held, remove the leading blocks and add the trailing ones;
 //!   otherwise clear and add. Buckets never overlap, so every bucket
@@ -228,16 +228,15 @@ fn bucket_runs(buckets: &[i64]) -> Vec<(i64, Range<usize>)> {
         .collect()
 }
 
-/// The two-cursor walk over the timestamp-ordered `blocks`: window `i`
-/// spans `spec.window_span(i, origin)` and holds the blocks inside it.
+/// Window `i` over the timestamp-ordered `blocks` spans
+/// `spec.window_span(i, origin)` and holds the blocks inside it; both
+/// edges are binary searches, so forming costs O(windows · log n).
 /// Windows holding no block are skipped.
 fn time_ranges(blocks: ColumnsSlice<'_>, spec: TimeWindowSpec) -> Vec<(i64, Range<usize>)> {
-    let len = blocks.len();
-    if len == 0 {
+    let ts = blocks.timestamps();
+    let (Some(&first), Some(&last)) = (ts.first(), ts.last()) else {
         return Vec::new();
-    }
-    let ts_at = |j: usize| blocks.timestamp(j).secs();
-    let (first, last) = (ts_at(0), ts_at(len - 1));
+    };
     // Anchor at the explicit alignment when given, snapped forward so the
     // first window is the earliest aligned one that can contain a block.
     let origin = match spec.align {
@@ -254,18 +253,13 @@ fn time_ranges(blocks: ColumnsSlice<'_>, spec: TimeWindowSpec) -> Vec<(i64, Rang
     };
     let count = spec.window_count(origin, Timestamp(last + 1));
     let mut out = Vec::with_capacity(count);
-    // Windows advance monotonically, so each block is visited
-    // O(duration/step) times in total.
+    // Window starts never decrease, so each search starts at the last
+    // window's first block.
     let mut lo = 0usize;
     for i in 0..count {
         let span = spec.window_span(i, origin);
-        while lo < len && ts_at(lo) < span.start {
-            lo += 1;
-        }
-        let mut hi = lo;
-        while hi < len && ts_at(hi) < span.end {
-            hi += 1;
-        }
+        lo += ts[lo..].partition_point(|&t| t < span.start);
+        let hi = lo + ts[lo..].partition_point(|&t| t < span.end);
         if hi > lo {
             out.push((i as i64, lo..hi));
         }

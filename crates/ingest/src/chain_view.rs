@@ -276,11 +276,6 @@ impl ChainView {
         &self.store
     }
 
-    /// Mutable access to the underlying store.
-    pub fn store_mut(&mut self) -> &mut BlockStore {
-        &mut self.store
-    }
-
     /// Tear down the view, keeping the store.
     pub fn into_store(self) -> BlockStore {
         self.store

@@ -290,7 +290,6 @@ impl Config {
 /// The installed logger. Obtain with [`init`]; query with [`enabled`].
 pub struct Logger {
     config: Config,
-    start: Instant,
 }
 
 impl Logger {
@@ -307,11 +306,6 @@ impl Logger {
     pub fn format(&self) -> LogFormat {
         self.config.format
     }
-
-    /// Wall time since [`init`].
-    pub fn uptime(&self) -> std::time::Duration {
-        self.start.elapsed()
-    }
 }
 
 static LOGGER: OnceLock<Logger> = OnceLock::new();
@@ -324,12 +318,7 @@ static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
 /// where many entry points race to initialize).
 pub fn init(config: Config) -> bool {
     let max = config.max_level();
-    let installed = LOGGER
-        .set(Logger {
-            config,
-            start: Instant::now(),
-        })
-        .is_ok();
+    let installed = LOGGER.set(Logger { config }).is_ok();
     if installed {
         MAX_LEVEL.store(max as u8, Ordering::Release);
     }
@@ -608,10 +597,7 @@ mod tests {
     fn filter_directives_pick_most_specific() {
         let cfg =
             Config::from_filter("warn,blockdec_store=trace,blockdec_store::cache=error").unwrap();
-        let logger = Logger {
-            config: cfg,
-            start: Instant::now(),
-        };
+        let logger = Logger { config: cfg };
         assert_eq!(logger.level_for("blockdec_core::engine"), Level::Warn);
         assert_eq!(logger.level_for("blockdec_store::segment"), Level::Trace);
         assert_eq!(logger.level_for("blockdec_store::cache"), Level::Error);

@@ -32,7 +32,8 @@ impl MeasurementSource for BlockStore {
 
     fn block_columns(&self, filter: &Filter) -> Result<BlockColumns> {
         let (pred, residual) = filter.compile();
-        self.scan_columnar_filtered(&pred, |r| residual.matches(r))
+        self.scan_columnar_with(&pred, self.scan_options(), |r| residual.matches(r))
+            .map(|(cols, _)| cols)
     }
 }
 

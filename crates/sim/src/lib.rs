@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod calibration;
 pub mod difficulty;
 pub mod events;
 pub mod feed;

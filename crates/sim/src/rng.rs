@@ -5,32 +5,22 @@
 //! the distributions (exponential, standard normal, Pareto weights) are
 //! implemented by inversion / Box–Muller.
 
+use blockdec_chain::hash::splitmix64;
+
 /// Simulator RNG: a seeded xoshiro256++ core plus distribution helpers.
 #[derive(Clone, Debug)]
 pub struct SimRng {
     state: [u64; 4],
 }
 
-/// splitmix64 step, used to expand the seed into xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl SimRng {
-    /// Seeded construction; the same seed yields the same stream.
+    /// Seeded construction; the same seed yields the same stream. The
+    /// xoshiro state is the first four values of the splitmix64 stream
+    /// from `seed`.
     pub fn new(seed: u64) -> SimRng {
-        let mut s = seed;
+        let step = |k: u64| splitmix64(seed.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
         SimRng {
-            state: [
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-            ],
+            state: [step(0), step(1), step(2), step(3)],
         }
     }
 

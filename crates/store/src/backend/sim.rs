@@ -24,6 +24,7 @@
 
 use super::ObjectStore;
 use crate::error::{Result, StoreError};
+use blockdec_chain::hash::splitmix64;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -80,14 +81,6 @@ pub struct SimBackend {
     state: Mutex<SimState>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl SimBackend {
     /// Wrap `inner` with the given degradation profile.
     pub fn new(inner: Arc<dyn ObjectStore>, profile: SimProfile) -> SimBackend {
@@ -106,7 +99,8 @@ impl SimBackend {
         let mut us = self.profile.latency_us;
         if self.profile.jitter_us > 0 {
             let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            us += splitmix64(&mut state.rng) % self.profile.jitter_us;
+            us += splitmix64(state.rng) % self.profile.jitter_us;
+            state.rng = state.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
         }
         if self.profile.bandwidth_kbps > 0 {
             us += (bytes as u64).saturating_mul(1_000_000) / (self.profile.bandwidth_kbps * 1024);

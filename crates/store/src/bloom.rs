@@ -8,10 +8,12 @@
 //! **zero false negatives by construction**: if `contains` returns
 //! `false` the producer is definitely absent from the segment.
 //!
-//! Hashing is double hashing over two splitmix64-derived values from a
-//! fixed seed, so the on-disk bit pattern is fully deterministic and can
-//! be re-derived (and checked by fsck) from the segment's rows alone.
+//! Hashing is double hashing over two values derived with
+//! [`blockdec_chain::hash::splitmix64`] from a fixed seed, so the
+//! on-disk bit pattern is fully deterministic and can be re-derived (and
+//! checked by fsck) from the segment's rows alone.
 
+use blockdec_chain::hash::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// Bits budgeted per distinct key: `-n ln(p) / ln(2)^2` with p = 1%
@@ -20,15 +22,6 @@ const BITS_PER_KEY_TENTHS: usize = 96;
 
 /// Number of hash probes per key (`k = m/n ln 2` at the 1% target).
 const PROBES: u32 = 7;
-
-/// splitmix64 finalizer: the same mixing constants the seeded
-/// [`crate::FaultInjector`] uses, applied as a pure u64 → u64 mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A bloom filter over the producer ids of one sealed segment.
 ///
@@ -190,5 +183,19 @@ mod tests {
         let a = ProducerFilter::from_producers(&[5, 1, 9, 1, 5]);
         let b = ProducerFilter::from_producers(&[9, 5, 1]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bit_pattern_is_pinned() {
+        // The words are on disk (docs/FORMAT.md's worked hexdump shows
+        // the first). A segment's footer CRC cannot pin them: the index
+        // CRC that follows the blooms cancels their effect on the
+        // whole-file CRC.
+        let words = |producers: &[u32]| ProducerFilter::from_producers(producers).words;
+        assert_eq!(words(&[0, 1]), [0xb800_8801_5400_2202]);
+        assert_eq!(
+            words(&[0, 1, 2, 3, 7, 100, 65_535, u32::MAX]),
+            [0x2115_8044_dc22_3818, 0x9ce4_2843_54a8_c213]
+        );
     }
 }

@@ -290,7 +290,7 @@ mod tests {
 
         let mut newer = m.clone();
         newer.next_segment_id = 99;
-        crate::atomic::arm_crash_before_rename(1);
+        crate::backend::local::arm_crash_before_rename(1);
         let err = newer.save(&store).unwrap_err();
         assert!(err.to_string().contains("injected crash"), "{err}");
         assert!(dir.join("manifest.json.tmp").exists());

@@ -1,5 +1,5 @@
-//! Background compaction: merge runs of small, height-adjacent segments
-//! into full-size sorted v3 segments.
+//! Compaction: merge runs of small, height-adjacent segments into
+//! full-size sorted v3 segments.
 //!
 //! Repeated `flush` calls seal whatever happens to be buffered, so a
 //! long ingest leaves a tail of under-filled segments behind. Each one
@@ -12,14 +12,14 @@
 //!
 //! # Planning
 //!
-//! [`CompactionPolicy`] classifies a segment as *small* when its row
-//! count is below `small_rows`. The planner walks the catalog in order
-//! and collects maximal runs of adjacent small segments; a run is
-//! merged only when it has at least `min_run` members **and** the merge
-//! strictly shrinks the segment count (`ceil(sum_rows / SEGMENT_ROWS) <
-//! run_len`). Everything else — full segments, lone stragglers, runs
-//! already at their ideal packing — is left untouched, so compaction is
-//! idempotent: a second pass over compacted output plans nothing.
+//! A segment is *small* when it holds fewer than [`SEGMENT_ROWS`] rows.
+//! The planner walks the catalog in order and collects maximal runs of
+//! adjacent small segments; a run is merged only when the merge strictly
+//! shrinks the segment count (`ceil(sum_rows / SEGMENT_ROWS) < run_len`),
+//! which also means it has at least two members. Everything else — full
+//! segments, lone stragglers, runs already at their ideal packing — is
+//! left untouched, so compaction is idempotent: a second pass over
+//! compacted output plans nothing.
 //!
 //! # Crash safety
 //!
@@ -45,146 +45,87 @@ use crate::segment::{read_segment_file, write_segment_file, SEGMENT_ROWS};
 use crate::zonemap::ZoneMap;
 use std::ops::Range;
 
-/// When and how aggressively to merge small segments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Minimum number of adjacent small segments before a run is worth
-    /// rewriting. Higher values batch more work per rewrite and avoid
-    /// re-compacting the hot tail of an ongoing ingest.
-    pub min_run: usize,
-    /// A segment with fewer rows than this is *small* (a merge
-    /// candidate). Segments at or above the threshold are never
-    /// rewritten.
-    pub small_rows: u64,
-}
-
-impl CompactionPolicy {
-    /// The background policy for [`crate::BlockStore::set_compaction_policy`]:
-    /// wait for at least four adjacent under-filled segments before
-    /// merging, so steady flushing amortizes each rewrite.
-    pub fn size_tiered() -> CompactionPolicy {
-        CompactionPolicy {
-            min_run: 4,
-            small_rows: SEGMENT_ROWS as u64,
-        }
+/// Plan and execute one compaction pass over `manifest` through
+/// `store`: merge every eligible run, commit the spliced manifest once,
+/// then drop the superseded files. Returns `false` when the plan is
+/// empty (nothing written, manifest untouched).
+pub(crate) fn compact(store: &dyn ObjectStore, manifest: &mut Manifest) -> Result<bool> {
+    let runs = plan_runs(&manifest.segments);
+    if runs.is_empty() {
+        return Ok(false);
     }
-
-    /// The eager policy behind explicit [`crate::BlockStore::compact`]
-    /// calls: any pair of adjacent under-filled segments that packs into
-    /// fewer files is merged now.
-    pub fn full() -> CompactionPolicy {
-        CompactionPolicy {
-            min_run: 2,
-            small_rows: SEGMENT_ROWS as u64,
+    let _t = blockdec_obs::span!("stage.compact", runs = runs.len());
+    let (mut segments_in, mut segments_out, mut rows_moved) = (0, 0, 0u64);
+    let mut replacements: Vec<(Range<usize>, Vec<SegmentMeta>)> = Vec::new();
+    let mut old_files: Vec<String> = Vec::new();
+    let mut next_id = manifest.next_segment_id;
+    for run in runs {
+        let mut rows: Vec<RowRecord> = Vec::new();
+        for seg in &manifest.segments[run.clone()] {
+            rows.extend(read_segment_file(store, &seg.file)?);
+            old_files.push(seg.file.clone());
         }
+        let mut metas = Vec::new();
+        for chunk in rows.chunks(SEGMENT_ROWS) {
+            let file = segment_file_name(next_id);
+            next_id += 1;
+            let stamp = write_segment_file(store, &file, chunk)?;
+            metas.push(SegmentMeta {
+                file,
+                zone: ZoneMap::from_rows(chunk),
+                crc: stamp.crc,
+                producers: stamp.producers,
+            });
+        }
+        segments_in += run.len();
+        segments_out += metas.len();
+        rows_moved += rows.len() as u64;
+        replacements.push((run, metas));
     }
-}
-
-/// What one compaction pass did, for logging and counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct CompactionReport {
-    /// Segments read and superseded.
-    pub segments_in: usize,
-    /// Replacement segments written.
-    pub segments_out: usize,
-    /// Rows carried across (never changes during compaction).
-    pub rows: u64,
-}
-
-/// Executes one compaction pass over a store's manifest through its
-/// backend.
-pub(crate) struct Compactor<'a> {
-    store: &'a dyn ObjectStore,
-    policy: CompactionPolicy,
-}
-
-impl<'a> Compactor<'a> {
-    pub(crate) fn new(store: &'a dyn ObjectStore, policy: CompactionPolicy) -> Compactor<'a> {
-        Compactor { store, policy }
+    // Splice later runs first so earlier ranges stay valid, then commit
+    // everything in a single atomic manifest replace.
+    for (run, metas) in replacements.into_iter().rev() {
+        manifest.segments.splice(run, metas);
     }
-
-    /// Plan and execute: merge every eligible run, commit the spliced
-    /// manifest once, then drop the superseded files. Returns `None`
-    /// when the plan is empty (nothing written, manifest untouched).
-    pub(crate) fn run(&self, manifest: &mut Manifest) -> Result<Option<CompactionReport>> {
-        let runs = plan_runs(&manifest.segments, self.policy);
-        if runs.is_empty() {
-            return Ok(None);
-        }
-        let _t = blockdec_obs::span!("stage.compact", runs = runs.len());
-        let mut report = CompactionReport::default();
-        let mut replacements: Vec<(Range<usize>, Vec<SegmentMeta>)> = Vec::new();
-        let mut old_files: Vec<String> = Vec::new();
-        let mut next_id = manifest.next_segment_id;
-        for run in runs {
-            let mut rows: Vec<RowRecord> = Vec::new();
-            for seg in &manifest.segments[run.clone()] {
-                rows.extend(read_segment_file(self.store, &seg.file)?);
-                old_files.push(seg.file.clone());
-            }
-            let mut metas = Vec::new();
-            for chunk in rows.chunks(SEGMENT_ROWS) {
-                let file = segment_file_name(next_id);
-                next_id += 1;
-                let stamp = write_segment_file(self.store, &file, chunk)?;
-                metas.push(SegmentMeta {
-                    file,
-                    zone: ZoneMap::from_rows(chunk),
-                    crc: stamp.crc,
-                    producers: stamp.producers,
-                });
-            }
-            report.segments_in += run.len();
-            report.segments_out += metas.len();
-            report.rows += rows.len() as u64;
-            replacements.push((run, metas));
-        }
-        // Splice later runs first so earlier ranges stay valid, then
-        // commit everything in a single atomic manifest replace.
-        for (run, metas) in replacements.into_iter().rev() {
-            manifest.segments.splice(run, metas);
-        }
-        manifest.next_segment_id = next_id;
-        manifest.save(self.store)?;
-        // The old files are garbage once the commit lands; a removal
-        // failure only leaves an orphan for the doctor to quarantine.
-        for file in &old_files {
-            let _ = self.store.remove(file);
-        }
-        blockdec_obs::counter("store.compact.runs").inc();
-        blockdec_obs::counter("store.compact.segments_in").add(report.segments_in as u64);
-        blockdec_obs::counter("store.compact.segments_out").add(report.segments_out as u64);
-        blockdec_obs::counter("store.compact.rows").add(report.rows);
-        blockdec_obs::info!(
-            segments_in = report.segments_in,
-            segments_out = report.segments_out,
-            rows = report.rows;
-            "compaction pass complete"
-        );
-        Ok(Some(report))
+    manifest.next_segment_id = next_id;
+    manifest.save(store)?;
+    // The old files are garbage once the commit lands; a removal failure
+    // only leaves an orphan for the doctor to quarantine.
+    for file in &old_files {
+        let _ = store.remove(file);
     }
+    blockdec_obs::counter("store.compact.runs").inc();
+    blockdec_obs::counter("store.compact.segments_in").add(segments_in as u64);
+    blockdec_obs::counter("store.compact.segments_out").add(segments_out as u64);
+    blockdec_obs::counter("store.compact.rows").add(rows_moved);
+    blockdec_obs::info!(
+        segments_in = segments_in,
+        segments_out = segments_out,
+        rows = rows_moved;
+        "compaction pass complete"
+    );
+    Ok(true)
 }
 
-/// Find the maximal runs of adjacent small segments worth merging.
-fn plan_runs(segments: &[SegmentMeta], policy: CompactionPolicy) -> Vec<Range<usize>> {
+/// Find the maximal runs of adjacent small segments whose merge shrinks
+/// the segment count.
+fn plan_runs(segments: &[SegmentMeta]) -> Vec<Range<usize>> {
+    let small = |s: &SegmentMeta| s.zone.rows < SEGMENT_ROWS as u64;
     let mut runs = Vec::new();
     let mut i = 0;
     while i < segments.len() {
-        if segments[i].zone.rows >= policy.small_rows {
+        if !small(&segments[i]) {
             i += 1;
             continue;
         }
         let mut j = i + 1;
-        while j < segments.len() && segments[j].zone.rows < policy.small_rows {
+        while j < segments.len() && small(&segments[j]) {
             j += 1;
         }
-        let run_len = j - i;
-        if run_len >= policy.min_run {
-            let sum: u64 = segments[i..j].iter().map(|s| s.zone.rows).sum();
-            let packed = (sum as usize).div_ceil(SEGMENT_ROWS).max(1);
-            if packed < run_len {
-                runs.push(i..j);
-            }
+        let sum: u64 = segments[i..j].iter().map(|s| s.zone.rows).sum();
+        let packed = (sum as usize).div_ceil(SEGMENT_ROWS).max(1);
+        if packed < j - i {
+            runs.push(i..j);
         }
         i = j;
     }
@@ -211,50 +152,43 @@ mod tests {
         }
     }
 
-    fn plan(rows: &[u64], policy: CompactionPolicy) -> Vec<Range<usize>> {
+    fn plan(rows: &[u64]) -> Vec<Range<usize>> {
         let segs: Vec<SegmentMeta> = rows.iter().map(|&r| meta(r)).collect();
-        plan_runs(&segs, policy)
+        plan_runs(&segs)
     }
 
     const FULL: u64 = SEGMENT_ROWS as u64;
 
     #[test]
     fn full_segments_are_never_planned() {
-        assert!(plan(&[FULL, FULL, FULL], CompactionPolicy::full()).is_empty());
+        assert!(plan(&[FULL, FULL, FULL]).is_empty());
     }
 
     #[test]
     fn small_run_between_full_segments_is_planned() {
-        let runs = plan(&[FULL, 10, 10, 10, FULL], CompactionPolicy::full());
+        let runs = plan(&[FULL, 10, 10, 10, FULL]);
         assert_eq!(runs, vec![1..4]);
     }
 
     #[test]
     fn lone_small_segment_is_left_alone() {
-        assert!(plan(&[FULL, 10, FULL], CompactionPolicy::full()).is_empty());
-        assert!(plan(&[10], CompactionPolicy::full()).is_empty());
+        assert!(plan(&[FULL, 10, FULL]).is_empty());
+        assert!(plan(&[10]).is_empty());
     }
 
     #[test]
     fn run_that_would_not_shrink_is_skipped() {
         // Two near-full segments pack into two segments: no benefit.
-        let runs = plan(&[FULL - 1, FULL - 1], CompactionPolicy::full());
+        let runs = plan(&[FULL - 1, FULL - 1]);
         assert!(runs.is_empty());
         // But two half-full segments pack into one.
-        let runs = plan(&[FULL / 2, FULL / 2], CompactionPolicy::full());
+        let runs = plan(&[FULL / 2, FULL / 2]);
         assert_eq!(runs, vec![0..2]);
     }
 
     #[test]
-    fn size_tiered_waits_for_min_run() {
-        let tiered = CompactionPolicy::size_tiered();
-        assert!(plan(&[10, 10, 10], tiered).is_empty());
-        assert_eq!(plan(&[10, 10, 10, 10], tiered), vec![0..4]);
-    }
-
-    #[test]
     fn multiple_runs_are_all_planned() {
-        let runs = plan(&[10, 10, FULL, 20, 20, 20], CompactionPolicy::full());
+        let runs = plan(&[10, 10, FULL, 20, 20, 20]);
         assert_eq!(runs, vec![0..2, 3..6]);
     }
 }

@@ -129,7 +129,7 @@ mod tests {
         reg.intern("F2Pool");
         save_dictionary(&store, &reg).unwrap();
         reg.intern("AntPool");
-        crate::atomic::arm_crash_before_rename(1);
+        crate::backend::local::arm_crash_before_rename(1);
         assert!(save_dictionary(&store, &reg).is_err());
         // Previous dictionary still loads; torn temp left behind.
         assert_eq!(load_dictionary(&store).unwrap().len(), 1);

@@ -17,8 +17,7 @@
 //!
 //! Surfaced on the command line as `blockdec fsck [--repair]`.
 
-use crate::atomic;
-use crate::backend::{get_retry, LocalFs, ObjectStore};
+use crate::backend::{get_retry, local, LocalFs, ObjectStore};
 use crate::bloom::ProducerFilter;
 use crate::catalog::{parse_segment_id, segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
@@ -275,7 +274,7 @@ impl StoreDoctor {
 
         // Stale temp files from interrupted commits.
         for name in self.store.list()? {
-            if atomic::is_temp_name(&name) {
+            if local::is_temp_name(&name) {
                 report.faults.push(Fault {
                     kind: FaultKind::TornTemp,
                     file: name,

@@ -3,8 +3,8 @@
 //!
 //! The default column codec is delta (for sorted/slowly-changing columns)
 //! or identity, composed with zigzag (for signed deltas) and LEB128
-//! varint. A frame-of-reference bit-packed codec is provided as the
-//! `ablation_encoding` bench comparator.
+//! varint. The writer never picks the frame-of-reference bit-packed
+//! codec; it stays because docs/FORMAT.md says readers accept codec 2.
 //!
 //! Decoding is batch-oriented: [`decode_column_into`] appends a whole
 //! column into a caller-owned buffer (so scans reuse scratch across
@@ -24,34 +24,33 @@
 //! assert_eq!(out, heights);
 //! ```
 
-use crate::bufio::{Buf, BufMut};
 use crate::error::{Result, StoreError};
 
 /// Write a u64 as LEB128 varint.
-pub fn put_uvarint(buf: &mut impl BufMut, mut v: u64) {
+pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
-/// Read a LEB128 varint u64.
-pub fn get_uvarint(buf: &mut impl Buf) -> Result<u64> {
+/// Read a LEB128 varint u64 from the front of `buf`, advancing it.
+pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(StoreError::Corrupt {
                 what: "varint".into(),
                 detail: "truncated".into(),
             });
-        }
-        let byte = buf.get_u8();
+        };
+        *buf = rest;
         if shift == 63 && byte > 1 {
             return Err(StoreError::Corrupt {
                 what: "varint".into(),
@@ -193,17 +192,9 @@ fn get_uvarints(mut data: &[u8], count: usize, out: &mut Vec<u64>) -> Result<()>
     Ok(())
 }
 
-/// Decode a u64 column of `count` values.
-pub fn decode_column(codec: Codec, data: &[u8], count: usize) -> Result<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
-    decode_column_into(codec, data, count, &mut out)?;
-    Ok(out)
-}
-
-/// Decode a u64 column of `count` values, appending into `out` — the
-/// allocation-free core of [`decode_column`]. The columnar scan path
-/// calls this with per-thread scratch buffers so column decoding never
-/// allocates per segment.
+/// Decode a u64 column of `count` values, appending into `out`. The
+/// scan path calls this with per-thread scratch buffers so column
+/// decoding never allocates per segment.
 pub fn decode_column_into(
     codec: Codec,
     mut data: &[u8],
@@ -230,13 +221,13 @@ pub fn decode_column_into(
                 return Ok(());
             }
             let min = get_uvarint(&mut data)?;
-            if !data.has_remaining() {
+            let Some((&width, body)) = data.split_first() else {
                 return Err(StoreError::Corrupt {
                     what: "bitpack header".into(),
                     detail: "missing width".into(),
                 });
-            }
-            let width = u32::from(data.get_u8());
+            };
+            let width = u32::from(width);
             if width > 64 {
                 return Err(StoreError::BadFormat {
                     what: "bitpack header".into(),
@@ -244,10 +235,10 @@ pub fn decode_column_into(
                 });
             }
             let needed = (count as u64 * u64::from(width)).div_ceil(8);
-            if (data.remaining() as u64) < needed {
+            if (body.len() as u64) < needed {
                 return Err(StoreError::Corrupt {
                     what: "bitpack body".into(),
-                    detail: format!("{} bytes, need {needed}", data.remaining()),
+                    detail: format!("{} bytes, need {needed}", body.len()),
                 });
             }
             let mut acc: u128 = 0;
@@ -258,9 +249,11 @@ pub fn decode_column_into(
                 (1u128 << width) - 1
             };
             out.reserve(count);
+            let mut next = 0;
             for _ in 0..count {
                 while bits < width {
-                    acc |= u128::from(data.get_u8()) << bits;
+                    acc |= u128::from(body[next]) << bits;
+                    next += 1;
                     bits += 8;
                 }
                 let off = (acc & mask) as u64;
@@ -277,14 +270,6 @@ pub fn decode_column_into(
 pub fn encode_signed_column(codec: Codec, values: &[i64], out: &mut Vec<u8>) {
     let mapped: Vec<u64> = values.iter().map(|&v| zigzag_encode(v)).collect();
     encode_column(codec, &mapped, out);
-}
-
-/// Decode i64 values written by [`encode_signed_column`].
-pub fn decode_signed_column(codec: Codec, data: &[u8], count: usize) -> Result<Vec<i64>> {
-    let mut scratch = Vec::new();
-    let mut out = Vec::with_capacity(count);
-    decode_signed_column_into(codec, data, count, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decode i64 values written by [`encode_signed_column`], appending into
@@ -327,7 +312,7 @@ mod tests {
             put_uvarint(&mut buf, v);
             let mut slice = buf.as_slice();
             assert_eq!(get_uvarint(&mut slice).unwrap(), v);
-            assert!(!slice.has_remaining());
+            assert!(slice.is_empty());
         }
     }
 
@@ -368,10 +353,16 @@ mod tests {
         assert_eq!(zigzag_encode(1), 2);
     }
 
+    fn decode(codec: Codec, data: &[u8], count: usize) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        decode_column_into(codec, data, count, &mut out)?;
+        Ok(out)
+    }
+
     fn roundtrip(codec: Codec, values: &[u64]) {
         let mut buf = Vec::new();
         encode_column(codec, values, &mut buf);
-        let decoded = decode_column(codec, &buf, values.len()).unwrap();
+        let decoded = decode(codec, &buf, values.len()).unwrap();
         assert_eq!(decoded, values, "{codec:?}");
     }
 
@@ -522,10 +513,7 @@ mod tests {
         encode_column(Codec::ForBitpack, &values, &mut out);
         // width 0: just header bytes.
         assert!(out.len() < 16, "{}", out.len());
-        assert_eq!(
-            decode_column(Codec::ForBitpack, &out, 4096).unwrap(),
-            values
-        );
+        assert_eq!(decode(Codec::ForBitpack, &out, 4096).unwrap(), values);
     }
 
     #[test]
@@ -553,7 +541,10 @@ mod tests {
         for codec in [Codec::PlainVarint, Codec::DeltaVarint, Codec::ForBitpack] {
             let mut buf = Vec::new();
             encode_signed_column(codec, &ts, &mut buf);
-            assert_eq!(decode_signed_column(codec, &buf, ts.len()).unwrap(), ts);
+            let mut decoded = Vec::new();
+            decode_signed_column_into(codec, &buf, ts.len(), &mut Vec::new(), &mut decoded)
+                .unwrap();
+            assert_eq!(decoded, ts);
         }
     }
 
@@ -563,7 +554,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_column(Codec::ForBitpack, &values, &mut buf);
         let truncated = &buf[..buf.len() / 2];
-        assert!(decode_column(Codec::ForBitpack, truncated, 100).is_err());
+        assert!(decode(Codec::ForBitpack, truncated, 100).is_err());
     }
 
     #[test]

@@ -28,20 +28,18 @@
 //! over only the page groups that may match, fetched through one
 //! byte-range [`backend::PageCache`].
 //!
-//! Durability: every artifact is committed via [`atomic`] (write-temp +
-//! fsync + atomic rename), segment files carry a finalization footer so
-//! torn writes are detectable, [`doctor::StoreDoctor`] classifies and
-//! repairs on-disk faults (quarantining rather than deleting), and
-//! [`fault::FaultInjector`] reproduces each fault class deterministically
-//! for tests.
+//! Durability: every artifact is committed via [`backend::local`]
+//! (write-temp + fsync + atomic rename), segment files carry a
+//! finalization footer so torn writes are detectable,
+//! [`doctor::StoreDoctor`] classifies and repairs on-disk faults
+//! (quarantining rather than deleting), and [`fault::FaultInjector`]
+//! reproduces each fault class deterministically for tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomic;
 pub mod backend;
 pub mod bloom;
-pub mod bufio;
 pub mod catalog;
 pub mod checksum;
 pub mod compactor;
@@ -60,7 +58,6 @@ pub mod zonemap;
 
 pub use backend::{LocalFs, ObjectStore, PageCache, PageCacheStats, SimBackend, SimProfile};
 pub use bloom::ProducerFilter;
-pub use compactor::CompactionPolicy;
 pub use doctor::{Fault, FaultKind, FsckReport, RepairOutcome, StoreDoctor};
 pub use error::StoreError;
 pub use fault::FaultInjector;

@@ -2,7 +2,7 @@
 
 use crate::backend::{get_retry, LocalFs, ObjectStore, PageCache, PageCacheStats};
 use crate::catalog::{segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
-use crate::compactor::{CompactionPolicy, Compactor};
+use crate::compactor;
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
 use crate::error::{Result, StoreError};
 use crate::row::{weight_to_millis, RowRecord};
@@ -208,7 +208,6 @@ pub struct BlockStore {
     active: Vec<RowRecord>,
     last_height: Option<u64>,
     scan_threads: usize,
-    compact_policy: Option<CompactionPolicy>,
 }
 
 /// Page-cache capacity of a new handle, in bytes (64 MiB); change it
@@ -225,7 +224,6 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         active: Vec::new(),
         last_height,
         scan_threads: 0,
-        compact_policy: None,
     }
 }
 
@@ -284,27 +282,22 @@ impl BlockStore {
 
     /// Set the default decode thread count for this handle's columnar
     /// scans: `0` (the initial value) means one per available CPU, `1`
-    /// forces sequential decoding. Explicit [`ScanOptions`] passed to
+    /// forces sequential decoding. [`BlockStore::scan_options`] carries
+    /// it; explicit [`ScanOptions`] passed to
     /// [`BlockStore::scan_columnar_with`] take precedence.
     pub fn set_scan_threads(&mut self, threads: usize) {
         self.scan_threads = threads;
     }
 
-    /// Opt in to background-style compaction on flush: after each flush
-    /// commit, runs of small height-adjacent segments matching `policy`
-    /// are merged into large sorted segments. `None` (the initial value)
-    /// leaves compaction to explicit [`BlockStore::compact`] calls.
-    pub fn set_compaction_policy(&mut self, policy: Option<CompactionPolicy>) {
-        self.compact_policy = policy;
+    /// This handle's default scan options: strict, with the decode
+    /// thread count set by [`BlockStore::set_scan_threads`]. What
+    /// [`BlockStore::scan_columnar`] scans with.
+    pub fn scan_options(&self) -> ScanOptions {
+        ScanOptions::strict().with_threads(self.scan_threads)
     }
 
-    /// Open if a manifest exists, otherwise create.
-    pub fn open_or_create(dir: impl AsRef<Path>) -> Result<BlockStore> {
-        BlockStore::open_or_create_with(Arc::new(LocalFs::new(dir)))
-    }
-
-    /// [`BlockStore::open_or_create`] over an explicit [`ObjectStore`]
-    /// backend.
+    /// Open the store over `backend` if it has a manifest, otherwise
+    /// create one there.
     pub fn open_or_create_with(backend: Arc<dyn ObjectStore>) -> Result<BlockStore> {
         if backend.exists(MANIFEST_NAME) {
             BlockStore::open_with(backend)
@@ -464,24 +457,15 @@ impl BlockStore {
     }
 
     /// Seal any buffered rows into a final (possibly short) segment and
-    /// commit. Idempotent when the buffer is empty. When a compaction
-    /// policy is set ([`BlockStore::set_compaction_policy`]), eligible
-    /// runs of small segments are merged after the flush commit.
+    /// commit. Idempotent when the buffer is empty.
     pub fn flush(&mut self) -> Result<()> {
-        {
-            let _t = blockdec_obs::span!("stage.store_flush", rows = self.active.len());
-            if self.active.is_empty() {
-                // Still persist dictionary growth from interning.
-                save_dictionary(self.store.as_ref(), &self.registry)?;
-                return Ok(());
-            }
-            let rows = std::mem::take(&mut self.active);
-            self.seal(rows)?;
+        let _t = blockdec_obs::span!("stage.store_flush", rows = self.active.len());
+        if self.active.is_empty() {
+            // Still persist dictionary growth from interning.
+            return save_dictionary(self.store.as_ref(), &self.registry);
         }
-        if let Some(policy) = self.compact_policy {
-            self.run_compaction(policy)?;
-        }
-        Ok(())
+        let rows = std::mem::take(&mut self.active);
+        self.seal(rows)
     }
 
     /// Scan rows matching a predicate, in height order.
@@ -536,26 +520,19 @@ impl BlockStore {
     ///
     /// The result is bitwise-identical to the sequential row scan
     /// regrouped through [`BlockColumns::push_row`], at any thread count.
+    /// It is [`BlockStore::scan_columnar_with`] under
+    /// [`BlockStore::scan_options`], keeping every row.
     pub fn scan_columnar(&self, pred: &ScanPredicate) -> Result<BlockColumns> {
-        self.scan_columnar_filtered(pred, |_| true)
-    }
-
-    /// [`BlockStore::scan_columnar`] with an extra row-level filter the
-    /// zone-mapped predicate cannot express (the query layer's residual
-    /// filters). Rows rejected by `keep` never reach the columns. The
-    /// filter must be `Sync`: decode workers apply it in parallel.
-    pub fn scan_columnar_filtered(
-        &self,
-        pred: &ScanPredicate,
-        keep: impl Fn(&RowRecord) -> bool + Sync,
-    ) -> Result<BlockColumns> {
-        let opts = ScanOptions::strict().with_threads(self.scan_threads);
-        Ok(self.scan_columnar_with(pred, opts, keep)?.0)
+        self.scan_columnar_with(pred, self.scan_options(), |_| true)
+            .map(|(cols, _)| cols)
     }
 
     /// The fully explicit columnar scan: predicate, [`ScanOptions`]
     /// (degraded mode and decode thread count), and a residual row
-    /// filter. Returns the columns plus [`ScanStats`].
+    /// filter the zone-mapped predicate cannot express (the query
+    /// layer's). Rows rejected by `keep` never reach the columns; the
+    /// filter must be `Sync`, as decode workers apply it in parallel.
+    /// Returns the columns plus [`ScanStats`].
     ///
     /// Exactness contract: for any fixed store state, predicate, filter,
     /// and `skip_corrupt` setting, every thread count yields the same
@@ -853,20 +830,13 @@ impl BlockStore {
     /// manifest atomically, then removes the superseded files. No-op
     /// (returning `false`) when no run would shrink the segment count.
     /// Buffered rows are flushed first. See [`crate::compactor`] for the
-    /// planning rules and crash-safety argument.
+    /// planning rule and crash-safety argument. The page cache needs no
+    /// invalidation: replacement segments get fresh file names and cache
+    /// keys carry the content CRC, so superseded entries are never
+    /// addressed again and age out of the LRU.
     pub fn compact(&mut self) -> Result<bool> {
         self.flush()?;
-        self.run_compaction(CompactionPolicy::full())
-    }
-
-    /// Execute one compaction pass under `policy` over the sealed
-    /// segments. The page cache needs no invalidation: replacement
-    /// segments get fresh file names and cache keys carry the content
-    /// CRC, so superseded entries are simply never addressed again and
-    /// age out of the LRU.
-    fn run_compaction(&mut self, policy: CompactionPolicy) -> Result<bool> {
-        let compactor = Compactor::new(self.store.as_ref(), policy);
-        Ok(compactor.run(&mut self.manifest)?.is_some())
+        compactor::compact(self.store.as_ref(), &mut self.manifest)
     }
 }
 
@@ -997,7 +967,7 @@ mod tests {
         let dir = tmp_dir("exists");
         BlockStore::create(&dir).unwrap();
         assert!(BlockStore::create(&dir).is_err());
-        assert!(BlockStore::open_or_create(&dir).is_ok());
+        assert!(BlockStore::open_or_create_with(Arc::new(LocalFs::new(&dir))).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1276,8 +1246,10 @@ mod tests {
             assert_eq!(cols.to_blocks(), blocks);
         }
         // Residual row filter: only producer q's rows survive.
-        let filtered = store
-            .scan_columnar_filtered(&ScanPredicate::all(), |r| r.producer == q)
+        let (filtered, _) = store
+            .scan_columnar_with(&ScanPredicate::all(), store.scan_options(), |r| {
+                r.producer == q
+            })
             .unwrap();
         assert!(!filtered.is_empty());
         assert!((0..filtered.len()).all(|i| filtered.producers_of(i).iter().all(|pr| pr.0 == q)));
@@ -1530,31 +1502,6 @@ mod tests {
             .unwrap();
         assert_eq!(cols.len(), rows.len());
         assert_eq!(stats.pages_pruned, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn size_tiered_policy_compacts_during_flush() {
-        let dir = tmp_dir("tiered");
-        let mut store = BlockStore::create(&dir).unwrap();
-        store.set_compaction_policy(Some(CompactionPolicy::size_tiered()));
-        // Three small flushes: below min_run, nothing merges.
-        for batch in 0..3u64 {
-            let rows: Vec<RowRecord> = (batch * 10..batch * 10 + 10)
-                .map(|h| row(&mut store, h, "P"))
-                .collect();
-            store.append_rows(&rows).unwrap();
-            store.flush().unwrap();
-        }
-        assert_eq!(store.segment_count(), 3);
-        // The fourth flush completes a run of four and triggers the
-        // background merge.
-        let rows: Vec<RowRecord> = (30..40).map(|h| row(&mut store, h, "P")).collect();
-        store.append_rows(&rows).unwrap();
-        store.flush().unwrap();
-        assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.row_count(), 40);
-        assert!(store.fsck().unwrap().is_clean());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,8 +4,8 @@
 
 use blockdec_store::checksum::crc32;
 use blockdec_store::encoding::{
-    decode_column, decode_signed_column, encode_column, encode_signed_column, get_uvarint,
-    put_uvarint, zigzag_decode, zigzag_encode, Codec,
+    decode_column_into, decode_signed_column_into, encode_column, encode_signed_column,
+    get_uvarint, put_uvarint, zigzag_decode, zigzag_encode, Codec,
 };
 use blockdec_store::page::{read_page, write_page};
 use blockdec_store::segment::{decode_segment, encode_segment, SEGMENT_ROWS};
@@ -71,7 +71,8 @@ proptest! {
     fn column_roundtrip_any_codec(codec in any_codec(), values in prop::collection::vec(any::<u64>(), 0..300)) {
         let mut buf = Vec::new();
         encode_column(codec, &values, &mut buf);
-        let decoded = decode_column(codec, &buf, values.len()).unwrap();
+        let mut decoded = Vec::new();
+        decode_column_into(codec, &buf, values.len(), &mut decoded).unwrap();
         prop_assert_eq!(decoded, values);
     }
 
@@ -79,7 +80,8 @@ proptest! {
     fn signed_column_roundtrip(codec in any_codec(), values in prop::collection::vec(any::<i64>(), 0..300)) {
         let mut buf = Vec::new();
         encode_signed_column(codec, &values, &mut buf);
-        let decoded = decode_signed_column(codec, &buf, values.len()).unwrap();
+        let mut decoded = Vec::new();
+        decode_signed_column_into(codec, &buf, values.len(), &mut Vec::new(), &mut decoded).unwrap();
         prop_assert_eq!(decoded, values);
     }
 
