@@ -2,8 +2,9 @@
 //!
 //! Chain data model shared by every other `blockdec` crate: block and
 //! producer types, chain parameters for Bitcoin and Ethereum, calendar/time
-//! arithmetic for window assignment, and miner attribution (coinbase tag
-//! matching and payout-address fallback).
+//! arithmetic for window assignment, the one timestamp parser for export,
+//! CSV and query text, and miner attribution (coinbase tag matching and
+//! payout-address fallback).
 //!
 //! The types here mirror exactly the information the ICDE 2021 paper
 //! extracts from the Google BigQuery public crypto datasets: for every

@@ -1,4 +1,5 @@
-//! Timestamps, civil-calendar arithmetic, and measurement granularities.
+//! Timestamps, civil-calendar arithmetic, timestamp parsing, and
+//! measurement granularities.
 //!
 //! Window assignment in the paper is calendar-based: blocks are bucketed
 //! into the *day*, *week*, or *month* (UTC) in which they were produced.
@@ -93,6 +94,75 @@ fn days_from_civil_i64(y: i64, m: u8, d: u8) -> i64 {
     let doy = (153 * (if m > 2 { m - 3 } else { m + 9 }) + 2) / 5 + d - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
     era * 146_097 + doe - 719_468
+}
+
+/// Parse a timestamp in one of the forms BigQuery exports, CSV files and
+/// queries use; `None` when unrecognized. Accepted forms:
+/// * integer seconds since the epoch (`1546300800`);
+/// * integer milliseconds (heuristically: ≥ 10^12);
+/// * `YYYY-MM-DD HH:MM:SS UTC` (BigQuery's default TIMESTAMP rendering);
+/// * `YYYY-MM-DDTHH:MM:SSZ` (ISO 8601, optional fractional seconds,
+///   which are truncated, and a `+00:00` offset);
+/// * `YYYY-MM-DD` (midnight).
+pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
+    let s = s.trim();
+    if s.is_empty() {
+        return None;
+    }
+    // Pure integer: seconds or milliseconds.
+    if let Ok(n) = s.parse::<i64>() {
+        return Some(if n.unsigned_abs() >= 1_000_000_000_000 {
+            Timestamp(n / 1000)
+        } else {
+            Timestamp(n)
+        });
+    }
+    // Date part.
+    let bytes = s.as_bytes();
+    if bytes.len() < 10 || bytes[4] != b'-' || bytes[7] != b'-' {
+        return None;
+    }
+    let year: i32 = s.get(0..4)?.parse().ok()?;
+    let month: u8 = s.get(5..7)?.parse().ok()?;
+    let day: u8 = s.get(8..10)?.parse().ok()?;
+    if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+        return None;
+    }
+    let midnight = days_from_civil(year, month, day) * SECS_PER_DAY;
+
+    let rest = &s[10..];
+    if rest.is_empty() {
+        return Some(Timestamp(midnight));
+    }
+    // Separator: space or 'T'.
+    let rest = rest.strip_prefix(['T', ' '])?;
+    if rest.len() < 8 {
+        return None;
+    }
+    let hour: i64 = rest.get(0..2)?.parse().ok()?;
+    let min: i64 = rest.get(3..5)?.parse().ok()?;
+    let sec: i64 = rest.get(6..8)?.parse().ok()?;
+    if rest.as_bytes().get(2) != Some(&b':') || rest.as_bytes().get(5) != Some(&b':') {
+        return None;
+    }
+    if hour > 23 || min > 59 || sec > 60 {
+        return None;
+    }
+    // Tail: optional fractional seconds, then "Z", " UTC", "+00:00" or
+    // nothing.
+    let mut tail = &rest[8..];
+    if let Some(stripped) = tail.strip_prefix('.') {
+        let digits = stripped.bytes().take_while(u8::is_ascii_digit).count();
+        if digits == 0 {
+            return None;
+        }
+        tail = &stripped[digits..];
+    }
+    match tail {
+        "" | "Z" | " UTC" | "+00:00" | "+00" | " +00:00" => {}
+        _ => return None,
+    }
+    Some(Timestamp(midnight + hour * 3600 + min * 60 + sec))
 }
 
 /// Inverse of [`days_from_civil`].
@@ -514,5 +584,76 @@ mod tests {
             assert_eq!(g.label().parse::<Granularity>().unwrap(), g);
         }
         assert!("decade".parse::<Granularity>().is_err());
+    }
+
+    const JAN1_2019: i64 = 1_546_300_800;
+
+    #[test]
+    fn integer_seconds_and_millis() {
+        assert_eq!(parse_timestamp("1546300800").unwrap().secs(), JAN1_2019);
+        assert_eq!(parse_timestamp("1546300800000").unwrap().secs(), JAN1_2019);
+        assert_eq!(parse_timestamp(" 1546300800 ").unwrap().secs(), JAN1_2019);
+        let min = parse_timestamp(&i64::MIN.to_string()).unwrap();
+        assert_eq!(min.secs(), i64::MIN / 1000);
+    }
+
+    #[test]
+    fn bigquery_format() {
+        assert_eq!(
+            parse_timestamp("2019-01-01 00:00:00 UTC").unwrap().secs(),
+            JAN1_2019
+        );
+        assert_eq!(
+            parse_timestamp("2019-01-14 12:30:45 UTC").unwrap().secs(),
+            JAN1_2019 + 13 * 86_400 + 12 * 3600 + 30 * 60 + 45
+        );
+    }
+
+    #[test]
+    fn iso_formats() {
+        assert_eq!(
+            parse_timestamp("2019-01-01T00:00:00Z").unwrap().secs(),
+            JAN1_2019
+        );
+        assert_eq!(
+            parse_timestamp("2019-01-01T00:00:00.123Z").unwrap().secs(),
+            JAN1_2019
+        );
+        assert_eq!(
+            parse_timestamp("2019-01-01T00:00:00+00:00").unwrap().secs(),
+            JAN1_2019
+        );
+        assert_eq!(
+            parse_timestamp("2019-01-01 00:00:00").unwrap().secs(),
+            JAN1_2019
+        );
+    }
+
+    #[test]
+    fn date_only_is_midnight() {
+        assert_eq!(parse_timestamp("2019-01-01").unwrap().secs(), JAN1_2019);
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        for s in [
+            "",
+            "not a date",
+            "2019-13-01",
+            "2019-01-32",
+            "2019-01-01 25:00:00",
+            "2019-01-01 00:61:00",
+            "2019-01-01 00:00:00 PST",
+            "2019/01/01",
+            "2019-01-01T00:00:00.Z",
+        ] {
+            assert!(parse_timestamp(s).is_none(), "accepted {s:?}");
+        }
+    }
+
+    #[test]
+    fn roundtrips_with_chain_rendering() {
+        let t = Timestamp(JAN1_2019 + 3661);
+        assert_eq!(parse_timestamp(&t.to_iso8601()).unwrap(), t);
     }
 }

@@ -18,8 +18,8 @@
 //! extraction format.
 
 use crate::error::{IngestError, Result};
-use crate::timeparse::parse_timestamp;
 use blockdec_chain::hash::decode_hex;
+use blockdec_chain::time::parse_timestamp;
 use blockdec_chain::{Address, Block, ChainKind};
 use serde_json::Value;
 use std::io::BufRead;

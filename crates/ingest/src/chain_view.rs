@@ -282,25 +282,6 @@ impl ChainView {
     }
 }
 
-/// Measuring a [`ChainView`] measures its *finalized* region: the store
-/// is the single source of truth for metric values, so a follow pipeline
-/// and a batch pipeline read identical bytes.
-impl blockdec_query::MeasurementSource for ChainView {
-    fn attributed_blocks(
-        &self,
-        filter: &blockdec_query::Filter,
-    ) -> blockdec_store::error::Result<Vec<AttributedBlock>> {
-        self.store.attributed_blocks(filter)
-    }
-
-    fn block_columns(
-        &self,
-        filter: &blockdec_query::Filter,
-    ) -> blockdec_store::error::Result<blockdec_chain::BlockColumns> {
-        self.store.block_columns(filter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,11 +8,11 @@
 //! ```
 //!
 //! `payout_addresses` is `;`-separated (multi-coinbase blocks have many),
-//! `tag` may be empty, and `timestamp` accepts every format in
-//! [`crate::timeparse`].
+//! `tag` may be empty, and `timestamp` accepts every format
+//! [`blockdec_chain::time::parse_timestamp`] reads.
 
 use crate::error::{IngestError, Result};
-use crate::timeparse::parse_timestamp;
+use blockdec_chain::time::parse_timestamp;
 use blockdec_chain::{Address, Block, ChainKind};
 use std::io::{BufRead, Write};
 

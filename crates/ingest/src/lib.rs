@@ -9,8 +9,8 @@
 //! * [`bigquery`] — parsers for the Google BigQuery public crypto
 //!   dataset export schemas (`crypto_bitcoin.blocks`,
 //!   `crypto_ethereum.blocks`), the exact source the paper collected
-//!   from (§II-A);
-//! * [`timeparse`] — the timestamp formats those exports use;
+//!   from (§II-A), whose timestamps, like the CSV ones, go through
+//!   [`blockdec_chain::time::parse_timestamp`];
 //! * [`chain_view`] — reorg-aware head-following ingestion: a
 //!   [`chain_view::ChainView`] tracks a live chain with a finalized
 //!   region in the store and a rollback-able pending tail in memory.
@@ -23,7 +23,6 @@ pub mod chain_view;
 pub mod csv;
 pub mod error;
 pub mod jsonl;
-pub mod timeparse;
 
 pub use chain_view::{ChainView, HeadUpdate, ReorgStats};
 pub use error::IngestError;

@@ -2,10 +2,10 @@
 //! CSV/JSONL round trips over arbitrary valid blocks, and timestamp
 //! parsing over its full rendered range.
 
+use blockdec_chain::time::parse_timestamp;
 use blockdec_chain::{Address, Block, ChainKind, Timestamp};
 use blockdec_ingest::csv::{parse_record, read_blocks_csv, write_blocks_csv, write_record};
 use blockdec_ingest::jsonl::{read_blocks_jsonl, write_blocks_jsonl};
-use blockdec_ingest::timeparse::parse_timestamp;
 use proptest::prelude::*;
 use std::io::BufReader;
 

@@ -82,11 +82,6 @@ pub fn total_blocks(store: &BlockStore, filter: &Filter) -> Result<f64> {
         .sum())
 }
 
-/// Number of distinct producers within the range.
-pub fn distinct_producers(store: &BlockStore, filter: &Filter) -> Result<usize> {
-    Ok(producer_block_counts(store, filter)?.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +176,8 @@ mod tests {
     #[test]
     fn distinct_and_total() {
         let (store, dir) = test_store("distinct");
-        assert_eq!(distinct_producers(&store, &Filter::True).unwrap(), 3);
+        let counts = producer_block_counts(&store, &Filter::True).unwrap();
+        assert_eq!(counts.len(), 3);
         assert_eq!(total_blocks(&store, &Filter::True).unwrap(), 100.5);
         std::fs::remove_dir_all(&dir).unwrap();
     }

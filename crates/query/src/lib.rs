@@ -3,8 +3,9 @@
 //! Query layer over [`blockdec_store`]: predicate expressions with
 //! pushdown, group-by-producer aggregation (the paper's core query —
 //! "blocks per producer in a window"), top-k share summaries behind the
-//! Fig. 7 pie charts, and a small logical plan / executor used by the
-//! CLI.
+//! Fig. 7 pie charts, a small logical plan / executor used by the CLI,
+//! and [`MeasurementSource`], the filtered columnar read the measurement
+//! engine runs on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

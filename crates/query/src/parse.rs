@@ -12,7 +12,9 @@
 //!          | "producer" "=" STRING
 //!          | "credit" ">=" NUMBER          (block credits, e.g. 1 = full)
 //!          | "tx" ">=" INT
-//! TIME    := INT (unix seconds) | quoted timestamp ("2019-01-14", ISO, BigQuery)
+//! TIME    := INT (unix seconds)
+//!          | quoted timestamp, any form blockdec_chain::time::parse_timestamp
+//!            reads ("2019-01-14", ISO 8601, BigQuery, integer secs or millis)
 //! STRING  := 'single' | "double" quoted
 //! ```
 //!
@@ -31,56 +33,9 @@
 
 use crate::expr::Filter;
 use crate::plan::Plan;
+use blockdec_chain::time::parse_timestamp;
 use blockdec_chain::ProducerRegistry;
-use blockdec_ingest_free_timeparse::parse_timestamp;
-
-/// Internal shim so the parser can parse the same timestamp formats the
-/// ingest layer accepts without a crate dependency cycle: `blockdec-query`
-/// must not depend on `blockdec-ingest` (which depends on nothing here,
-/// but layering keeps ingest optional). The formats are small enough to
-/// reimplement via `blockdec_chain::time`.
-mod blockdec_ingest_free_timeparse {
-    use blockdec_chain::time::days_from_civil;
-    use blockdec_chain::Timestamp;
-
-    /// Subset of the ingest timestamp formats: integer seconds,
-    /// `YYYY-MM-DD`, and `YYYY-MM-DD[T ]HH:MM:SS` with optional `Z`/` UTC`.
-    pub fn parse_timestamp(s: &str) -> Option<Timestamp> {
-        let s = s.trim();
-        if let Ok(n) = s.parse::<i64>() {
-            return Some(Timestamp(n));
-        }
-        let bytes = s.as_bytes();
-        if bytes.len() < 10 || bytes[4] != b'-' || bytes[7] != b'-' {
-            return None;
-        }
-        let year: i32 = s.get(0..4)?.parse().ok()?;
-        let month: u8 = s.get(5..7)?.parse().ok()?;
-        let day: u8 = s.get(8..10)?.parse().ok()?;
-        if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
-            return None;
-        }
-        let midnight = days_from_civil(year, month, day) * 86_400;
-        let rest = &s[10..];
-        if rest.is_empty() {
-            return Some(Timestamp(midnight));
-        }
-        let rest = rest.strip_prefix(['T', ' '])?;
-        if rest.len() < 8 || rest.as_bytes()[2] != b':' || rest.as_bytes()[5] != b':' {
-            return None;
-        }
-        let hour: i64 = rest.get(0..2)?.parse().ok()?;
-        let min: i64 = rest.get(3..5)?.parse().ok()?;
-        let sec: i64 = rest.get(6..8)?.parse().ok()?;
-        if hour > 23 || min > 59 || sec > 60 {
-            return None;
-        }
-        match &rest[8..] {
-            "" | "Z" | " UTC" => Some(Timestamp(midnight + hour * 3600 + min * 60 + sec)),
-            _ => None,
-        }
-    }
-}
+use blockdec_store::row::weight_to_millis;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
@@ -247,14 +202,16 @@ impl<'a> Parser<'a> {
                             .map_err(|e| format!("bad credit {n:?}: {e}"))?,
                         other => return Err(format!("expected a number, found {other:?}")),
                     };
-                    Ok(Filter::CreditAtLeast((v * 1000.0).round() as u32))
+                    Ok(Filter::CreditAtLeast(weight_to_millis(v)))
                 }
                 "tx" => {
                     match self.next() {
                         Some(Token::Ge) => {}
                         other => return Err(format!("expected '>=', found {other:?}")),
                     }
-                    Ok(Filter::TxCountAtLeast(self.expect_int()? as u32))
+                    let n = self.expect_int()?;
+                    let n = u32::try_from(n).map_err(|_| format!("tx count {n} out of range"))?;
+                    Ok(Filter::TxCountAtLeast(n))
                 }
                 other => Err(format!("unknown predicate {other:?}")),
             },
@@ -362,13 +319,18 @@ mod tests {
 
     #[test]
     fn parses_time_range_with_dates() {
-        let plan = parse_query(
-            "count where time between \"2019-01-14\" and '2019-01-15'",
-            &registry(),
-        )
-        .unwrap();
         let jan14 = 1_546_300_800 + 13 * 86_400;
-        assert_eq!(plan.filter, Filter::TimeBetween(jan14, jan14 + 86_400));
+        for q in [
+            "count where time between \"2019-01-14\" and '2019-01-15'",
+            "count where time between '2019-01-14T00:00:00.000Z' and '2019-01-15 00:00:00+00:00'",
+        ] {
+            let plan = parse_query(q, &registry()).unwrap();
+            assert_eq!(
+                plan.filter,
+                Filter::TimeBetween(jan14, jan14 + 86_400),
+                "{q}"
+            );
+        }
     }
 
     #[test]
@@ -410,6 +372,7 @@ mod tests {
             "count where time between 'nonsense' and '2019-01-02'",
             "top 5 producers garbage",
             "count where tx > 5",
+            "count where tx >= 4294967296",
         ] {
             assert!(parse_query(q, &r).is_err(), "accepted {q:?}");
         }

@@ -13,6 +13,7 @@
 use crate::backend::{get_retry, ObjectStore};
 use crate::bloom::ProducerFilter;
 use crate::error::{Result, StoreError};
+use crate::row::RowRecord;
 use crate::zonemap::ZoneMap;
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +38,19 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
+    /// The entry for segment `file` holding `rows` under footer CRC
+    /// `crc`. The zone and the producer bloom are built from the rows,
+    /// as the segment's own index block is.
+    pub(crate) fn new(file: String, rows: &[RowRecord], crc: u32) -> SegmentMeta {
+        let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
+        SegmentMeta {
+            file,
+            zone: ZoneMap::from_rows(rows),
+            crc,
+            producers: ProducerFilter::from_producers(&producers),
+        }
+    }
+
     /// Page-cache key: file name **plus** content CRC, so a rewritten
     /// segment can never be served from a stale cache entry keyed by
     /// the bare file name.

@@ -42,7 +42,6 @@ use crate::catalog::{segment_file_name, Manifest, SegmentMeta};
 use crate::error::Result;
 use crate::row::RowRecord;
 use crate::segment::{read_segment_file, write_segment_file, SEGMENT_ROWS};
-use crate::zonemap::ZoneMap;
 use std::ops::Range;
 
 /// Plan and execute one compaction pass over `manifest` through
@@ -69,13 +68,7 @@ pub(crate) fn compact(store: &dyn ObjectStore, manifest: &mut Manifest) -> Resul
         for chunk in rows.chunks(SEGMENT_ROWS) {
             let file = segment_file_name(next_id);
             next_id += 1;
-            let stamp = write_segment_file(store, &file, chunk)?;
-            metas.push(SegmentMeta {
-                file,
-                zone: ZoneMap::from_rows(chunk),
-                crc: stamp.crc,
-                producers: stamp.producers,
-            });
+            metas.push(write_segment_file(store, &file, chunk)?);
         }
         segments_in += run.len();
         segments_out += metas.len();
@@ -136,6 +129,7 @@ fn plan_runs(segments: &[SegmentMeta]) -> Vec<Range<usize>> {
 mod tests {
     use super::*;
     use crate::bloom::ProducerFilter;
+    use crate::zonemap::ZoneMap;
 
     fn meta(rows: u64) -> SegmentMeta {
         SegmentMeta {

@@ -18,7 +18,6 @@
 //! Surfaced on the command line as `blockdec fsck [--repair]`.
 
 use crate::backend::{get_retry, local, LocalFs, ObjectStore};
-use crate::bloom::ProducerFilter;
 use crate::catalog::{parse_segment_id, segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
 use crate::error::{Result, StoreError};
@@ -459,7 +458,7 @@ impl StoreDoctor {
 
         // Decode every candidate; quarantine what cannot be trusted.
         // Index-only damage keeps its salvaged rows for re-encoding.
-        let mut kept: Vec<(String, Vec<RowRecord>, u32)> = Vec::new();
+        let mut kept: Vec<(SegmentMeta, Vec<RowRecord>)> = Vec::new();
         let mut salvaged: Vec<Vec<RowRecord>> = Vec::new();
         for file in candidates {
             if !self.store.exists(&file) {
@@ -467,7 +466,9 @@ impl StoreDoctor {
             }
             let bytes = get_retry(self.store.as_ref(), &file)?;
             match classify_segment_bytes(&bytes, &file) {
-                SegmentHealth::Healthy(rows, crc) => kept.push((file, rows, crc)),
+                SegmentHealth::Healthy(rows, crc) => {
+                    kept.push((SegmentMeta::new(file, &rows, crc), rows));
+                }
                 SegmentHealth::Recoverable(kind, detail, rows) => {
                     blockdec_obs::warn!(
                         file = file.clone(),
@@ -494,7 +495,7 @@ impl StoreDoctor {
         // Orphans (only meaningful when a manifest told us what is
         // committed): preserve the bytes, but out of the data path.
         if manifest.is_some() {
-            let committed: BTreeSet<&String> = kept.iter().map(|(f, _, _)| f).collect();
+            let committed: BTreeSet<&String> = kept.iter().map(|(m, _)| &m.file).collect();
             for name in self.on_disk_segments()? {
                 if !committed.contains(&name) {
                     self.quarantine(&name)?;
@@ -503,13 +504,13 @@ impl StoreDoctor {
             }
         }
 
-        // Re-encode salvaged rows into fresh-id segments. Ids start
-        // beyond every name ever seen so quarantined names are never
-        // reused; the final manifest id computation then clears these
-        // too, because the new names land in `kept`.
-        let first_salvage_id = kept
+        // The next free segment id lies beyond every name ever seen, so
+        // quarantined names are never reused. Salvaged rows are
+        // re-encoded into segments from that id on, and the manifest
+        // gets the id after the last of them.
+        let mut next_segment_id = kept
             .iter()
-            .map(|(f, _, _)| f.as_str())
+            .map(|(m, _)| m.file.as_str())
             .chain(outcome.quarantined.iter().map(String::as_str))
             .filter_map(parse_segment_id)
             .map(|id| id + 1)
@@ -517,36 +518,30 @@ impl StoreDoctor {
             .unwrap_or(0)
             .max(manifest.as_ref().map_or(0, |m| m.next_segment_id));
         let mut recovered_rows = 0u64;
-        for (salvage_id, rows) in (first_salvage_id..).zip(salvaged) {
-            let file = segment_file_name(salvage_id);
-            let stamp = write_segment_file(self.store.as_ref(), &file, &rows)?;
+        for rows in salvaged {
+            let file = segment_file_name(next_segment_id);
+            next_segment_id += 1;
+            let meta = write_segment_file(self.store.as_ref(), &file, &rows)?;
             recovered_rows += rows.len() as u64;
-            outcome.rebuilt.push(file.clone());
-            kept.push((file, rows, stamp.crc));
+            outcome.rebuilt.push(file);
+            kept.push((meta, rows));
         }
 
         // Order by height and drop (quarantine) anything that overlaps
         // its predecessor — a consistent catalog must be height-sorted.
-        kept.sort_by_key(|(file, rows, _)| (ZoneMap::from_rows(rows).min_height, file.clone()));
+        kept.sort_by_key(|(m, _)| (m.zone.min_height, m.file.clone()));
         let mut segments: Vec<SegmentMeta> = Vec::with_capacity(kept.len());
-        let mut surviving_rows: Vec<&[RowRecord]> = Vec::with_capacity(kept.len());
-        for (file, rows, crc) in &kept {
-            let zone = ZoneMap::from_rows(rows);
+        let mut surviving_rows: Vec<Vec<RowRecord>> = Vec::with_capacity(kept.len());
+        for (meta, rows) in kept {
             if let Some(prevseg) = segments.last() {
-                if zone.min_height < prevseg.zone.max_height {
-                    self.quarantine(file)?;
-                    outcome.quarantined.push(file.clone());
+                if meta.zone.min_height < prevseg.zone.max_height {
+                    self.quarantine(&meta.file)?;
+                    outcome.quarantined.push(meta.file);
                     outcome.rows_quarantined += rows.len() as u64;
                     continue;
                 }
             }
-            let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
-            segments.push(SegmentMeta {
-                file: file.clone(),
-                zone,
-                crc: *crc,
-                producers: ProducerFilter::from_producers(&producers),
-            });
+            segments.push(meta);
             surviving_rows.push(rows);
         }
         // Rows lost from the committed state (orphan rows were never
@@ -595,17 +590,7 @@ impl StoreDoctor {
         debug_assert!(registry.len() >= needed);
 
         // Rewrite the manifest: exactly the surviving segments, fresh
-        // zone maps, and a next id beyond anything ever seen on disk so
-        // quarantined names are never reused.
-        let next_segment_id = segments
-            .iter()
-            .map(|s| s.file.as_str())
-            .chain(outcome.quarantined.iter().map(String::as_str))
-            .filter_map(parse_segment_id)
-            .map(|id| id + 1)
-            .max()
-            .unwrap_or(0)
-            .max(manifest.as_ref().map_or(0, |m| m.next_segment_id));
+        // zone maps, and the next free id.
         let new_manifest = Manifest {
             version: 1,
             segments,
@@ -733,9 +718,13 @@ mod tests {
         let outcome = doctor.repair().unwrap();
         assert_eq!(outcome.quarantined, vec![victim.clone()]);
         assert_eq!(outcome.rows_quarantined, 0, "salvage must lose no rows");
-        assert_eq!(outcome.rebuilt.len(), 1);
+        // The salvaged rows take the next free id, and the manifest the
+        // one after it.
+        assert_eq!(outcome.rebuilt, vec![segment_file_name(3)]);
         assert!(dir.join(QUARANTINE_DIR).join(&victim).exists());
         assert!(doctor.check().unwrap().is_clean());
+        let manifest = Manifest::load(&LocalFs::new(&dir)).unwrap();
+        assert_eq!(manifest.next_segment_id, 4);
         let store = BlockStore::open(&dir).unwrap();
         assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);
         fs::remove_dir_all(&dir).unwrap();

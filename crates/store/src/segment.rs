@@ -21,6 +21,7 @@
 
 use crate::backend::{get_retry, ObjectStore};
 use crate::bloom::ProducerFilter;
+use crate::catalog::SegmentMeta;
 use crate::checksum::crc32;
 use crate::encoding::{
     decode_column_into, decode_signed_column_into, encode_column, encode_signed_column, Codec,
@@ -937,26 +938,15 @@ pub fn decode_segment(data: &[u8], what: &str) -> Result<Vec<RowRecord>> {
     Ok((0..n).map(|i| dec.row(i)).collect())
 }
 
-/// Content identity of a freshly written segment: what the manifest
-/// records so scans can prune (bloom) and cache (CRC) without opening
-/// the file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentStamp {
-    /// The whole-file footer CRC.
-    pub crc: u32,
-    /// The producer bloom filter, identical to the one in the index
-    /// block.
-    pub producers: ProducerFilter,
-}
-
 /// Write a segment crash-safely through the backend (see
-/// [`crate::backend::ObjectStore::put_atomic`]) and return its content
-/// stamp for the manifest.
+/// [`crate::backend::ObjectStore::put_atomic`]) and return its manifest
+/// entry, so scans can prune (zone, bloom) and cache (CRC) without
+/// opening the file.
 pub fn write_segment_file(
     store: &dyn ObjectStore,
     name: &str,
     rows: &[RowRecord],
-) -> Result<SegmentStamp> {
+) -> Result<SegmentMeta> {
     let span = blockdec_obs::span!("store.segment_write", file = name);
     let bytes = encode_segment(rows);
     // encode_segment has just written the footer this CRC opens.
@@ -971,11 +961,7 @@ pub fn write_segment_file(
         elapsed_ms = elapsed_ms;
         "wrote segment"
     );
-    let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
-    Ok(SegmentStamp {
-        crc,
-        producers: ProducerFilter::from_producers(&producers),
-    })
+    Ok(SegmentMeta::new(name.to_string(), rows, crc))
 }
 
 /// Read and decode a segment object from the backend (transient read
@@ -1033,6 +1019,9 @@ mod tests {
         let bytes = encode_segment(&rows);
         assert_eq!(bytes.len(), 242);
         assert_eq!(footer_crc(&bytes), Some(0x0666_d755));
+        // The index CRC cancels the index bytes out of the footer CRC,
+        // so the index block is pinned by its own CRC word at 0xde.
+        assert_eq!(lebytes::u32_at(&bytes, 0xde), 0xd638_14fa);
         assert_eq!(decode_segment(&bytes, "golden").unwrap(), rows);
     }
 
@@ -1150,11 +1139,11 @@ mod tests {
         let store = crate::backend::LocalFs::new(&dir);
         let name = "seg-00000000.bds";
         let r = rows(1000);
-        let stamp = write_segment_file(&store, name, &r).unwrap();
+        let meta = write_segment_file(&store, name, &r).unwrap();
         assert_eq!(read_segment_file(&store, name).unwrap(), r);
         let bytes = fs::read(dir.join(name)).unwrap();
-        assert_eq!(footer_crc(&bytes), Some(stamp.crc));
-        assert_eq!(parse_index(&bytes, "t").unwrap().producers, stamp.producers);
+        assert_eq!(footer_crc(&bytes), Some(meta.crc));
+        assert_eq!(parse_index(&bytes, "t").unwrap().producers, meta.producers);
         // No temp file left behind.
         assert!(!dir.join("seg-00000000.bds.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();

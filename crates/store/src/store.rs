@@ -438,14 +438,8 @@ impl BlockStore {
     fn seal(&mut self, rows: Vec<RowRecord>) -> Result<()> {
         debug_assert!(!rows.is_empty());
         let id = self.manifest.next_segment_id;
-        let file = segment_file_name(id);
-        let stamp = write_segment_file(self.store.as_ref(), &file, &rows)?;
-        self.manifest.segments.push(SegmentMeta {
-            file,
-            zone: ZoneMap::from_rows(&rows),
-            crc: stamp.crc,
-            producers: stamp.producers,
-        });
+        let meta = write_segment_file(self.store.as_ref(), &segment_file_name(id), &rows)?;
+        self.manifest.segments.push(meta);
         self.manifest.next_segment_id = id + 1;
         // Commit: dictionary first (superset is harmless), then manifest.
         save_dictionary(self.store.as_ref(), &self.registry)?;
@@ -1664,13 +1658,8 @@ mod tests {
             for (id, hs) in segments.iter().enumerate() {
                 let rows: Vec<RowRecord> = hs.iter().map(|&h| row(&mut store, h, "P")).collect();
                 let file = segment_file_name(id as u64);
-                let stamp = write_segment_file(store.store.as_ref(), &file, &rows).unwrap();
-                store.manifest.segments.push(SegmentMeta {
-                    file,
-                    zone: ZoneMap::from_rows(&rows),
-                    crc: stamp.crc,
-                    producers: stamp.producers,
-                });
+                let meta = write_segment_file(store.store.as_ref(), &file, &rows).unwrap();
+                store.manifest.segments.push(meta);
             }
             let all = ScanPredicate::all();
             let want = store.scan_attributed(&all).unwrap_err().to_string();

@@ -15,7 +15,7 @@ use blockdec_core::series::MeasurementSeries;
 
 fn measure_all(label: &str, store: &BlockStore) -> Vec<MeasurementSeries> {
     let blocks = store
-        .attributed_blocks(&Filter::True)
+        .scan_attributed(&ScanPredicate::all())
         .expect("store scan succeeds");
     println!(
         "{label}: {} blocks / {} rows / {} segments on disk",
@@ -80,7 +80,7 @@ fn main() {
         .sliding(144, 72)
         .run(
             &btc_store
-                .attributed_blocks(&Filter::True)
+                .scan_attributed(&ScanPredicate::all())
                 .expect("store scan succeeds"),
         );
     println!(

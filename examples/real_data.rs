@@ -66,7 +66,7 @@ fn main() {
         .expect("append");
     store.flush().expect("flush");
     let from_store = store
-        .attributed_blocks(&Filter::True)
+        .scan_attributed(&ScanPredicate::all())
         .expect("store scan succeeds");
 
     println!("\ndaily decentralization of the ingested data:");

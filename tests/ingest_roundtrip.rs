@@ -160,7 +160,7 @@ fn store_persists_across_sessions_with_growing_dictionary() {
     }
 
     let store = BlockStore::open(&dir).unwrap();
-    let all = store.attributed_blocks(&Filter::True).unwrap();
+    let all = store.scan_attributed(&ScanPredicate::all()).unwrap();
     assert_eq!(all.len(), first.attributed.len() + second.0.len());
     // Pool names resolve to single ids across both sessions.
     let f2 = store.registry().get("F2Pool").expect("F2Pool present");

@@ -198,7 +198,7 @@ fn store_roundtrip_measures_identically() {
         .unwrap();
     store.flush().unwrap();
 
-    let from_store = store.attributed_blocks(&Filter::True).unwrap();
+    let from_store = store.scan_attributed(&ScanPredicate::all()).unwrap();
     assert_eq!(from_store.len(), btc.attributed.len());
 
     for metric in MetricKind::PAPER {
