@@ -19,7 +19,7 @@
 use self::Field::{Flag, Int, Rate, Secs, Speedup, Text};
 use crate::datasets::Dataset;
 use blockdec_chain::time::SECS_PER_DAY;
-use blockdec_chain::{AttributedBlock, Credit, Granularity};
+use blockdec_chain::{AttributedBlock, BlockColumns, Credit, Granularity, ProducerId, Timestamp};
 use blockdec_core::engine::{run_matrix, MeasurementEngine};
 use blockdec_core::metrics::MetricKind;
 use blockdec_core::series::MeasurementSeries;
@@ -310,8 +310,10 @@ pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> Row {
 /// Persist the dataset to a throwaway store sealed in 8 chunks, then time
 /// the raw [`BlockStore::scan_columnar_with`] decode at one worker
 /// (sequential) and at the auto thread count (one per CPU, clamped to
-/// the segment count), best of three runs each, and compare the two
-/// `BlockColumns` bitwise (every column, CSR offsets included).
+/// the segment count), best of three runs each. `exact_match` holds when
+/// both `BlockColumns` equal, bitwise (every column, CSR offsets
+/// included), the row scan regrouped through
+/// [`BlockColumns::push_row`], built after the timed runs.
 pub fn run_decode_bench(ds: &Dataset) -> Row {
     let dir = BenchDir::new("decbench", ds);
     let store = dir.store(ds, 8, false);
@@ -335,6 +337,15 @@ pub fn run_decode_bench(ds: &Dataset) -> Row {
     };
     let (sequential_secs, sequential) = scan(1);
     let (parallel_secs, parallel) = scan(0);
+    let mut reference = BlockColumns::new();
+    for r in store.scan(&pred).expect("row scan") {
+        reference.push_row(
+            r.height,
+            Timestamp(r.timestamp),
+            ProducerId(r.producer),
+            r.credit(),
+        );
+    }
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -362,7 +373,10 @@ pub fn run_decode_bench(ds: &Dataset) -> Row {
         ),
         ("sequential_mb_per_sec", Rate(per_sec(mb, sequential_secs))),
         ("parallel_mb_per_sec", Rate(per_sec(mb, parallel_secs))),
-        ("exact_match", Flag(sequential == parallel)),
+        (
+            "exact_match",
+            Flag(sequential == reference && parallel == reference),
+        ),
     ])
 }
 

@@ -141,6 +141,63 @@ impl BlockColumns {
         self.push_credit(producer, weight);
     }
 
+    /// Append a run of rows, one credit each, in bulk: row `i` is
+    /// `(heights[i], timestamps[i])` with the `i`-th producer and weight.
+    /// Rows that share a height regroup exactly as a
+    /// [`BlockColumns::push_row`] stream of them would: the first
+    /// timestamp of a height wins, and a run whose first height equals
+    /// this set's last block joins that block. When every row starts its
+    /// own block (every Ethereum row does), the append is bulk copies and
+    /// one run of consecutive offsets; otherwise blocks start row by row.
+    /// The store's columnar scan appends each decoded segment through
+    /// here, one run per stretch of rows its filters keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four columns differ in length.
+    pub fn extend_rows(
+        &mut self,
+        heights: &[u64],
+        timestamps: &[i64],
+        producers: impl IntoIterator<Item = ProducerId>,
+        weights: impl IntoIterator<Item = f64>,
+    ) {
+        let n = heights.len();
+        let base = self.producers.len();
+        self.producers.extend(producers);
+        self.weights.extend(weights);
+        assert!(
+            timestamps.len() == n
+                && self.producers.len() == base + n
+                && self.weights.len() == base + n,
+            "extend_rows: row columns differ in length"
+        );
+        let Some(first) = heights.first() else {
+            return;
+        };
+        let distinct = heights.windows(2).all(|w| w[0] != w[1]);
+        if distinct && self.heights.last() != Some(first) {
+            self.heights.extend_from_slice(heights);
+            self.timestamps.extend_from_slice(timestamps);
+            self.credit_starts
+                .extend((base + 1..=base + n).map(|end| end as u32));
+            return;
+        }
+        for (i, (&h, &t)) in heights.iter().zip(timestamps).enumerate() {
+            if self.heights.last() != Some(&h) {
+                // Close the current last block before this row's credit.
+                let at = (base + i) as u32;
+                let end = self.credit_starts.len() - 1;
+                self.credit_starts[end] = at;
+                self.heights.push(h);
+                self.timestamps.push(t);
+                self.credit_starts.push(at);
+            }
+        }
+        let end = self.credit_starts.len() - 1;
+        self.credit_starts[end] = (base + n) as u32;
+    }
+
     /// Append the blocks of `other`, a view of other columns, after this
     /// set's blocks, as separate blocks. All five columns are bulk
     /// copies, `other`'s credit offsets rebased onto this set's credit
@@ -595,6 +652,44 @@ mod tests {
         assert_eq!(left.len(), 1);
         assert_eq!(left.timestamp(0), Timestamp(90), "first timestamp wins");
         assert_eq!(left.producers_of(0), &[ProducerId(0), ProducerId(1)]);
+    }
+
+    #[test]
+    fn extend_rows_joins_the_last_block_like_push_row() {
+        let rows = [
+            (9, 90, 0, 1.0),
+            (9, 999, 1, 1.0),
+            (10, 100, 2, 0.5),
+            (10, 998, 3, 1.0),
+            (10, 997, 4, 1.0),
+            (11, 110, 5, 1.0),
+        ];
+        let mut reference = BlockColumns::new();
+        for &(h, t, p, w) in &rows {
+            reference.push_row(h, Timestamp(t), ProducerId(p), w);
+        }
+        // Each run's first row joins the last block: a run of distinct
+        // heights (the bulk-copy path), then one with a repeat.
+        let mut cols = BlockColumns::new();
+        cols.push_row(9, Timestamp(90), ProducerId(0), 1.0);
+        for run in [&rows[1..3], &rows[3..]] {
+            cols.extend_rows(
+                &run.iter().map(|r| r.0).collect::<Vec<_>>(),
+                &run.iter().map(|r| r.1).collect::<Vec<_>>(),
+                run.iter().map(|r| ProducerId(r.2)),
+                run.iter().map(|r| r.3),
+            );
+        }
+        cols.validate().unwrap();
+        assert_eq!(cols, reference);
+        assert_eq!(cols.timestamp(1), Timestamp(100), "first timestamp wins");
+        assert_eq!(cols.producers_of(1).len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row columns differ in length")]
+    fn extend_rows_rejects_ragged_columns() {
+        BlockColumns::new().extend_rows(&[1, 2], &[10, 20], [ProducerId(0)], [1.0, 1.0]);
     }
 
     #[test]

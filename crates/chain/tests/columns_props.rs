@@ -111,4 +111,66 @@ proptest! {
         let joined: Vec<AttributedBlock> = head.iter().chain(&blocks[lo..hi]).cloned().collect();
         prop_assert_eq!(appended, BlockColumns::from_blocks(&joined));
     }
+
+    #[test]
+    fn extend_rows_equals_a_push_row_stream(rows in row_strategy()) {
+        let mut reference = BlockColumns::new();
+        for r in &rows {
+            push(&mut reference, r);
+        }
+        prop_assert!(reference.validate().is_ok());
+        // Every split point: the head pushed row by row, or appended in
+        // bulk onto empty columns, then the rest in bulk. A split inside
+        // a same-height run appends onto a receiver whose last height is
+        // the run's first height.
+        for split in 0..=rows.len() {
+            let (head, rest) = rows.split_at(split);
+            let mut pushed = BlockColumns::new();
+            for r in head {
+                push(&mut pushed, r);
+            }
+            extend(&mut pushed, rest);
+            prop_assert!(pushed.validate().is_ok());
+            prop_assert_eq!(&pushed, &reference, "pushed head, split at {}", split);
+
+            let mut bulk = BlockColumns::new();
+            extend(&mut bulk, head);
+            extend(&mut bulk, rest);
+            prop_assert_eq!(&bulk, &reference, "bulk head, split at {}", split);
+        }
+    }
+}
+
+/// A scan row: `(height, timestamp, producer, weight)`.
+type Row = (u64, i64, u32, f64);
+
+/// Strategy for rows as a scan yields them: heights that repeat (a
+/// multi-credit block), step by one, or jump, with a timestamp per row
+/// so the first-timestamp-wins rule is visible.
+fn row_strategy() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec((0u64..4, 0i64..1_000, 0u32..20, 1u32..4), 0..48).prop_map(|specs| {
+        let mut height = 500_000;
+        specs
+            .into_iter()
+            .map(|(step, t, p, w)| {
+                height += step.saturating_sub(1);
+                (height, 1_546_300_800 + t, p, f64::from(w) / 3.0)
+            })
+            .collect()
+    })
+}
+
+fn push(cols: &mut BlockColumns, &(h, t, p, w): &Row) {
+    cols.push_row(h, Timestamp(t), ProducerId(p), w);
+}
+
+fn extend(cols: &mut BlockColumns, rows: &[Row]) {
+    let heights: Vec<u64> = rows.iter().map(|r| r.0).collect();
+    let timestamps: Vec<i64> = rows.iter().map(|r| r.1).collect();
+    cols.extend_rows(
+        &heights,
+        &timestamps,
+        rows.iter().map(|r| ProducerId(r.2)),
+        rows.iter().map(|r| r.3),
+    );
 }

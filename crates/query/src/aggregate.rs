@@ -74,12 +74,14 @@ pub fn top_producers(store: &BlockStore, filter: &Filter, k: usize) -> Result<Ve
     Ok(aggs)
 }
 
-/// Total credit-weighted blocks within the range.
+/// Total credit-weighted blocks within the range; `0` (not `-0`) when
+/// the range holds no credit.
 pub fn total_blocks(store: &BlockStore, filter: &Filter) -> Result<f64> {
+    // `Iterator::sum` of no f64s is -0.0. Folding from +0.0 gives the
+    // same bits for every non-empty sum, as no credit is -0.0.
     Ok(producer_block_counts(store, filter)?
         .iter()
-        .map(|(_, c)| c)
-        .sum())
+        .fold(0.0, |total, (_, c)| total + c))
 }
 
 #[cfg(test)]
@@ -187,10 +189,9 @@ mod tests {
         let (store, dir) = test_store("empty");
         let counts = producer_block_counts(&store, &Filter::HeightBetween(500, 600)).unwrap();
         assert!(counts.is_empty());
-        assert_eq!(
-            total_blocks(&store, &Filter::HeightBetween(500, 600)).unwrap(),
-            0.0
-        );
+        let total = total_blocks(&store, &Filter::HeightBetween(500, 600)).unwrap();
+        assert_eq!(total, 0.0);
+        assert!(total.is_sign_positive(), "an empty total is 0, not -0");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

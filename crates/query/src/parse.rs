@@ -24,8 +24,14 @@
 //! top 5 producers
 //! count where height between 556459 and 557000
 //! producers where time between "2019-01-14" and "2019-01-15"
-//! count where producer = "F2Pool" and tx >= 1000
+//! count where producer = "F2Pool" and credit >= 1
 //! ```
+//!
+//! `tx` reads the store's `tx_count` column, which only rows written
+//! through `BlockStore::append_rows` fill. `BlockStore::append_attributed`,
+//! the one writer behind `blockdec load`, `ingest` and `follow`, stores 0
+//! there (and in `size_bytes` and `difficulty`), so on a store the CLI
+//! built `tx >= N` with `N >= 1` matches no row.
 //!
 //! Producer names are resolved against the store's dictionary at parse
 //! time, so a typo'd pool name is a parse error rather than an empty

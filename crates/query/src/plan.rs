@@ -177,6 +177,11 @@ mod tests {
             .execute(&store)
             .unwrap();
         assert_eq!(out.rows, vec![vec!["5".to_string()]]);
+        // A range with no rows counts 0, not -0.
+        let out = Plan::count(Filter::HeightBetween(50, 60))
+            .execute(&store)
+            .unwrap();
+        assert_eq!(out.rows, vec![vec!["0".to_string()]]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

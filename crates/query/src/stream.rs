@@ -20,8 +20,15 @@ pub trait MeasurementSource {
 impl MeasurementSource for BlockStore {
     fn block_columns(&self, filter: &Filter) -> Result<BlockColumns> {
         let (pred, residual) = filter.compile();
-        self.scan_columnar_with(&pred, self.scan_options(), |r| residual.matches(r))
-            .map(|(cols, _)| cols)
+        let opts = self.scan_options();
+        // A constant `keep` lets the scan append each segment's matching
+        // rows without building a row to test.
+        let scanned = if residual == Filter::True {
+            self.scan_columnar_with(&pred, opts, |_| true)
+        } else {
+            self.scan_columnar_with(&pred, opts, |r| residual.matches(r))
+        };
+        scanned.map(|(cols, _)| cols)
     }
 }
 

@@ -9,10 +9,13 @@
 //! Decoding is batch-oriented: [`decode_column_into`] appends a whole
 //! column into a caller-owned buffer (so scans reuse scratch across
 //! segments), and the varint inner loop inspects eight input bytes at a
-//! time — a lane with no continuation bits emits eight one-byte values
-//! without per-value branching, falling back to the scalar decoder only
-//! for multi-byte values. Delta columns are decoded as raw zigzag varints
-//! first and prefix-summed in a second pass over the output buffer.
+//! time. A lane with no continuation bits emits eight one-byte values, a
+//! lane of four two-byte values emits them in one step, and in any other
+//! lane the multi-byte value after the one-byte prefix decodes from the
+//! lane's bits when it ends inside the lane; only a value that crosses
+//! the lane's end goes to the scalar decoder. Delta columns are decoded
+//! as raw zigzag varints first and prefix-summed in a second pass over
+//! the output buffer.
 //!
 //! ```
 //! use blockdec_store::encoding::{decode_column_into, encode_column, Codec};
@@ -154,36 +157,79 @@ pub fn encode_column(codec: Codec, values: &[u64], out: &mut Vec<u8>) {
     }
 }
 
+/// The continuation bit of every byte of a little-endian eight-byte lane.
+const CONT: u64 = 0x8080_8080_8080_8080;
+
+/// The continuation bits of a lane that holds four two-byte varints:
+/// set on bytes 0, 2, 4 and 6, clear on the bytes that end each value.
+const PAIRS: u64 = 0x0080_0080_0080_0080;
+
+/// Pack the seven value bits of each byte pair of a lane into the low
+/// 14 bits of its 16-bit half: the value of a two-byte varint there.
+fn pack_pairs(lane: u64) -> u64 {
+    let x = lane & !CONT;
+    (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1)
+}
+
+/// The value of the varint whose `len` bytes (1..=8, the last one with
+/// its continuation bit clear) open `bytes`, a little-endian lane. The
+/// seven-bit groups are packed without a loop: byte pairs into 14 bits,
+/// pairs of those into 28, and the halves into 56.
+fn lane_varint(bytes: u64, len: usize) -> u64 {
+    let x = pack_pairs(bytes & (u64::MAX >> (64 - 8 * len)));
+    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+    (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4)
+}
+
 /// Decode `count` LEB128 varints from `data`, appending into `out`.
 ///
-/// The hot loop reads input in eight-byte lanes: a lane whose bytes all
-/// have the continuation bit clear is eight complete one-byte varints and
-/// is emitted without per-value branching; a mixed lane emits the
-/// one-byte prefix before the first continuation bit and then decodes a
-/// single multi-byte value with the scalar [`get_uvarint`] (which owns
-/// all error classification, so truncated/overlong inputs fail exactly as
-/// the scalar loop would).
+/// The hot loop reads input in eight-byte lanes and decodes inside the
+/// lane whatever ends there:
+///
+/// - a lane with every continuation bit clear is eight one-byte values;
+/// - a lane whose continuation bits are exactly [`PAIRS`] is four
+///   two-byte values (a constant `1000` credit column is all such lanes);
+/// - any other lane emits its one-byte prefix before the first
+///   continuation bit, then the multi-byte value starting there, straight
+///   from the lane when its last byte lies inside the lane.
+///
+/// A value that crosses the lane's end (every value longer than eight
+/// bytes does) goes to the scalar [`get_uvarint`] from its first byte.
+/// Every value decoded in-lane is one the scalar decoder accepts with
+/// the same result, so the scalar owns all error classification, and
+/// truncated or overlong input fails exactly as the scalar loop would.
 fn get_uvarints(mut data: &[u8], count: usize, out: &mut Vec<u64>) -> Result<()> {
-    const CONT: u64 = 0x8080_8080_8080_8080;
     out.reserve(count);
     let mut remaining = count;
     while remaining >= 8 && data.len() >= 8 {
         let lane = crate::lebytes::u64_at(data, 0);
         let cont = lane & CONT;
         if cont == 0 {
-            for &b in &data[..8] {
-                out.push(u64::from(b));
-            }
+            out.extend(data[..8].iter().map(|&b| u64::from(b)));
             data = &data[8..];
             remaining -= 8;
             continue;
         }
-        let prefix = (cont.trailing_zeros() / 8) as usize;
-        for &b in &data[..prefix] {
-            out.push(u64::from(b));
+        if cont == PAIRS {
+            let v = pack_pairs(lane);
+            out.extend([v & 0xFFFF, (v >> 16) & 0xFFFF, (v >> 32) & 0xFFFF, v >> 48]);
+            data = &data[8..];
+            remaining -= 4;
+            continue;
         }
-        data = &data[prefix..];
-        out.push(get_uvarint(&mut data)?);
+        let prefix = (cont.trailing_zeros() / 8) as usize;
+        out.extend(data[..prefix].iter().map(|&b| u64::from(b)));
+        // The value at `prefix` ends at the first later byte whose
+        // continuation bit is clear, if the lane holds one.
+        let ends = !lane & CONT & (u64::MAX << (8 * prefix));
+        if ends == 0 {
+            data = &data[prefix..];
+            out.push(get_uvarint(&mut data)?);
+        } else {
+            let end = (ends.trailing_zeros() / 8) as usize;
+            out.push(lane_varint(lane >> (8 * prefix), end + 1 - prefix));
+            data = &data[end + 1..];
+        }
         remaining -= prefix + 1;
     }
     for _ in 0..remaining {
@@ -386,8 +432,9 @@ mod tests {
     #[test]
     fn batch_varint_decode_matches_scalar() {
         // Patterns chosen to hit every lane path: full one-byte lanes,
-        // mixed lanes with the continuation byte at each offset, counts
-        // that are not multiples of eight, and tails shorter than a lane.
+        // lanes of four two-byte values, mixed lanes with the
+        // continuation byte at each offset, counts that are not
+        // multiples of four or eight, and tails shorter than a lane.
         let mut cases: Vec<Vec<u64>> = vec![
             (0..64).collect(),                        // all one-byte
             (0..64).map(|i| i * 1_000_003).collect(), // all multi-byte
@@ -409,14 +456,85 @@ mod tests {
                     .collect(),
             );
         }
-        for values in &cases {
-            let mut buf = Vec::new();
-            for &v in values {
-                put_uvarint(&mut buf, v);
+        // Constant two-byte credit columns.
+        for n in [4, 7, 8, 9, 4093, 4096, 4097] {
+            cases.push(vec![1000; n]);
+        }
+        for offset in 0..8u32 {
+            let ones = || std::iter::repeat_n(5u64, offset as usize);
+            // A value whose last byte is the lane's last byte.
+            cases.push(
+                ones()
+                    .chain([first_of_len(8 - offset)])
+                    .chain([1; 9])
+                    .collect(),
+            );
+            // Eight- and nine-byte values at every lane offset, the
+            // smallest and largest of their length.
+            for len in [8, 9] {
+                let big = first_of_len(len + 1) - 1;
+                cases.push(
+                    ones()
+                        .chain([first_of_len(len), big, 3, big])
+                        .chain([1; 11])
+                        .collect(),
+                );
             }
-            let mut batched = Vec::new();
-            get_uvarints(&buf, values.len(), &mut batched).unwrap();
+        }
+        for values in &cases {
+            let buf = encode_all(values);
+            let batched = batch_uvarints(&buf, values.len()).unwrap();
             assert_eq!(&batched, values);
+            assert_eq!(batched, scalar_uvarints(&buf, values.len()).unwrap());
+        }
+    }
+
+    /// The reference: `count` values through the scalar decoder alone.
+    fn scalar_uvarints(mut data: &[u8], count: usize) -> Result<Vec<u64>> {
+        (0..count).map(|_| get_uvarint(&mut data)).collect()
+    }
+
+    /// The batch decoder's result, in the reference's shape.
+    fn batch_uvarints(data: &[u8], count: usize) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        get_uvarints(data, count, &mut out).map(|()| out)
+    }
+
+    fn encode_all(values: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for &v in values {
+            put_uvarint(&mut buf, v);
+        }
+        buf
+    }
+
+    /// The smallest value whose varint takes `len` bytes (1..=10).
+    fn first_of_len(len: u32) -> u64 {
+        if len == 1 {
+            0
+        } else {
+            1 << (7 * (len - 1))
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lane_decoder_matches_scalar_on_mixed_widths(
+            specs in proptest::collection::vec((1u32..11, proptest::any::<u64>()), 0..200)
+        ) {
+            // Each value takes exactly its drawn length, 1 to 10 bytes.
+            let values: Vec<u64> = specs
+                .iter()
+                .map(|&(len, raw)| {
+                    let lo = first_of_len(len);
+                    let hi = if len == 10 { u64::MAX } else { first_of_len(len + 1) - 1 };
+                    lo + raw % (hi - lo + 1)
+                })
+                .collect();
+            let buf = encode_all(&values);
+            let batched = batch_uvarints(&buf, values.len()).unwrap();
+            proptest::prop_assert_eq!(&batched, &values);
+            proptest::prop_assert_eq!(batched, scalar_uvarints(&buf, values.len()).unwrap());
         }
     }
 
@@ -437,6 +555,41 @@ mod tests {
         // Overlong input fails through the scalar fallback.
         let mut out = Vec::new();
         assert!(get_uvarints(&[0xFF; 11], 1, &mut out).is_err());
+
+        // Every truncation of a two-byte column fails as the scalar loop
+        // does, whether the cut falls between values or inside one.
+        let credits = encode_all(&[1000; 21]);
+        for cut in 0..credits.len() {
+            let got = batch_uvarints(&credits[..cut], 21).unwrap_err();
+            let want = scalar_uvarints(&credits[..cut], 21).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "cut at {cut}");
+        }
+        // Overlong encodings that end inside a lane (zero-padded, as no
+        // writer emits them) decode to the scalar's values, at every
+        // offset; an eleven-byte or u64-overflowing value crossing the
+        // lane fails with the scalar's error.
+        for offset in 0..8 {
+            let mut padded = vec![7u8; offset];
+            padded.extend_from_slice(&[0x81, 0x80, 0x80, 0x00]);
+            padded.extend_from_slice(&[0xE8, 0x87, 0x80, 0x00, 1, 2, 3, 4, 5, 6, 7, 8]);
+            let n = offset + 10;
+            assert_eq!(
+                batch_uvarints(&padded, n).unwrap(),
+                scalar_uvarints(&padded, n).unwrap(),
+                "padded value at offset {offset}"
+            );
+            for bad in [
+                &[0xFF; 11][..],
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            ] {
+                let mut data = vec![7u8; offset];
+                data.extend_from_slice(bad);
+                data.extend_from_slice(&[1; 8]);
+                let got = batch_uvarints(&data, offset + 9).unwrap_err();
+                let want = scalar_uvarints(&data, offset + 9).unwrap_err();
+                assert_eq!(got.to_string(), want.to_string(), "offset {offset}");
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,14 @@ pub struct RowRecord {
 impl RowRecord {
     /// The credit as a float block weight.
     pub fn credit(&self) -> f64 {
-        f64::from(self.credit_millis) / f64::from(CREDIT_SCALE)
+        millis_to_weight(self.credit_millis)
     }
+}
+
+/// Convert credit millis to a float block weight: the one conversion
+/// every scan output applies.
+pub(crate) fn millis_to_weight(millis: u32) -> f64 {
+    f64::from(millis) / f64::from(CREDIT_SCALE)
 }
 
 /// Convert a float weight to credit millis, saturating and rounding.

@@ -29,10 +29,11 @@ use crate::encoding::{
 use crate::error::{Result, StoreError};
 use crate::lebytes;
 use crate::page::{read_page, write_page};
-use crate::row::RowRecord;
+use crate::row::{millis_to_weight, RowRecord};
 use crate::store::ScanPredicate;
 use crate::zonemap::ZoneMap;
-use std::ops::Deref;
+use blockdec_chain::{BlockColumns, ProducerId};
+use std::ops::{Deref, Range};
 
 /// Magic bytes of a segment file.
 pub const MAGIC: [u8; 4] = *b"BDSG";
@@ -857,6 +858,50 @@ impl SegmentDecoder {
         Ok(n)
     }
 
+    /// Append the decoded rows that match `pred` and `keep` to `cols`,
+    /// and return how many match `pred` (before `keep`: what
+    /// [`crate::ScanStats::rows_returned`] counts). Rows move as maximal
+    /// runs of consecutive rows, one [`BlockColumns::extend_rows`] each,
+    /// so no row struct is built unless a filter has to see one: `pred`
+    /// is tested row by row only when it
+    /// [can prune](ScanPredicate::can_prune), and a constant `keep` costs
+    /// nothing. Under the unconstrained predicate and `|_| true` the whole
+    /// segment is one run.
+    pub(crate) fn append_matching(
+        &self,
+        cols: &mut BlockColumns,
+        pred: &ScanPredicate,
+        keep: impl Fn(&RowRecord) -> bool,
+    ) -> u64 {
+        let n = self.rows;
+        let row = self.row_reader();
+        let mut append = |run: Range<usize>| {
+            cols.extend_rows(
+                &self.heights[run.clone()],
+                &self.timestamps[run.clone()],
+                self.producers[run.clone()]
+                    .iter()
+                    .map(|&p| ProducerId(p as u32)),
+                self.credits[run]
+                    .iter()
+                    .map(|&c| millis_to_weight(c as u32)),
+            )
+        };
+        if !pred.can_prune() {
+            for_each_run(n, |i| keep(&row(i)), &mut append);
+            return n as u64;
+        }
+        let mut matched = 0u64;
+        let ok = |i: usize| {
+            let r = row(i);
+            let hit = pred.matches(&r);
+            matched += u64::from(hit);
+            hit && keep(&r)
+        };
+        for_each_run(n, ok, &mut append);
+        matched
+    }
+
     /// Rows decoded by the last successful [`SegmentDecoder::decode`].
     pub fn len(&self) -> usize {
         self.rows
@@ -874,15 +919,44 @@ impl SegmentDecoder {
     /// Panics if `i >= self.len()`.
     pub fn row(&self, i: usize) -> RowRecord {
         assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
-        RowRecord {
-            height: self.heights[i],
-            timestamp: self.timestamps[i],
-            producer: self.producers[i] as u32,
-            credit_millis: self.credits[i] as u32,
-            tx_count: self.tx_counts[i] as u32,
-            size_bytes: self.size_bytes[i] as u32,
-            difficulty: self.difficulties[i],
+        self.row_reader()(i)
+    }
+
+    /// The row accessor behind [`SegmentDecoder::row`]: it reads columns
+    /// cut to the decoded row count, so a caller looping below that count
+    /// pays no bounds checks, and nothing at all for fields it ignores.
+    /// The u32 columns were checked to fit by `validate_narrow`.
+    fn row_reader(&self) -> impl Fn(usize) -> RowRecord + '_ {
+        let n = self.rows;
+        let (heights, timestamps) = (&self.heights[..n], &self.timestamps[..n]);
+        let (producers, credits) = (&self.producers[..n], &self.credits[..n]);
+        let (tx_counts, size_bytes) = (&self.tx_counts[..n], &self.size_bytes[..n]);
+        let difficulties = &self.difficulties[..n];
+        move |i| RowRecord {
+            height: heights[i],
+            timestamp: timestamps[i],
+            producer: producers[i] as u32,
+            credit_millis: credits[i] as u32,
+            tx_count: tx_counts[i] as u32,
+            size_bytes: size_bytes[i] as u32,
+            difficulty: difficulties[i],
         }
+    }
+}
+
+/// Call `run` with each maximal range of consecutive indices in `0..n`
+/// for which `ok` holds, in order. `ok` sees each index once.
+fn for_each_run(n: usize, mut ok: impl FnMut(usize) -> bool, mut run: impl FnMut(Range<usize>)) {
+    let mut start = None;
+    for i in 0..n {
+        if ok(i) {
+            start.get_or_insert(i);
+        } else if let Some(s) = start.take() {
+            run(s..i);
+        }
+    }
+    if let Some(s) = start {
+        run(s..n);
     }
 }
 

@@ -483,10 +483,15 @@ impl BlockStore {
             pred,
             |selected| {
                 let mut rows = Vec::new();
-                let read =
-                    self.read_segments(selected, pred, opts.skip_corrupt, &mut |r: &RowRecord| {
-                        rows.push(*r)
-                    });
+                let read = self.read_segments(selected, pred, opts.skip_corrupt, &mut |dec| {
+                    let before = rows.len();
+                    rows.extend(
+                        (0..dec.len())
+                            .map(|i| dec.row(i))
+                            .filter(|r| pred.matches(r)),
+                    );
+                    (rows.len() - before) as u64
+                });
                 vec![(rows, read)]
             },
             |rows, r| rows.push(*r),
@@ -506,11 +511,15 @@ impl BlockStore {
     /// store, and the one behind [`BlockStore::scan_attributed`] and the
     /// query layer. It runs the same scan loop as the row scans
     /// (zero-copy [`crate::segment::SegmentDecoder`] decodes into
-    /// reusable scratch), pushing rows into [`BlockColumns`] without
-    /// ever materializing a `Vec<RowRecord>`; with more than one decode
-    /// thread the selected segments are split into contiguous chunks,
-    /// each worker builds a partial column set, and the partials are
-    /// stitched back in height order.
+    /// reusable scratch) and appends each decoded segment's kept rows to
+    /// [`BlockColumns`] as runs of consecutive rows
+    /// (`SegmentDecoder::append_matching`), never materializing a
+    /// `Vec<RowRecord>`. The unconstrained scan reserves its output once,
+    /// for the selected segments' manifest row counts, each capped at
+    /// [`SEGMENT_ROWS`]. With more than one decode thread the selected
+    /// segments are split into contiguous chunks, each worker builds a
+    /// partial column set, and the partials are stitched back in height
+    /// order.
     ///
     /// The result is bitwise-identical to the sequential row scan
     /// regrouped through [`BlockColumns::push_row`], at any thread count.
@@ -584,26 +593,46 @@ impl BlockStore {
                 );
             }
         };
+        // The unconstrained scan keeps at most every row of the selected
+        // segments and of the active buffer, so its output is reserved
+        // once. A segment's manifest row count is trusted only up to the
+        // SEGMENT_ROWS that decode accepts, so a lying manifest cannot
+        // ask for more.
+        let reserve = |segs: &[&SegmentMeta], buffered: usize| -> usize {
+            if pred.can_prune() {
+                return 0;
+            }
+            segs.iter()
+                .map(|s| s.zone.rows.min(SEGMENT_ROWS as u64) as usize)
+                .sum::<usize>()
+                + buffered
+        };
         let (partials, stats) = self.scan_loop(
             pred,
             |selected| {
-                let read = |segs: &[&SegmentMeta]| {
-                    let mut cols = BlockColumns::new();
-                    let read =
-                        self.read_segments(segs, pred, opts.skip_corrupt, &mut |r: &RowRecord| {
-                            push(&mut cols, r)
-                        });
+                let read = |segs: &[&SegmentMeta], rows: usize| {
+                    let mut cols = BlockColumns::with_capacity(rows, rows);
+                    let read = self.read_segments(segs, pred, opts.skip_corrupt, &mut |dec| {
+                        dec.append_matching(&mut cols, pred, &keep)
+                    });
                     (cols, read)
                 };
+                // The first chunk's columns are the stitch target, so they
+                // are reserved for the whole selection.
+                let whole = reserve(selected, self.active.len());
                 let threads = effective_scan_threads(opts.threads, selected.len());
                 if threads <= 1 {
-                    return vec![read(selected)];
+                    return vec![read(selected, whole)];
                 }
                 let per_chunk = selected.len().div_ceil(threads);
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = selected
                         .chunks(per_chunk)
-                        .map(|segs| scope.spawn(move || read(segs)))
+                        .enumerate()
+                        .map(|(c, segs)| {
+                            let rows = if c == 0 { whole } else { reserve(segs, 0) };
+                            scope.spawn(move || read(segs, rows))
+                        })
                         .collect();
                     handles
                         .into_iter()
@@ -727,17 +756,17 @@ impl BlockStore {
     /// The per-segment step of [`BlockStore::scan_loop`], over one
     /// contiguous chunk of selected segments. Each segment gets the
     /// pruned decode of [`decode_one_segment`]; a degraded scan skips
-    /// one that fails to read, a strict one stops there. Every decoded
-    /// row matching `pred` goes to `sink`, in order. One
+    /// one that fails to read, a strict one stops there. `take` then
+    /// moves the decoded rows that match `pred` into the chunk's sink and
+    /// returns how many matched. One
     /// [`SegmentDecoder`] (and its scratch buffers) serves the whole
-    /// chunk, and rows are assembled on the stack only to test the
-    /// predicate — no `Vec<RowRecord>` is ever built.
+    /// chunk.
     fn read_segments(
         &self,
         segs: &[&SegmentMeta],
         pred: &ScanPredicate,
         skip_corrupt: bool,
-        sink: &mut impl FnMut(&RowRecord),
+        take: &mut impl FnMut(&SegmentDecoder) -> u64,
     ) -> SegmentsRead {
         let mut read = SegmentsRead::default();
         let mut dec = SegmentDecoder::new();
@@ -778,13 +807,7 @@ impl BlockStore {
                 elapsed_ms = elapsed_ms;
                 "decoded segment"
             );
-            for i in 0..n {
-                let r = dec.row(i);
-                if pred.matches(&r) {
-                    read.rows_matched += 1;
-                    sink(&r);
-                }
-            }
+            read.rows_matched += take(&dec);
         }
         read
     }
@@ -1612,6 +1635,14 @@ mod tests {
                 assert_eq!(cold, cold_columnar, "{pred:?} {opts:?}");
                 assert_eq!(warm, cold, "{pred:?} {opts:?}");
                 assert_eq!(warm_columnar, cold, "{pred:?} {opts:?}");
+                // A `keep` that drops rows leaves the stats alone: they
+                // count every row the predicate matches.
+                for threads in [1, 2] {
+                    let opts = opts.with_threads(threads);
+                    let even = |r: &RowRecord| r.height.is_multiple_of(2);
+                    let kept = b.scan_columnar_with(pred, opts, even).unwrap().1;
+                    assert_eq!(kept, cold, "{pred:?} {opts:?} keeping even heights");
+                }
                 assert_eq!(pred.can_prune(), b.page_cache_stats().hits > 0);
             }
         };
@@ -1632,6 +1663,25 @@ mod tests {
             .scan_with_options(&ScanPredicate::all(), ScanOptions::degraded())
             .unwrap();
         assert_eq!(degraded.segments_skipped, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_that_overstates_rows_scans_to_the_honest_columns() {
+        let dir = tmp_dir("overstated-rows");
+        two_segments(&dir);
+        let mut store = BlockStore::open(&dir).unwrap();
+        let all = ScanPredicate::all();
+        let want = store.scan_columnar(&all).unwrap();
+        // The unconstrained scan reserves its output from the manifest's
+        // row counts; each is trusted only up to what decode accepts.
+        store.manifest.segments[0].zone.rows = u64::MAX;
+        for threads in [1, 2] {
+            let opts = ScanOptions::strict().with_threads(threads);
+            let (cols, stats) = store.scan_columnar_with(&all, opts, |_| true).unwrap();
+            assert_eq!(cols, want, "{threads} threads");
+            assert_eq!(stats.rows_returned, 10_000, "{threads} threads");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
