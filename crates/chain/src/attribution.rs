@@ -142,56 +142,51 @@ impl Attributor {
     /// Resolve a block's credits, calling `emit(producer, weight)` once
     /// per credit in deterministic order. Both the AoS and the columnar
     /// attribution paths funnel through here so they intern producers in
-    /// an identical order and produce identical credit streams.
+    /// an identical order and produce identical credit streams. Names are
+    /// borrowed from the block and the tag database; only a name new to
+    /// the registry is copied.
     fn for_each_credit(&mut self, block: &Block, mut emit: impl FnMut(ProducerId, f64)) {
-        let addresses: Vec<String> = block
-            .coinbase
-            .payout_addresses
-            .iter()
-            .map(|a| a.as_str().to_string())
-            .collect();
+        let addresses = &block.coinbase.payout_addresses;
 
         // Pool identification is a property of the whole block (one tag,
         // one primary identity); per-address credit applies to the payout
         // addresses of blocks that are NOT pool-identified, and to pool
-        // blocks it credits the pool once.
-        let tag_pool: Option<String> = block
+        // blocks it credits the pool once. The address lookup runs only
+        // when the tag misses.
+        let tag_pool = block
             .coinbase
             .tag
             .as_deref()
-            .and_then(|t| self.tags.match_tag(self.chain, t))
-            .map(str::to_string);
-        let addr_pool: Option<String> = addresses
-            .first()
-            .and_then(|a| self.tags.match_address(self.chain, a))
-            .map(str::to_string);
-        if tag_pool.is_some() {
-            self.tag_hits += 1;
-        } else if addr_pool.is_some() {
-            self.address_hits += 1;
+            .and_then(|t| self.tags.match_tag(self.chain, t));
+        let pool = match tag_pool {
+            Some(pool) => {
+                self.tag_hits += 1;
+                Some(pool)
+            }
+            None => {
+                let addr_pool = addresses
+                    .first()
+                    .and_then(|a| self.tags.match_address(self.chain, a.as_str()));
+                if addr_pool.is_some() {
+                    self.address_hits += 1;
+                }
+                addr_pool
+            }
+        };
+        if let Some(pool) = pool {
+            emit(self.registry.intern(pool), 1.0);
+            return;
         }
-        let pool_name = tag_pool.or(addr_pool);
 
-        match (&pool_name, self.mode) {
-            (Some(pool), _) => emit(self.registry.intern(pool), 1.0),
-            (None, AttributionMode::FirstAddress) => {
-                self.fallbacks += 1;
-                let first = addresses.first().expect("validated non-empty coinbase"); // blockdec-lint: allow(panic) — block validation rejects empty coinbase address lists before attribution runs
-                emit(self.registry.intern(first), 1.0);
-            }
-            (None, AttributionMode::PerAddress) => {
-                self.fallbacks += 1;
-                for a in &addresses {
-                    emit(self.registry.intern(a), 1.0);
-                }
-            }
-            (None, AttributionMode::Fractional) => {
-                self.fallbacks += 1;
-                let w = 1.0 / addresses.len() as f64;
-                for a in &addresses {
-                    emit(self.registry.intern(a), w);
-                }
-            }
+        // An empty coinbase gets no credits in any mode.
+        self.fallbacks += 1;
+        let (credited, weight) = match self.mode {
+            AttributionMode::PerAddress => (addresses.len(), 1.0),
+            AttributionMode::FirstAddress => (1, 1.0),
+            AttributionMode::Fractional => (addresses.len(), 1.0 / addresses.len() as f64),
+        };
+        for a in addresses.iter().take(credited) {
+            emit(self.registry.intern(a.as_str()), weight);
         }
     }
 
@@ -268,6 +263,40 @@ mod tests {
         assert_eq!(ab.total_weight(), 85.0);
         // All 85 distinct producers interned.
         assert_eq!(at.registry().len(), 85);
+    }
+
+    #[test]
+    fn empty_coinbase_gets_no_credits_in_any_mode() {
+        // `Block`'s fields are public, so a coinbase without payout
+        // addresses can reach attribution without the builder's check.
+        let block = Block {
+            chain: ChainKind::Bitcoin,
+            height: 7,
+            hash: crate::hash::BlockHash::digest(1, 7),
+            parent: crate::hash::BlockHash::ZERO,
+            timestamp: Timestamp(1_546_300_800),
+            difficulty: 1,
+            tx_count: 1,
+            size_bytes: 300,
+            coinbase: crate::block::CoinbaseInfo {
+                payout_addresses: Vec::new(),
+                tag: Some("/UnknownPool/".to_string()),
+            },
+        };
+        for mode in [
+            AttributionMode::PerAddress,
+            AttributionMode::FirstAddress,
+            AttributionMode::Fractional,
+        ] {
+            let mut at = Attributor::new(ChainKind::Bitcoin, mode);
+            assert!(at.attribute(&block).credits.is_empty(), "{mode:?}");
+            let mut cols = crate::columns::BlockColumns::new();
+            at.attribute_into(&block, &mut cols);
+            assert_eq!(cols.len(), 1, "{mode:?}");
+            assert_eq!(cols.credit_count(), 0, "{mode:?}");
+            assert_eq!(at.stats(), (0, 0, 2), "{mode:?}");
+            assert!(at.registry().is_empty(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! paper's per-address producer counting does.
 
 use crate::params::ChainKind;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A single pool-identification rule.
@@ -242,7 +243,7 @@ impl PoolTagDb {
                 .find(|(marker, _)| tag.contains(marker.as_str()))
                 .map(|(_, pool)| pool.as_str()),
             ChainKind::Ethereum => {
-                let lower = tag.to_ascii_lowercase();
+                let lower = ascii_lowercase(tag);
                 self.ethereum_markers
                     .iter()
                     .find(|(marker, _)| lower.contains(marker.as_str()))
@@ -258,7 +259,7 @@ impl PoolTagDb {
             return None;
         }
         self.ethereum_addresses
-            .get(&address.to_ascii_lowercase())
+            .get(ascii_lowercase(address).as_ref())
             .map(String::as_str)
     }
 
@@ -268,6 +269,17 @@ impl PoolTagDb {
             ChainKind::Bitcoin => self.bitcoin_markers.len(),
             ChainKind::Ethereum => self.ethereum_markers.len(),
         }
+    }
+}
+
+/// `s` with its ASCII letters lowercased, borrowed unless it holds an
+/// uppercase ASCII byte: the tag and address lookups allocate only for
+/// input that needs lowering.
+fn ascii_lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
 }
 

@@ -18,8 +18,10 @@
 
 use crate::error::{IngestError, Result};
 use blockdec_chain::{AttributedBlock, AttributionMode, Attributor, Block, BlockHash, ChainKind};
+use blockdec_obs::Counter;
 use blockdec_store::BlockStore;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What one [`ChainView::apply`] call did to the tracked chain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,6 +62,10 @@ pub struct ChainView {
     /// Blocks finalized since the last [`ChainView::take_finalized`] —
     /// the subscription feed for incremental metric deltas.
     outbox: Vec<AttributedBlock>,
+    /// The `ingest.head.accepted` and `ingest.head.finalized` counters,
+    /// looked up once rather than per event.
+    accepted_counter: Arc<Counter>,
+    finalized_counter: Arc<Counter>,
 }
 
 impl ChainView {
@@ -86,6 +92,8 @@ impl ChainView {
             finalized: 0,
             reorgs: ReorgStats::default(),
             outbox: Vec::new(),
+            accepted_counter: blockdec_obs::counter("ingest.head.accepted"),
+            finalized_counter: blockdec_obs::counter("ingest.head.finalized"),
         }
     }
 
@@ -96,7 +104,7 @@ impl ChainView {
         let rolled_back = self.attach(block)?;
         self.pending.push_back(block.clone());
         self.accepted += 1;
-        blockdec_obs::counter("ingest.head.accepted").inc();
+        self.accepted_counter.inc();
         let finalized = self.finalize_excess(self.finality_depth)?;
         Ok(HeadUpdate {
             rolled_back,
@@ -186,25 +194,32 @@ impl ChainView {
     }
 
     /// Finalize pending blocks beyond `keep`: attribute them in canonical
-    /// order and append to the store.
+    /// order onto the outbox and append them to the store. On a failed
+    /// append the outbox is cut back, so it holds only appended blocks.
     fn finalize_excess(&mut self, keep: usize) -> Result<usize> {
         if self.pending.len() <= keep {
             return Ok(0);
         }
         let n = self.pending.len() - keep;
-        let drained: Vec<Block> = self.pending.drain(..n).collect();
-        let attributed: Vec<AttributedBlock> = drained
-            .iter()
-            .map(|b| self.attributor.attribute(b))
-            .collect();
-        self.store
-            .append_attributed(&attributed, self.attributor.registry())?;
-        let last = &drained[drained.len() - 1];
-        self.finalized_height = Some(last.height);
-        self.finalized_hash = Some(last.hash);
+        let last = &self.pending[n - 1];
+        let (height, hash) = (last.height, last.hash);
+        let start = self.outbox.len();
+        self.outbox.extend(
+            self.pending
+                .drain(..n)
+                .map(|b| self.attributor.attribute(&b)),
+        );
+        let appended = self
+            .store
+            .append_attributed(&self.outbox[start..], self.attributor.registry());
+        if let Err(e) = appended {
+            self.outbox.truncate(start);
+            return Err(e.into());
+        }
+        self.finalized_height = Some(height);
+        self.finalized_hash = Some(hash);
         self.finalized += n as u64;
-        self.outbox.extend(attributed);
-        blockdec_obs::counter("ingest.head.finalized").add(n as u64);
+        self.finalized_counter.add(n as u64);
         Ok(n)
     }
 

@@ -208,6 +208,10 @@ pub struct BlockStore {
     active: Vec<RowRecord>,
     last_height: Option<u64>,
     scan_threads: usize,
+    /// [`BlockStore::append_attributed`]'s source-to-store producer id
+    /// map, kept across calls. An entry is trusted only while the store
+    /// id still carries the source id's name.
+    remap: Vec<u32>,
 }
 
 /// Page-cache capacity of a new handle, in bytes (64 MiB); change it
@@ -224,6 +228,7 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         active: Vec::new(),
         last_height,
         scan_threads: 0,
+        remap: Vec::new(),
     }
 }
 
@@ -353,7 +358,9 @@ impl BlockStore {
         self.last_height
     }
 
-    fn check_order(&mut self, rows: &[RowRecord]) -> Result<()> {
+    /// The last height once `rows` follow the rows already appended, or
+    /// why they cannot.
+    fn check_order(&self, rows: &[RowRecord]) -> Result<Option<u64>> {
         let mut last = self.last_height;
         for r in rows {
             if let Some(prev) = last {
@@ -373,58 +380,73 @@ impl BlockStore {
             }
             last = Some(r.height);
         }
-        self.last_height = last;
-        Ok(())
+        Ok(last)
     }
 
     /// Append raw rows (producer ids must already be interned via
     /// [`Self::intern_producer`]). Heights must be non-decreasing across
     /// the store's lifetime.
     pub fn append_rows(&mut self, rows: &[RowRecord]) -> Result<()> {
-        self.check_order(rows)?;
+        self.last_height = self.check_order(rows)?;
         self.active.extend_from_slice(rows);
-        // Seal full segments eagerly to bound memory.
-        while self.active.len() >= SEGMENT_ROWS {
-            let rest = self.active.split_off(SEGMENT_ROWS);
-            let chunk = std::mem::replace(&mut self.active, rest);
-            self.seal(chunk)?;
-        }
-        Ok(())
+        self.seal_full_segments()
     }
 
     /// Append attributed blocks whose producer ids refer to
-    /// `src_registry`; names are re-interned into the store's own
-    /// dictionary.
+    /// `src_registry`; each id maps to the store id of the same name,
+    /// interned into the store's own dictionary on first sight. Nothing
+    /// is appended if a producer is missing from `src_registry` or a
+    /// row fails the order check.
     pub fn append_attributed(
         &mut self,
         blocks: &[AttributedBlock],
         src_registry: &ProducerRegistry,
     ) -> Result<()> {
-        let mut id_map: Vec<Option<u32>> = vec![None; src_registry.len()];
-        let mut rows = Vec::with_capacity(blocks.len());
+        let start = self.active.len();
+        let checked = self
+            .buffer_remapped(blocks, src_registry)
+            .and_then(|()| self.check_order(&self.active[start..]));
+        match checked {
+            Ok(last) => self.last_height = last,
+            Err(e) => {
+                self.active.truncate(start);
+                return Err(e);
+            }
+        }
+        self.seal_full_segments()
+    }
+
+    /// Push one row per credit onto `active`, mapping producer ids from
+    /// `src_registry` through the checked remap.
+    fn buffer_remapped(
+        &mut self,
+        blocks: &[AttributedBlock],
+        src_registry: &ProducerRegistry,
+    ) -> Result<()> {
         for b in blocks {
             for c in &b.credits {
-                let src_idx = c.producer.index();
-                let mapped = match id_map.get(src_idx).copied().flatten() {
-                    Some(m) => m,
-                    None => {
-                        let name = src_registry.name(c.producer).ok_or_else(|| {
-                            StoreError::InvalidAppend(format!(
-                                "producer {} missing from source registry",
-                                c.producer
-                            ))
-                        })?;
+                let name = src_registry.name(c.producer).ok_or_else(|| {
+                    StoreError::InvalidAppend(format!(
+                        "producer {} missing from source registry",
+                        c.producer
+                    ))
+                })?;
+                let src = c.producer.index();
+                let producer = match self.remap.get(src) {
+                    Some(&m) if self.registry.name(ProducerId(m)) == Some(name) => m,
+                    _ => {
                         let m = self.registry.intern(name).0;
-                        if src_idx < id_map.len() {
-                            id_map[src_idx] = Some(m);
+                        if src >= self.remap.len() {
+                            self.remap.resize(src + 1, u32::MAX);
                         }
+                        self.remap[src] = m;
                         m
                     }
                 };
-                rows.push(RowRecord {
+                self.active.push(RowRecord {
                     height: b.height,
                     timestamp: b.timestamp.secs(),
-                    producer: mapped,
+                    producer,
                     credit_millis: weight_to_millis(c.weight),
                     tx_count: 0,
                     size_bytes: 0,
@@ -432,7 +454,17 @@ impl BlockStore {
                 });
             }
         }
-        self.append_rows(&rows)
+        Ok(())
+    }
+
+    /// Seal full segments off the front of the buffer to bound memory.
+    fn seal_full_segments(&mut self) -> Result<()> {
+        while self.active.len() >= SEGMENT_ROWS {
+            let rest = self.active.split_off(SEGMENT_ROWS);
+            let chunk = std::mem::replace(&mut self.active, rest);
+            self.seal(chunk)?;
+        }
+        Ok(())
     }
 
     fn seal(&mut self, rows: Vec<RowRecord>) -> Result<()> {
@@ -1173,6 +1205,176 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].credits.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One block per height from `lo`, crediting the `src` ids in `ids`
+    /// in turn, with every third block a two-credit coinbase.
+    fn blocks_over(lo: u64, ids: &[u32]) -> Vec<AttributedBlock> {
+        (0..ids.len() as u64)
+            .map(|i| {
+                let credit = |k: u64| Credit {
+                    producer: ProducerId(ids[((i + k) % ids.len() as u64) as usize]),
+                    weight: if i % 3 == 0 { 0.5 } else { 1.0 },
+                };
+                let mut credits = vec![credit(0)];
+                if i % 3 == 0 {
+                    credits.push(credit(1));
+                }
+                AttributedBlock {
+                    height: lo + i,
+                    timestamp: Timestamp(1_546_300_800 + (lo + i) as i64 * 600),
+                    credits,
+                }
+            })
+            .collect()
+    }
+
+    /// The per-call remap: intern each credit's name into the store's
+    /// dictionary, then append the rows as built.
+    fn append_by_name(
+        store: &mut BlockStore,
+        blocks: &[AttributedBlock],
+        src: &ProducerRegistry,
+    ) -> Result<()> {
+        let mut rows = Vec::new();
+        for b in blocks {
+            for c in &b.credits {
+                let name = src.name(c.producer).unwrap();
+                rows.push(RowRecord {
+                    height: b.height,
+                    timestamp: b.timestamp.secs(),
+                    producer: store.intern_producer(name),
+                    credit_millis: weight_to_millis(c.weight),
+                    tx_count: 0,
+                    size_bytes: 0,
+                    difficulty: 0,
+                });
+            }
+        }
+        store.append_rows(&rows)
+    }
+
+    #[test]
+    fn remap_follows_names_across_source_registries() {
+        // The same source ids name different producers in `a` and `b`.
+        let a = ProducerRegistry::from_name_list(&["A", "B", "C"]);
+        let b = ProducerRegistry::from_name_list(&["C", "D", "A", "E"]);
+        let (dir, want_dir) = (tmp_dir("remap-two"), tmp_dir("remap-two-want"));
+        let mut store = BlockStore::create(&dir).unwrap();
+        let mut want = BlockStore::create(&want_dir).unwrap();
+        for (k, (src, ids)) in [(&a, &[0, 1, 2][..]), (&b, &[0, 1, 2, 3])]
+            .into_iter()
+            .cycle()
+            .take(6)
+            .enumerate()
+        {
+            let blocks = blocks_over(100 * k as u64, ids);
+            store.append_attributed(&blocks, src).unwrap();
+            append_by_name(&mut want, &blocks, src).unwrap();
+        }
+        let all = ScanPredicate::all();
+        assert_eq!(store.scan(&all).unwrap(), want.scan(&all).unwrap());
+        assert_eq!(
+            store.registry().to_name_list(),
+            want.registry().to_name_list()
+        );
+        assert_eq!(store.registry().to_name_list(), ["A", "B", "C", "D", "E"]);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&want_dir).unwrap();
+    }
+
+    #[test]
+    fn remap_follows_names_after_repair_reloads_the_dictionary() {
+        let dir = tmp_dir("remap-repair");
+        let mut store = BlockStore::create(&dir).unwrap();
+        let src = ProducerRegistry::from_name_list(&["A", "B"]);
+        store
+            .append_attributed(&blocks_over(0, &[0, 1]), &src)
+            .unwrap();
+        store.flush().unwrap();
+        // A lost dictionary comes back with placeholder names, so the
+        // store ids the remap holds no longer carry the source names.
+        store.backend().remove(DICTIONARY_NAME).unwrap();
+        assert!(store.repair().unwrap().dictionary_rebuilt);
+        let placeholders = store.registry().to_name_list();
+        assert_eq!(
+            placeholders,
+            ["recovered-producer-0", "recovered-producer-1"]
+        );
+
+        store
+            .append_attributed(&blocks_over(10, &[1, 0]), &src)
+            .unwrap();
+        let rows = store.scan(&ScanPredicate::all().heights(10, 11)).unwrap();
+        let names: Vec<&str> = rows
+            .iter()
+            .map(|r| store.registry().name(ProducerId(r.producer)).unwrap())
+            .collect();
+        assert_eq!(names, ["B", "A", "A"]);
+        assert_eq!(
+            store.registry().to_name_list(),
+            [&placeholders[..], &["B".to_string(), "A".to_string()]].concat()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_producer_missing_from_the_source_appends_nothing() {
+        let dir = tmp_dir("remap-missing");
+        let mut store = BlockStore::create(&dir).unwrap();
+        let src = ProducerRegistry::from_name_list(&["A", "B"]);
+        store
+            .append_attributed(&blocks_over(0, &[0]), &src)
+            .unwrap();
+        let before = store.scan(&ScanPredicate::all()).unwrap();
+        // Id 2 is past the source registry, in the last block.
+        let err = store
+            .append_attributed(&blocks_over(1, &[1, 0, 2]), &src)
+            .unwrap_err();
+        assert!(matches!(err, StoreError::InvalidAppend(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "invalid append: producer p2 missing from source registry"
+        );
+        assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), before);
+        assert_eq!(store.buffered_rows(), before.len());
+        assert_eq!(store.last_height(), Some(0));
+        // The handle keeps working from where it was.
+        store
+            .append_attributed(&blocks_over(1, &[1]), &src)
+            .unwrap();
+        assert_eq!(store.row_count(), before.len() as u64 + 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_block_per_call_equals_one_batch_call() {
+        let src = ProducerRegistry::from_name_list(&["A", "B", "C", "D"]);
+        let ids: Vec<u32> = (0..SEGMENT_ROWS as u32 + 500)
+            .map(|i| (i * 7 + i / 3) % 4)
+            .collect();
+        let blocks = blocks_over(0, &ids);
+        let (dir, batch_dir) = (tmp_dir("remap-single"), tmp_dir("remap-batch"));
+        let mut single = BlockStore::create(&dir).unwrap();
+        single.intern_producer("AlreadyHere");
+        for b in &blocks {
+            single
+                .append_attributed(std::slice::from_ref(b), &src)
+                .unwrap();
+        }
+        let mut batch = BlockStore::create(&batch_dir).unwrap();
+        batch.intern_producer("AlreadyHere");
+        batch.append_attributed(&blocks, &src).unwrap();
+        assert_eq!(single.segment_count(), 1);
+        assert_eq!(single.buffered_rows(), batch.buffered_rows());
+        let all = ScanPredicate::all();
+        assert_eq!(single.scan(&all).unwrap(), batch.scan(&all).unwrap());
+        assert_eq!(
+            single.registry().to_name_list(),
+            batch.registry().to_name_list()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&batch_dir).unwrap();
     }
 
     #[test]

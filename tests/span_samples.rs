@@ -1,12 +1,16 @@
-//! Every timed region records exactly one histogram sample per entry.
+//! Every timed region records exactly one histogram sample per entry,
+//! and the head-following counters count every event.
 //!
 //! The metrics registry is process-global, so this binary holds a single
 //! test: nothing else in the process records while it reads the deltas
 //! of the span histograms around a flush, a whole scan and a matrix run
-//! (one `window.form` sample per window spec).
+//! (one `window.form` sample per window spec), and of the `ingest.*`
+//! counters around a forking `ChainView` follow.
 
 use blockdec::core::planner::MatrixPlan;
 use blockdec::prelude::*;
+use blockdec_ingest::ChainView;
+use blockdec_sim::FeedConfig;
 use blockdec_store::RowRecord;
 
 /// Sealed segments the test writes, one per flush.
@@ -83,5 +87,39 @@ fn each_span_records_one_sample_per_entry() {
     assert!(chunks >= 2, "one chunk per window spec at least: {chunks}");
     assert_eq!(samples("planner.chunk") - chunk_samples, chunks);
 
+    // A short forking follow: the view's own tallies and the process
+    // counters move together, event by event.
+    let follow_dir = dir.with_extension("follow");
+    let _ = std::fs::remove_dir_all(&follow_dir);
+    let head = [
+        "ingest.head.accepted",
+        "ingest.head.finalized",
+        "ingest.reorg.applied",
+        "ingest.reorg.blocks_dropped",
+    ]
+    .map(count);
+    let scenario = Scenario::bitcoin_2019().truncated(2);
+    let store = BlockStore::create(&follow_dir).unwrap();
+    let mut view = ChainView::new(store, scenario.chain, scenario.attribution, 6);
+    let feed = FeedConfig {
+        fork_every: 10,
+        ..FeedConfig::default()
+    };
+    for block in scenario.stream_events(feed) {
+        view.apply(&block).unwrap();
+    }
+    view.finalize_all().unwrap();
+    let reorgs = view.reorg_stats();
+    assert!(reorgs.applied > 0, "the feed forked nowhere");
+    assert!(view.accepted() > view.finalized());
+    assert_eq!(count("ingest.head.accepted") - head[0], view.accepted());
+    assert_eq!(count("ingest.head.finalized") - head[1], view.finalized());
+    assert_eq!(count("ingest.reorg.applied") - head[2], reorgs.applied);
+    assert_eq!(
+        count("ingest.reorg.blocks_dropped") - head[3],
+        reorgs.blocks_dropped
+    );
+
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&follow_dir).unwrap();
 }
