@@ -48,6 +48,25 @@ grep -q '"pruned": \[' target/ci-smoke/bench.json
 grep -q '"backend": \[' target/ci-smoke/bench.json
 grep -q '"follow": \[' target/ci-smoke/bench.json
 
+# Smoke: the paper's figures are the CLI's. The experiments harness
+# writes each chain to a store and measures the columns it reads back;
+# the same 30 days loaded with `blockdec load` and measured with
+# `blockdec measure` must give the figures' CSVs byte for byte.
+rm -rf target/ci-smoke/exp target/ci-smoke/exp-btc-store target/ci-smoke/exp-eth-store
+./target/release/experiments --days 30 --out target/ci-smoke/exp fig1 fig10
+./target/release/blockdec load --chain bitcoin --days 30 \
+    --store target/ci-smoke/exp-btc-store
+./target/release/blockdec load --chain ethereum --days 30 \
+    --store target/ci-smoke/exp-eth-store
+./target/release/blockdec measure --store target/ci-smoke/exp-btc-store \
+    --metric gini --window fixed:day --out target/ci-smoke/exp-btc-gini.csv
+./target/release/blockdec measure --store target/ci-smoke/exp-eth-store \
+    --metric entropy --window sliding:6000:3000 \
+    --out target/ci-smoke/exp-eth-entropy.csv
+cmp target/ci-smoke/exp/fig1_bitcoin_gini_fixed_day.csv target/ci-smoke/exp-btc-gini.csv
+cmp target/ci-smoke/exp/fig10_ethereum_entropy_sliding_day_6000.csv \
+    target/ci-smoke/exp-eth-entropy.csv
+
 # Smoke: durability. A freshly loaded store must fsck clean (exit 0),
 # and the fsck self-test must inject, detect, and repair every fault
 # class (exit 0; any miss is non-zero and fails the gate under set -e).

@@ -26,7 +26,7 @@ use blockdec_bench::perf::{
     check_baseline, false_flags, row_summary, run_backend_bench, run_columnar_bench,
     run_decode_bench, run_follow_bench, run_matrix_bench, run_pruned_bench, write_bench_json, Row,
 };
-use blockdec_bench::{run_experiment, Dataset, ALL_EXPERIMENTS};
+use blockdec_bench::{run_experiment, Dataset, StoredDataset, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -106,23 +106,30 @@ fn main() -> ExitCode {
     ));
 
     let mut failed = false;
-    for id in &ids {
+    if !ids.is_empty() {
+        // The experiments read each chain back from a scratch store,
+        // removed when this block ends.
         let t = Instant::now();
-        match run_experiment(id, &btc, &eth, &outdir) {
-            Ok(result) => {
-                println!("\n== {} — {} [{:?}]", result.id, result.title, t.elapsed());
-                for line in &result.lines {
-                    println!("{line}");
+        let (btc_stored, eth_stored) = (StoredDataset::load(&btc), StoredDataset::load(&eth));
+        eprintln!("  stored and read back in {:?}", t.elapsed());
+        for id in &ids {
+            let t = Instant::now();
+            match run_experiment(id, &btc_stored, &eth_stored, &outdir) {
+                Ok(result) => {
+                    println!("\n== {} — {} [{:?}]", result.id, result.title, t.elapsed());
+                    for line in &result.lines {
+                        println!("{line}");
+                    }
+                    summary.push_str(&format!("## {} — {}\n\n", result.id, result.title));
+                    for line in &result.lines {
+                        summary.push_str(&format!("- {}\n", line.trim_start()));
+                    }
+                    summary.push('\n');
                 }
-                summary.push_str(&format!("## {} — {}\n\n", result.id, result.title));
-                for line in &result.lines {
-                    summary.push_str(&format!("- {}\n", line.trim_start()));
+                Err(e) => {
+                    eprintln!("experiment {id} FAILED: {e}");
+                    failed = true;
                 }
-                summary.push('\n');
-            }
-            Err(e) => {
-                eprintln!("experiment {id} FAILED: {e}");
-                failed = true;
             }
         }
     }

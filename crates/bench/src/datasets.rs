@@ -1,7 +1,10 @@
 //! Shared simulated datasets for experiments and benches.
 
+use crate::perf::BenchDir;
 use blockdec_chain::{AttributedBlock, BlockColumns, ProducerRegistry, Timestamp};
+use blockdec_query::{Filter, MeasurementSource};
 use blockdec_sim::Scenario;
+use blockdec_store::BlockStore;
 
 /// A generated, attributed chain-year (or prefix of one).
 pub struct Dataset {
@@ -16,7 +19,8 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    fn from_scenario(scenario: Scenario) -> Dataset {
+    /// Generate and attribute the scenario's blocks.
+    pub fn from_scenario(scenario: Scenario) -> Dataset {
         let stream = scenario.generate();
         Dataset {
             name: scenario.chain.label().to_string(),
@@ -50,9 +54,81 @@ impl Dataset {
     pub fn origin(&self) -> Timestamp {
         Timestamp(self.scenario.start_time)
     }
+}
 
-    /// The same stream in columnar (SoA) layout.
-    pub fn columns(&self) -> BlockColumns {
-        BlockColumns::from_blocks(&self.attributed)
+/// A dataset as the paper's figures read it. [`StoredDataset::load`]
+/// writes the blocks in one call of [`BlockStore::append_attributed`],
+/// the writer behind `blockdec load`, `ingest` and `follow`, into a
+/// scratch store that is removed on drop. It then reads them back once
+/// with [`MeasurementSource::block_columns`], the read behind `measure`,
+/// `compare` and `analyze`.
+pub struct StoredDataset {
+    /// Chain label ("bitcoin" / "ethereum").
+    pub name: String,
+    /// The scenario that produced the blocks.
+    pub scenario: Scenario,
+    /// The store, for window queries.
+    pub store: BlockStore,
+    /// Every block in the store, in height order.
+    pub columns: BlockColumns,
+    _dir: BenchDir,
+}
+
+impl StoredDataset {
+    /// Write `ds` to a scratch store and read it back in full.
+    pub fn load(ds: &Dataset) -> StoredDataset {
+        let dir = BenchDir::new("experiments", ds);
+        let store = dir.store(ds, 1, false);
+        let columns = store
+            .block_columns(&Filter::True)
+            .expect("read back the experiment store");
+        StoredDataset {
+            name: ds.name.clone(),
+            scenario: ds.scenario.clone(),
+            store,
+            columns,
+            _dir: dir,
+        }
+    }
+
+    /// The measurement origin (2019-01-01).
+    pub fn origin(&self) -> Timestamp {
+        Timestamp(self.scenario.start_time)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The store round trip hands the figures the very columns the
+    /// in-memory stream converts to, bit for bit, under the same
+    /// producer ids.
+    fn assert_round_trip(ds: &Dataset) {
+        let stored = StoredDataset::load(ds);
+        assert!(!stored.columns.is_empty());
+        assert_eq!(stored.columns, BlockColumns::from_blocks(&ds.attributed));
+        assert_eq!(
+            stored.store.registry().to_name_list(),
+            ds.registry.to_name_list()
+        );
+    }
+
+    #[test]
+    fn bitcoin_store_columns_equal_the_generated_stream() {
+        // 70 days hold the day-13 multi-coinbase blocks and out-of-order
+        // timestamps.
+        let ds = Dataset::bitcoin(70);
+        assert!(ds.attributed.iter().any(|b| b.credits.len() > 1));
+        assert!(ds
+            .attributed
+            .windows(2)
+            .any(|w| w[1].timestamp < w[0].timestamp));
+        assert_round_trip(&ds);
+    }
+
+    #[test]
+    fn ethereum_store_columns_equal_the_generated_stream() {
+        assert_round_trip(&Dataset::ethereum(2));
     }
 }

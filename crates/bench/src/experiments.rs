@@ -6,22 +6,30 @@
 //! `blockdec-core`), and `table1`–`table3` (the §III-B quoted sliding
 //! averages for both chains and the §II-C day-14 anomaly study).
 //!
-//! Each experiment writes its series as CSV files under the output
-//! directory and returns human-readable summary lines that pair every
-//! measured number with the paper's reported value or range.
+//! Each experiment reads a [`StoredDataset`]: the chain-year written to
+//! a store and read back through the columnar scan `blockdec measure`
+//! runs. Series come from the matrix planner over those columns; fig7's
+//! and table3's single-day and single-month numbers come from window
+//! queries on the store. Each experiment writes its series as CSV files
+//! under the output directory and returns human-readable summary lines
+//! that pair every measured number with the paper's reported value or
+//! range.
 
-use crate::datasets::Dataset;
+use crate::datasets::{Dataset, StoredDataset};
+use crate::perf::BenchDir;
 use blockdec_analysis::anomaly::{sliding_reveals, threshold_runs, AnomalyDetector};
 use blockdec_analysis::bootstrap::bootstrap_mean_ci;
 use blockdec_analysis::changepoint::detect_mean_shift;
 use blockdec_analysis::stats::SeriesStats;
 use blockdec_analysis::trend::{mann_kendall, spearman, Trend};
-use blockdec_chain::{AttributionMode, Granularity};
+use blockdec_chain::time::SECS_PER_DAY;
+use blockdec_chain::{AttributionMode, BlockColumns, Granularity, Timestamp};
 use blockdec_core::distribution::ProducerDistribution;
-use blockdec_core::engine::MeasurementEngine;
+use blockdec_core::engine::{run_matrix_columns, MeasurementEngine};
 use blockdec_core::metrics::MetricKind;
 use blockdec_core::series::MeasurementSeries;
 use blockdec_core::windows::sliding::SlidingWindowSpec;
+use blockdec_query::{top_producers, Filter, MeasurementSource};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -113,12 +121,19 @@ pub struct ExperimentResult {
     pub lines: Vec<String>,
 }
 
-fn title_of(id: &str) -> String {
-    ALL_EXPERIMENTS
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|(_, t)| (*t).to_string())
-        .unwrap_or_else(|| id.to_string())
+impl ExperimentResult {
+    fn new(id: &str, files: Vec<PathBuf>, lines: Vec<String>) -> ExperimentResult {
+        let title = ALL_EXPERIMENTS
+            .iter()
+            .find(|(i, _)| *i == id)
+            .map_or(id, |(_, t)| t);
+        ExperimentResult {
+            id: id.to_string(),
+            title: title.to_string(),
+            files,
+            lines,
+        }
+    }
 }
 
 fn write_csv(outdir: &Path, name: &str, series: &MeasurementSeries) -> io::Result<PathBuf> {
@@ -137,169 +152,137 @@ fn stat_line(label: &str, series: &MeasurementSeries, paper: &str) -> String {
     }
 }
 
-fn fixed_series(ds: &Dataset, metric: MetricKind) -> Vec<(Granularity, MeasurementSeries)> {
-    Granularity::ALL
-        .iter()
-        .map(|&g| {
-            (
-                g,
-                MeasurementEngine::new(metric)
-                    .fixed_calendar(g, ds.origin())
-                    .run(&ds.attributed),
-            )
-        })
-        .collect()
+/// Run `configs` over every block of the dataset, in config order.
+fn measure(ds: &StoredDataset, configs: &[MeasurementEngine]) -> Vec<MeasurementSeries> {
+    run_matrix_columns(ds.columns.as_slice(), configs)
 }
 
-fn sliding_sizes(ds: &Dataset) -> Vec<(Granularity, usize)> {
-    let spec = ds.scenario.spec();
-    Granularity::ALL
-        .iter()
-        .map(|&g| (g, spec.window_blocks(g) as usize))
-        .collect()
+/// `metric` over calendar windows of granularity `g`.
+fn fixed(ds: &StoredDataset, metric: MetricKind, g: Granularity) -> MeasurementEngine {
+    MeasurementEngine::new(metric).fixed_calendar(g, ds.origin())
+}
+
+/// `metric` over the paper's sliding windows sized for granularity `g`
+/// (N blocks, advancing N/2).
+fn sliding(ds: &StoredDataset, metric: MetricKind, g: Granularity) -> MeasurementEngine {
+    MeasurementEngine::new(metric).sliding_spec(SlidingWindowSpec::paper(sliding_size(ds, g)))
+}
+
+/// The sliding window size, in blocks, the paper uses for granularity `g`.
+fn sliding_size(ds: &StoredDataset, g: Granularity) -> usize {
+    ds.scenario.spec().window_blocks(g) as usize
 }
 
 fn sliding_series(
-    ds: &Dataset,
+    ds: &StoredDataset,
     metric: MetricKind,
 ) -> Vec<(Granularity, usize, MeasurementSeries)> {
-    sliding_sizes(ds)
+    let configs = Granularity::ALL.map(|g| sliding(ds, metric, g));
+    Granularity::ALL
         .into_iter()
-        .map(|(g, n)| {
-            (
-                g,
-                n,
-                MeasurementEngine::new(metric)
-                    .sliding_spec(SlidingWindowSpec::paper(n))
-                    .run(&ds.attributed),
-            )
-        })
+        .zip(measure(ds, &configs))
+        .map(|(g, series)| (g, sliding_size(ds, g), series))
         .collect()
 }
 
-/// A fixed-window figure (figs 1–6).
-fn fixed_figure(
-    id: &str,
-    ds: &Dataset,
-    metric: MetricKind,
-    paper_notes: [&str; 3],
-    outdir: &Path,
-) -> io::Result<ExperimentResult> {
-    let mut files = Vec::new();
-    let mut lines = Vec::new();
-    for ((g, series), paper) in fixed_series(ds, metric).iter().zip(paper_notes) {
-        files.push(write_csv(
-            outdir,
-            &format!(
-                "{id}_{}_{}_fixed_{}.csv",
-                ds.name,
-                metric.label(),
-                g.label()
-            ),
-            series,
-        )?);
-        lines.push(stat_line(
-            &format!("{} fixed/{}", metric.label(), g.label()),
-            series,
-            paper,
-        ));
-    }
-    Ok(ExperimentResult {
-        id: id.to_string(),
-        title: title_of(id),
-        files,
-        lines,
-    })
+/// The calendar window of granularity `g` that holds day `day` after
+/// `origin`: its [`Timestamp::bucket`] index, and the store filter for
+/// its seconds.
+fn calendar_window(g: Granularity, day: i64, origin: Timestamp) -> (i64, Filter) {
+    let (index, span) = Timestamp(origin.secs() + day * SECS_PER_DAY).bucket_span(g, origin);
+    (index, Filter::TimeBetween(span.start, span.end - 1))
 }
 
-/// A sliding-window figure (figs 9–14).
-fn sliding_figure(
+/// Every credit of `blocks`, grouped by producer.
+fn distribution(blocks: &BlockColumns) -> ProducerDistribution {
+    let mut dist = ProducerDistribution::new();
+    for i in 0..blocks.len() {
+        dist.add_credits(blocks.producers_of(i), blocks.weights_of(i));
+    }
+    dist
+}
+
+/// The window family a figure measures over.
+#[derive(Clone, Copy)]
+enum Windows {
+    /// Calendar days, weeks and months (figs 1–6).
+    Fixed,
+    /// The paper's sliding windows sized per granularity (figs 9–14).
+    Sliding,
+}
+
+/// A figure of one metric at the three granularities.
+fn figure(
     id: &str,
-    ds: &Dataset,
+    ds: &StoredDataset,
     metric: MetricKind,
+    windows: Windows,
     paper_notes: [&str; 3],
     outdir: &Path,
 ) -> io::Result<ExperimentResult> {
+    let configs = Granularity::ALL.map(|g| match windows {
+        Windows::Fixed => fixed(ds, metric, g),
+        Windows::Sliding => sliding(ds, metric, g),
+    });
     let mut files = Vec::new();
     let mut lines = Vec::new();
-    for ((g, n, series), paper) in sliding_series(ds, metric).iter().zip(paper_notes) {
-        files.push(write_csv(
-            outdir,
-            &format!(
-                "{id}_{}_{}_sliding_{}_{}.csv",
-                ds.name,
-                metric.label(),
-                g.label(),
-                n
+    for ((g, series), paper) in Granularity::ALL
+        .into_iter()
+        .zip(measure(ds, &configs))
+        .zip(paper_notes)
+    {
+        let (window, label) = match windows {
+            Windows::Fixed => (
+                format!("fixed_{}", g.label()),
+                format!("fixed/{}", g.label()),
             ),
-            series,
-        )?);
+            Windows::Sliding => {
+                let n = sliding_size(ds, g);
+                let label = format!("sliding/{} (N={n}, M={})", g.label(), n / 2);
+                (format!("sliding_{}_{n}", g.label()), label)
+            }
+        };
+        let name = format!("{id}_{}_{}_{window}.csv", ds.name, metric.label());
+        files.push(write_csv(outdir, &name, &series)?);
         lines.push(stat_line(
-            &format!(
-                "{} sliding/{} (N={n}, M={})",
-                metric.label(),
-                g.label(),
-                n / 2
-            ),
-            series,
+            &format!("{} {label}", metric.label()),
+            &series,
             paper,
         ));
     }
-    Ok(ExperimentResult {
-        id: id.to_string(),
-        title: title_of(id),
-        files,
-        lines,
-    })
+    Ok(ExperimentResult::new(id, files, lines))
 }
 
 /// Fig. 7 — top-producer share pies for one day versus its month.
-fn fig7(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
+fn fig7(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let origin = btc.origin();
-    // 2019-12-07 is day index 340; December is month index 11. On
-    // truncated datasets fall back to the last full day/month present.
-    let last_day = btc
-        .attributed
-        .last()
-        .map(|b| b.timestamp.day_index(origin))
-        .unwrap_or(0);
-    let day_idx = 340.min(last_day);
-    let month_idx = 11.min(
-        btc.attributed
-            .last()
-            .map(|b| b.timestamp.month_index(origin))
-            .unwrap_or(0),
-    );
+    // 2019-12-07 is day index 340, in December (month index 11). On
+    // truncated datasets fall back to the last day present and its month.
+    let last = btc.columns.as_slice().timestamps().last().copied();
+    let day = 340.min(last.map_or(0, |t| Timestamp(t).day_index(origin)));
 
     let mut csv = String::from("scope,producer,blocks,share\n");
+    // Companion artifact: the Lorenz curves behind the Gini difference —
+    // the day curve hugs the diagonal more than the month curve.
+    let mut lorenz_csv = String::from("scope,population_share,block_share\n");
     let mut lines = Vec::new();
-    for (scope, pick) in [
-        (
-            format!("day_{day_idx}"),
-            Box::new(|b: &blockdec_chain::AttributedBlock| b.timestamp.day_index(origin) == day_idx)
-                as Box<dyn Fn(&blockdec_chain::AttributedBlock) -> bool>,
-        ),
-        (
-            format!("month_{month_idx}"),
-            Box::new(move |b: &blockdec_chain::AttributedBlock| {
-                b.timestamp.month_index(origin) == month_idx
-            }),
-        ),
-    ] {
-        let blocks: Vec<_> = btc.attributed.iter().filter(|b| pick(b)).cloned().collect();
-        let dist = ProducerDistribution::from_blocks(&blocks);
+    for g in [Granularity::Day, Granularity::Month] {
+        let (idx, filter) = calendar_window(g, day, origin);
+        let blocks = btc.store.block_columns(&filter).map_err(io::Error::other)?;
+        let dist = distribution(&blocks);
         let total = dist.total_weight();
-        let ranked = dist.ranked();
-        let top: Vec<_> = ranked.iter().take(8).collect();
+        // What `blockdec query "top 8 producers where time between …"`
+        // prints for this window.
+        let top = top_producers(&btc.store, &filter, 8).map_err(io::Error::other)?;
+        let scope = format!("{}_{idx}", g.label());
         let mut top_share = 0.0;
-        for (p, w) in &top {
-            let name = btc.registry.name(*p).unwrap_or("<unknown>");
-            csv.push_str(&format!("{scope},{name},{w},{:.4}\n", w / total));
-            top_share += w / total;
+        for p in &top {
+            csv.push_str(&format!("{scope},{},{},{:.4}\n", p.name, p.blocks, p.share));
+            top_share += p.share;
         }
         csv.push_str(&format!(
             "{scope},<others>,{:.1},{:.4}\n",
-            total - top.iter().map(|(_, w)| w).sum::<f64>(),
+            total - top.iter().map(|p| p.blocks).sum::<f64>(),
             1.0 - top_share
         ));
         lines.push(format!(
@@ -307,6 +290,9 @@ fn fig7(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
             blocks.len(),
             dist.producers()
         ));
+        for (x, y) in blockdec_core::metrics::gini::lorenz_curve(&dist.weight_vector()) {
+            lorenz_csv.push_str(&format!("{},{x:.6},{y:.6}\n", g.label()));
+        }
     }
     lines.push(
         "  paper: top-producer share changes little day-vs-month; the month adds a long tail \
@@ -315,43 +301,21 @@ fn fig7(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
     );
     let path = outdir.join("fig07_btc_topshare_pies.csv");
     fs::write(&path, csv)?;
-
-    // Companion artifact: the Lorenz curves behind the Gini difference —
-    // the day curve hugs the diagonal more than the month curve.
-    let mut lorenz_csv = String::from("scope,population_share,block_share\n");
-    for (scope, idx, monthly) in [("day", day_idx, false), ("month", month_idx, true)] {
-        let blocks: Vec<_> = btc
-            .attributed
-            .iter()
-            .filter(|b| {
-                if monthly {
-                    b.timestamp.month_index(origin) == idx
-                } else {
-                    b.timestamp.day_index(origin) == idx
-                }
-            })
-            .cloned()
-            .collect();
-        let dist = ProducerDistribution::from_blocks(&blocks);
-        for (x, y) in blockdec_core::metrics::gini::lorenz_curve(&dist.weight_vector()) {
-            lorenz_csv.push_str(&format!("{scope},{x:.6},{y:.6}\n"));
-        }
-    }
     let lorenz_path = outdir.join("fig07_btc_lorenz_curves.csv");
     fs::write(&lorenz_path, lorenz_csv)?;
 
-    Ok(ExperimentResult {
-        id: "fig7".into(),
-        title: title_of("fig7"),
-        files: vec![path, lorenz_path],
+    Ok(ExperimentResult::new(
+        "fig7",
+        vec![path, lorenz_path],
         lines,
-    })
+    ))
 }
 
 /// The §III-B quoted sliding averages.
 fn quoted_averages_table(
     id: &str,
-    ds: &Dataset,
+    file_tag: &str,
+    ds: &StoredDataset,
     entropy_paper: [f64; 3],
     gini_paper: [f64; 3],
     outdir: &Path,
@@ -382,39 +346,30 @@ fn quoted_averages_table(
             ));
         }
     }
-    let path = outdir.join(format!("{id}_{}_sliding_averages.csv", ds.name));
+    let path = outdir.join(format!("{file_tag}_{}_sliding_averages.csv", ds.name));
     fs::write(&path, csv)?;
-    Ok(ExperimentResult {
-        id: id.to_string(),
-        title: title_of(id),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new(id, vec![path], lines))
 }
 
 /// T3 — the day-14 anomaly under per-address attribution, with the
 /// attribution-mode ablation.
-fn table3(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
-    let origin = btc.origin();
-    let day13: Vec<_> = btc
-        .attributed
-        .iter()
-        .filter(|b| b.timestamp.day_index(origin) == 13)
-        .cloned()
-        .collect();
-    let dist = ProducerDistribution::from_blocks(&day13);
+fn table3(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
+    let (_, day13) = calendar_window(Granularity::Day, 13, btc.origin());
+    let blocks = btc.store.block_columns(&day13).map_err(io::Error::other)?;
+    let dist = distribution(&blocks);
     let w = dist.weight_vector();
     let gini = MetricKind::Gini.compute(&w);
     let entropy = MetricKind::ShannonEntropy.compute(&w);
     let nakamoto = MetricKind::Nakamoto.compute(&w);
-    let multi = day13.iter().filter(|b| b.credits.len() > 1).count();
-    let biggest = day13.iter().map(|b| b.credits.len()).max().unwrap_or(0);
+    let credits = (0..blocks.len()).map(|i| blocks.producers_of(i).len());
+    let multi = credits.clone().filter(|&n| n > 1).count();
+    let biggest = credits.max().unwrap_or(0);
 
     let mut lines = vec![
         format!(
             "  day 14 (index 13): blocks={} producers={} multi-coinbase blocks={multi} \
              largest={biggest} addresses",
-            day13.len(),
+            blocks.len(),
             dist.producers()
         ),
         format!("  daily Gini:    measured {gini:.3} | paper 0.34 (an extreme low)"),
@@ -424,27 +379,23 @@ fn table3(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
         ),
     ];
 
-    // Ablation: re-attribute the same day with FirstAddress credit.
+    // Ablation: re-attribute the first 14 days with FirstAddress credit
+    // into a store of their own, and read the same day back.
     let mut scenario = btc.scenario.clone().truncated(14);
     scenario.attribution = AttributionMode::FirstAddress;
-    let first_addr = scenario.generate();
-    let day13_first: Vec<_> = first_addr
-        .attributed
-        .iter()
-        .filter(|b| b.timestamp.day_index(origin) == 13)
-        .cloned()
-        .collect();
-    let dist_first = ProducerDistribution::from_blocks(&day13_first);
-    let gini_first = MetricKind::Gini.compute(&dist_first.weight_vector());
+    let first_addr = Dataset::from_scenario(scenario);
+    let dir = BenchDir::new("t3-ablation", &first_addr);
+    let ablation = dir.store(&first_addr, 1, false);
+    let blocks_first = ablation.block_columns(&day13).map_err(io::Error::other)?;
+    let gini_first = MetricKind::Gini.compute(&distribution(&blocks_first).weight_vector());
     lines.push(format!(
         "  ablation — FirstAddress attribution: daily Gini {gini_first:.3} vs {gini:.3} \
          per-address (the paper's semantics; per-address is what craters it)"
     ));
 
     // The daily-entropy outlier detector must flag day 13.
-    let daily_entropy = MeasurementEngine::new(MetricKind::ShannonEntropy)
-        .fixed_calendar(Granularity::Day, origin)
-        .run(&btc.attributed);
+    let daily_entropy = fixed(btc, MetricKind::ShannonEntropy, Granularity::Day)
+        .run_columns(btc.columns.as_slice());
     let flagged = AnomalyDetector::default()
         .detect(&daily_entropy)
         .iter()
@@ -456,26 +407,22 @@ fn table3(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let mut csv = String::from("quantity,paper,measured\n");
     csv.push_str(&format!("daily_gini,0.34,{gini:.4}\n"));
     csv.push_str(&format!("daily_entropy,6.2,{entropy:.4}\n"));
-    csv.push_str(&format!("blocks,148,{}\n", day13.len()));
+    csv.push_str(&format!("blocks,148,{}\n", blocks.len()));
     csv.push_str(&format!("multi_coinbase_blocks,2,{multi}\n"));
     csv.push_str(&format!("largest_coinbase_addresses,>90,{biggest}\n"));
     let path = outdir.join("t3_day14_anomaly.csv");
     fs::write(&path, csv)?;
 
-    Ok(ExperimentResult {
-        id: "table3".into(),
-        title: title_of("table3"),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new("table3", vec![path], lines))
 }
 
 /// Fig. 13 with the cross-interval anomaly analysis (§III-B).
-fn fig13(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
-    let mut result = sliding_figure(
+fn fig13(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
+    let mut result = figure(
         "fig13",
         btc,
         MetricKind::Nakamoto,
+        Windows::Sliding,
         [
             "mostly 4–5; extremes doubled vs fixed; day-60 burst visible",
             "4–5; cross-interval dip visible where fixed weekly only trends",
@@ -485,12 +432,14 @@ fn fig13(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
     )?;
 
     // The day-60 dominance burst: daily sliding windows (index ≈ 2×day)
-    // must show a run of Nakamoto 1.
-    let day_sliding = MeasurementEngine::new(MetricKind::Nakamoto)
-        .sliding_spec(SlidingWindowSpec::paper(
-            btc.scenario.spec().window_blocks(Granularity::Day) as usize,
-        ))
-        .run(&btc.attributed);
+    // must show a run of Nakamoto 1. Weekly: anomalies visible in sliding
+    // but absent from fixed.
+    let [day_sliding, weekly_fixed, weekly_sliding] = [
+        sliding(btc, MetricKind::Nakamoto, Granularity::Day),
+        fixed(btc, MetricKind::Nakamoto, Granularity::Week),
+        sliding(btc, MetricKind::Nakamoto, Granularity::Week),
+    ]
+    .map(|config| config.run_columns(btc.columns.as_slice()));
     let runs = threshold_runs(&day_sliding, |v| v <= 1.0);
     match runs.iter().max_by_key(|r| r.len) {
         Some(run) => result.lines.push(format!(
@@ -506,15 +455,6 @@ fn fig13(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
             .push("  dominance burst: NOT FOUND (expected around day 60)".to_string()),
     }
 
-    // Weekly: anomalies visible in sliding but absent from fixed.
-    let weekly_fixed = MeasurementEngine::new(MetricKind::Nakamoto)
-        .fixed_calendar(Granularity::Week, btc.origin())
-        .run(&btc.attributed);
-    let weekly_sliding = MeasurementEngine::new(MetricKind::Nakamoto)
-        .sliding_spec(SlidingWindowSpec::paper(
-            btc.scenario.spec().window_blocks(Granularity::Week) as usize,
-        ))
-        .run(&btc.attributed);
     let revealed = sliding_reveals(&weekly_fixed, &weekly_sliding, &AnomalyDetector::new(3.0));
     result.lines.push(format!(
         "  weekly cross-interval anomalies revealed by sliding only: {} window(s) | \
@@ -526,18 +466,16 @@ fn fig13(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
 
 /// EXT1 — locate the early-2019 consolidation as a changepoint in each
 /// Bitcoin daily metric series.
-fn ext1(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
-    let origin = btc.origin();
+fn ext1(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let mut lines = Vec::new();
     let mut csv = String::from("metric,changepoint_day,mean_before,mean_after,magnitude_sigmas\n");
-    for metric in [
+    let metrics = [
         MetricKind::ShannonEntropy,
         MetricKind::Gini,
         MetricKind::Nakamoto,
-    ] {
-        let series = MeasurementEngine::new(metric)
-            .fixed_calendar(Granularity::Day, origin)
-            .run(&btc.attributed);
+    ];
+    let daily = measure(btc, &metrics.map(|m| fixed(btc, m, Granularity::Day)));
+    for (metric, series) in metrics.into_iter().zip(daily) {
         match detect_mean_shift(&series.values(), 20, 0.4) {
             Some(cp) => {
                 csv.push_str(&format!(
@@ -585,32 +523,23 @@ fn ext1(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
     }
     let path = outdir.join("ext1_btc_changepoints.csv");
     fs::write(&path, csv)?;
-    Ok(ExperimentResult {
-        id: "ext1".into(),
-        title: title_of("ext1"),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new("ext1", vec![path], lines))
 }
 
 /// EXT2 — Spearman concordance between the daily series of the three
 /// metrics, per chain. The paper's §I claim: all metrics "reveal the
 /// same trend".
-fn ext2(btc: &Dataset, eth: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
+fn ext2(btc: &StoredDataset, eth: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let mut lines = Vec::new();
     let mut csv = String::from("chain,pair,spearman_rho\n");
     for ds in [btc, eth] {
+        let daily = measure(
+            ds,
+            &MetricKind::PAPER.map(|m| fixed(ds, m, Granularity::Day)),
+        );
         let series: Vec<(MetricKind, Vec<f64>)> = MetricKind::PAPER
-            .iter()
-            .map(|&m| {
-                (
-                    m,
-                    MeasurementEngine::new(m)
-                        .fixed_calendar(Granularity::Day, ds.origin())
-                        .run(&ds.attributed)
-                        .values(),
-                )
-            })
+            .into_iter()
+            .zip(daily.iter().map(MeasurementSeries::values))
             .collect();
         for i in 0..series.len() {
             for j in (i + 1)..series.len() {
@@ -643,27 +572,18 @@ fn ext2(btc: &Dataset, eth: &Dataset, outdir: &Path) -> io::Result<ExperimentRes
     }
     let path = outdir.join("ext2_metric_concordance.csv");
     fs::write(&path, csv)?;
-    Ok(ExperimentResult {
-        id: "ext2".into(),
-        title: title_of("ext2"),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new("ext2", vec![path], lines))
 }
 
 /// EXT3 — Nakamoto coefficient at the 51% threshold versus the 33%
 /// selfish-mining bound from the paper's introduction.
-fn ext3(btc: &Dataset, eth: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
+fn ext3(btc: &StoredDataset, eth: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let mut lines = Vec::new();
     let mut csv = String::from("chain,threshold,mean,min,max\n");
+    let metrics = [MetricKind::Nakamoto, MetricKind::NakamotoSelfish];
     for ds in [btc, eth] {
-        for (metric, label) in [
-            (MetricKind::Nakamoto, "51%"),
-            (MetricKind::NakamotoSelfish, "33%"),
-        ] {
-            let series = MeasurementEngine::new(metric)
-                .fixed_calendar(Granularity::Day, ds.origin())
-                .run(&ds.attributed);
+        let daily = measure(ds, &metrics.map(|m| fixed(ds, m, Granularity::Day)));
+        for (series, label) in daily.iter().zip(["51%", "33%"]) {
             let stats = SeriesStats::from_values(&series.values());
             if let Some(s) = stats {
                 csv.push_str(&format!(
@@ -684,30 +604,28 @@ fn ext3(btc: &Dataset, eth: &Dataset, outdir: &Path) -> io::Result<ExperimentRes
     );
     let path = outdir.join("ext3_attack_thresholds.csv");
     fs::write(&path, csv)?;
-    Ok(ExperimentResult {
-        id: "ext3".into(),
-        title: title_of("ext3"),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new("ext3", vec![path], lines))
 }
 
 /// EXT4 — do the paper's conclusions depend on its *block-count* window
 /// family? Repeat the day-granularity sliding measurements with
 /// time-based windows (24h advancing 12h) and compare.
-fn ext4(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
+fn ext4(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     let mut lines = Vec::new();
     let mut csv = String::from("metric,family,n_windows,mean,min,max\n");
-    for metric in MetricKind::PAPER {
-        let by_blocks = MeasurementEngine::new(metric)
-            .sliding_spec(SlidingWindowSpec::paper(
-                btc.scenario.spec().window_blocks(Granularity::Day) as usize,
-            ))
-            .run(&btc.attributed);
-        let by_time = MeasurementEngine::new(metric)
-            .sliding_time(86_400, 43_200)
-            .run(&btc.attributed);
-        for (family, series) in [("blocks", &by_blocks), ("time", &by_time)] {
+    let configs: Vec<MeasurementEngine> = MetricKind::PAPER
+        .iter()
+        .flat_map(|&m| {
+            [
+                sliding(btc, m, Granularity::Day),
+                MeasurementEngine::new(m).sliding_time(86_400, 43_200),
+            ]
+        })
+        .collect();
+    let series = measure(btc, &configs);
+    for (metric, pair) in MetricKind::PAPER.into_iter().zip(series.chunks(2)) {
+        let (by_blocks, by_time) = (&pair[0], &pair[1]);
+        for (family, series) in [("blocks", by_blocks), ("time", by_time)] {
             if let Some(s) = SeriesStats::from_values(&series.values()) {
                 csv.push_str(&format!(
                     "{},{family},{},{:.4},{:.4},{:.4}\n",
@@ -734,27 +652,23 @@ fn ext4(btc: &Dataset, outdir: &Path) -> io::Result<ExperimentResult> {
     }
     let path = outdir.join("ext4_window_family_robustness.csv");
     fs::write(&path, csv)?;
-    Ok(ExperimentResult {
-        id: "ext4".into(),
-        title: title_of("ext4"),
-        files: vec![path],
-        lines,
-    })
+    Ok(ExperimentResult::new("ext4", vec![path], lines))
 }
 
 /// Run one experiment by id.
 pub fn run_experiment(
     id: &str,
-    btc: &Dataset,
-    eth: &Dataset,
+    btc: &StoredDataset,
+    eth: &StoredDataset,
     outdir: &Path,
 ) -> io::Result<ExperimentResult> {
     fs::create_dir_all(outdir)?;
     match id {
-        "fig1" => fixed_figure(
+        "fig1" => figure(
             "fig1",
             btc,
             MetricKind::Gini,
+            Windows::Fixed,
             [
                 "daily mostly 0.45–0.60, extreme lows ≈0.25 in the first 3 months",
                 "weekly between daily and monthly, similar trend to monthly",
@@ -762,10 +676,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig2" => fixed_figure(
+        "fig2" => figure(
             "fig2",
             btc,
             MetricKind::ShannonEntropy,
+            Windows::Fixed,
             [
                 "daily 3.5–4.0 with extremes >5.5; higher in the first 2 months",
                 "weekly close to daily pattern",
@@ -773,10 +688,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig3" => fixed_figure(
+        "fig3" => figure(
             "fig3",
             btc,
             MetricKind::Nakamoto,
+            Windows::Fixed,
             [
                 "stable ≈4 for days 100–260, else 4–5; daily spikes >35 in first 50 days",
                 "oscillates 4–5",
@@ -784,10 +700,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig4" => fixed_figure(
+        "fig4" => figure(
             "fig4",
             eth,
             MetricKind::Gini,
+            Windows::Fixed,
             [
                 "higher and more stable than Bitcoin's",
                 "weekly between daily and monthly",
@@ -795,10 +712,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig5" => fixed_figure(
+        "fig5" => figure(
             "fig5",
             eth,
             MetricKind::ShannonEntropy,
+            Windows::Fixed,
             [
                 "mostly 3.3–3.5, all granularities alike",
                 "mostly 3.3–3.5",
@@ -806,18 +724,20 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig6" => fixed_figure(
+        "fig6" => figure(
             "fig6",
             eth,
             MetricKind::Nakamoto,
+            Windows::Fixed,
             ["fluctuates 2–3", "fluctuates 2–3", "fluctuates 2–3"],
             outdir,
         ),
         "fig7" => fig7(btc, outdir),
-        "fig9" => sliding_figure(
+        "fig9" => figure(
             "fig9",
             btc,
             MetricKind::ShannonEntropy,
+            Windows::Sliding,
             [
                 "avg ≈3.810; ~700 results; more extremes (>5.0) than fixed",
                 "avg ≈4.002; reveals cross-interval changes in days 20–50",
@@ -825,10 +745,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig10" => sliding_figure(
+        "fig10" => figure(
             "fig10",
             eth,
             MetricKind::ShannonEntropy,
+            Windows::Sliding,
             [
                 "avg ≈3.420; stable, mostly 3.3–3.5",
                 "avg ≈3.433",
@@ -836,10 +757,11 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig11" => sliding_figure(
+        "fig11" => figure(
             "fig11",
             btc,
             MetricKind::Gini,
+            Windows::Sliding,
             [
                 "avg ≈0.523; larger windows → higher values",
                 "avg ≈0.667",
@@ -847,18 +769,20 @@ pub fn run_experiment(
             ],
             outdir,
         ),
-        "fig12" => sliding_figure(
+        "fig12" => figure(
             "fig12",
             eth,
             MetricKind::Gini,
+            Windows::Sliding,
             ["avg ≈0.837; very stable", "avg ≈0.878", "avg ≈0.916"],
             outdir,
         ),
         "fig13" => fig13(btc, outdir),
-        "fig14" => sliding_figure(
+        "fig14" => figure(
             "fig14",
             eth,
             MetricKind::Nakamoto,
+            Windows::Sliding,
             [
                 "majority 2–3: a few entities control most mining power",
                 "majority 2–3",
@@ -867,29 +791,21 @@ pub fn run_experiment(
             outdir,
         ),
         "table1" => quoted_averages_table(
+            "table1",
             "t1",
             btc,
             [3.810, 4.002, 4.091],
             [0.523, 0.667, 0.760],
             outdir,
-        )
-        .map(|mut r| {
-            r.id = "table1".into();
-            r.title = title_of("table1");
-            r
-        }),
+        ),
         "table2" => quoted_averages_table(
+            "table2",
             "t2",
             eth,
             [3.420, 3.433, 3.445],
             [0.837, 0.878, 0.916],
             outdir,
-        )
-        .map(|mut r| {
-            r.id = "table2".into();
-            r.title = title_of("table2");
-            r
-        }),
+        ),
         "table3" => table3(btc, outdir),
         "ext1" => ext1(btc, outdir),
         "ext2" => ext2(btc, eth, outdir),
@@ -916,18 +832,10 @@ mod tests {
     fn all_experiment_ids_run_on_small_datasets() {
         // 70 days of Bitcoin covers the day-13 and day-60 events; 2 days
         // of Ethereum keeps the test fast.
-        let btc = Dataset::bitcoin(70);
+        let btc = StoredDataset::load(&Dataset::bitcoin(70));
         let mut eth_scenario = blockdec_sim::Scenario::ethereum_2019().truncated(2);
         eth_scenario.limit_blocks = Some(9_000);
-        let eth = {
-            let stream = eth_scenario.generate();
-            Dataset {
-                name: "ethereum".into(),
-                scenario: eth_scenario,
-                attributed: stream.attributed,
-                registry: stream.registry,
-            }
-        };
+        let eth = StoredDataset::load(&Dataset::from_scenario(eth_scenario));
         let dir = outdir("all");
         for (id, _) in ALL_EXPERIMENTS {
             let result = run_experiment(id, &btc, &eth, &dir)
@@ -947,16 +855,17 @@ mod tests {
 
     #[test]
     fn unknown_id_is_an_error() {
-        let btc = Dataset::bitcoin(1);
-        let eth = Dataset::ethereum(0);
+        let btc = StoredDataset::load(&Dataset::bitcoin(1));
+        let eth = StoredDataset::load(&Dataset::ethereum(0));
         assert!(run_experiment("fig99", &btc, &eth, &outdir("bad")).is_err());
     }
 
     #[test]
     fn table3_flags_day13() {
-        let btc = Dataset::bitcoin(30);
+        let btc = StoredDataset::load(&Dataset::bitcoin(30));
+        let eth = StoredDataset::load(&Dataset::ethereum(0));
         let dir = outdir("t3");
-        let r = run_experiment("table3", &btc, &Dataset::ethereum(0), &dir).unwrap();
+        let r = run_experiment("table3", &btc, &eth, &dir).unwrap();
         let text = r.lines.join("\n");
         assert!(
             text.contains("flagged by the robust outlier detector: true"),

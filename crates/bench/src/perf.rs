@@ -147,10 +147,10 @@ pub fn paper_matrix(ds: &Dataset, sliding_size: usize) -> Vec<MeasurementEngine>
 /// A throwaway bench directory under the temp dir, removed on drop.
 /// Its name carries the thread id: tests on parallel threads of one
 /// process run the same bench on the same dataset.
-struct BenchDir(PathBuf);
+pub(crate) struct BenchDir(PathBuf);
 
 impl BenchDir {
-    fn new(bench: &str, ds: &Dataset) -> BenchDir {
+    pub(crate) fn new(bench: &str, ds: &Dataset) -> BenchDir {
         let dir = std::env::temp_dir().join(format!(
             "blockdec-{bench}-{}-{}-{:?}",
             ds.name,
@@ -165,7 +165,7 @@ impl BenchDir {
     /// flushes (so a parallel scan has segments to fan out over), then
     /// compacted into the sorted layout a chain-year store settles into
     /// when `compact` is set.
-    fn store(&self, ds: &Dataset, flushes: usize, compact: bool) -> BlockStore {
+    pub(crate) fn store(&self, ds: &Dataset, flushes: usize, compact: bool) -> BlockStore {
         let mut store = BlockStore::create(&self.0).expect("create bench store");
         let step = ds.attributed.len().div_ceil(flushes).max(1);
         for chunk in ds.attributed.chunks(step) {
@@ -498,12 +498,13 @@ pub fn run_pruned_bench(ds: &Dataset) -> Row {
 }
 
 /// Persist the dataset into a compacted store, then measure what the
-/// `ObjectStore` layer actually reads: a cold-cache pruned 3-day window
-/// scan's `store.backend.bytes_fetched` (index blocks plus matching page
-/// groups only) against the total store size — the `fetch_fraction` the
-/// CI ceiling gates on — plus a bitwise LocalFs-vs-SimBackend parity
-/// check of every scan (full and pruned, at 1 worker and at the auto
-/// thread count) under injected transient read faults.
+/// `ObjectStore` layer actually reads: the bytes a cold-cache pruned
+/// 3-day window scan fetches through its handle's page cache (index
+/// blocks plus matching page groups only) against the total store size
+/// — the `fetch_fraction` the CI ceiling gates on — plus a bitwise
+/// LocalFs-vs-SimBackend parity check of every scan (full and pruned, at
+/// 1 worker and at the auto thread count) under injected transient read
+/// faults.
 pub fn run_backend_bench(ds: &Dataset) -> Row {
     use blockdec_store::{LocalFs, ObjectStore, SimBackend, SimProfile};
     use std::sync::Arc;
@@ -524,18 +525,13 @@ pub fn run_backend_bench(ds: &Dataset) -> Row {
         .sum();
     let time_pred = mid_window(ds);
 
-    // Cold-cache pruned scan: a fresh handle, so the page cache starts
-    // empty and every backend read shows up in the counter deltas.
+    // Cold-cache pruned scan: a fresh handle, so its page cache starts
+    // empty and counts every backend read of this scan, and only those.
     let cold = BlockStore::open_with(Arc::new(LocalFs::new(&dir.0))).expect("open bench store");
-    let fetched0 = blockdec_obs::counter("store.backend.bytes_fetched").get();
-    let hits0 = blockdec_obs::counter("store.backend.hit").get();
-    let misses0 = blockdec_obs::counter("store.backend.miss").get();
     let (window_cols, _) = cold
         .scan_columnar_with(&time_pred, ScanOptions::strict().with_threads(0), |_| true)
         .expect("pruned window scan");
-    let bytes_fetched = blockdec_obs::counter("store.backend.bytes_fetched").get() - fetched0;
-    let page_cache_hits = blockdec_obs::counter("store.backend.hit").get() - hits0;
-    let page_cache_misses = blockdec_obs::counter("store.backend.miss").get() - misses0;
+    let cache = cold.page_cache_stats();
     let window_rows = window_cols.credit_count() as u64;
     drop(cold);
 
@@ -577,13 +573,13 @@ pub fn run_backend_bench(ds: &Dataset) -> Row {
         ("segments", Int(segments as u64)),
         ("store_bytes", Int(store_bytes)),
         ("window_rows", Int(window_rows)),
-        ("bytes_fetched", Int(bytes_fetched)),
+        ("bytes_fetched", Int(cache.bytes_fetched)),
         (
             "fetch_fraction",
-            Secs(bytes_fetched as f64 / store_bytes.max(1) as f64),
+            Secs(cache.bytes_fetched as f64 / store_bytes.max(1) as f64),
         ),
-        ("page_cache_hits", Int(page_cache_hits)),
-        ("page_cache_misses", Int(page_cache_misses)),
+        ("page_cache_hits", Int(cache.hits)),
+        ("page_cache_misses", Int(cache.misses)),
         ("sim_retries", Int(sim_retries)),
         ("sim_exact_match", Flag(sim_exact_match)),
     ])

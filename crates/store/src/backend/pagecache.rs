@@ -42,6 +42,7 @@ struct Inner {
     resident_bytes: usize,
     hits: u64,
     misses: u64,
+    bytes_fetched: u64,
     evictions: u64,
 }
 
@@ -52,6 +53,8 @@ pub struct PageCacheStats {
     pub hits: u64,
     /// Range lookups that went to the backend.
     pub misses: u64,
+    /// Bytes the misses read from the backend.
+    pub bytes_fetched: u64,
     /// Ranges dropped to stay under capacity.
     pub evictions: u64,
     /// Configured capacity in bytes.
@@ -78,6 +81,7 @@ impl PageCache {
                 resident_bytes: 0,
                 hits: 0,
                 misses: 0,
+                bytes_fetched: 0,
                 evictions: 0,
             }),
         }
@@ -129,6 +133,7 @@ impl PageCache {
         // Fetch outside the lock: the backend may be slow by design.
         let bytes = Arc::new(get_range_retry(store, name, offset, len)?);
         let mut inner = self.locked();
+        inner.bytes_fetched += len as u64;
         if inner.capacity_bytes > 0 && len <= inner.capacity_bytes {
             inner.clock += 1;
             let clock = inner.clock;
@@ -177,6 +182,7 @@ impl PageCache {
         PageCacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            bytes_fetched: inner.bytes_fetched,
             evictions: inner.evictions,
             capacity_bytes: inner.capacity_bytes,
             resident_bytes: inner.resident_bytes,
@@ -215,6 +221,7 @@ mod tests {
         assert_eq!(&a[..4], &[0, 1, 2, 3]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.bytes_fetched, 16);
         assert_eq!(stats.resident_bytes, 16);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -257,6 +264,7 @@ mod tests {
         cache.get_range(&store, "blob@1", "blob", 0, 8).unwrap();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 2));
+        assert_eq!(stats.bytes_fetched, 16);
         assert_eq!(stats.resident_bytes, 0);
         fs::remove_dir_all(&dir).unwrap();
     }

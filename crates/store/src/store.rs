@@ -458,19 +458,30 @@ impl BlockStore {
     }
 
     /// Seal full segments off the front of the buffer to bound memory.
+    /// Each segment is written from its slice of the buffer, and the
+    /// sealed prefix is drained once, so one large append copies only
+    /// the short tail it leaves buffered. When a seal fails, its chunk
+    /// leaves the buffer along with the sealed ones before it, and the
+    /// rows after it stay buffered.
     fn seal_full_segments(&mut self) -> Result<()> {
-        while self.active.len() >= SEGMENT_ROWS {
-            let rest = self.active.split_off(SEGMENT_ROWS);
-            let chunk = std::mem::replace(&mut self.active, rest);
-            self.seal(chunk)?;
+        if self.active.len() < SEGMENT_ROWS {
+            return Ok(());
         }
-        Ok(())
+        let mut active = std::mem::take(&mut self.active);
+        let mut sealed = 0;
+        let result = active.chunks_exact(SEGMENT_ROWS).try_for_each(|chunk| {
+            sealed += chunk.len();
+            self.seal(chunk)
+        });
+        active.drain(..sealed);
+        self.active = active;
+        result
     }
 
-    fn seal(&mut self, rows: Vec<RowRecord>) -> Result<()> {
+    fn seal(&mut self, rows: &[RowRecord]) -> Result<()> {
         debug_assert!(!rows.is_empty());
         let id = self.manifest.next_segment_id;
-        let meta = write_segment_file(self.store.as_ref(), &segment_file_name(id), &rows)?;
+        let meta = write_segment_file(self.store.as_ref(), &segment_file_name(id), rows)?;
         self.manifest.segments.push(meta);
         self.manifest.next_segment_id = id + 1;
         // Commit: dictionary first (superset is harmless), then manifest.
@@ -491,7 +502,7 @@ impl BlockStore {
             return save_dictionary(self.store.as_ref(), &self.registry);
         }
         let rows = std::mem::take(&mut self.active);
-        self.seal(rows)
+        self.seal(&rows)
     }
 
     /// Scan rows matching a predicate, in height order.
@@ -1110,6 +1121,50 @@ mod tests {
         assert_eq!(store.buffered_rows(), 0);
         assert_eq!(store.row_count(), SEGMENT_ROWS as u64 + 10);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_large_append_writes_what_segment_sized_appends_write() {
+        // 3·SEGMENT_ROWS + 17 rows. Rows SEGMENT_ROWS-1 ..= SEGMENT_ROWS+1
+        // are the three credits of one block, so it straddles the first
+        // segment boundary.
+        let n = 3 * SEGMENT_ROWS + 17;
+        let write = |tag: &str, call_rows: usize| {
+            let dir = tmp_dir(tag);
+            let mut store = BlockStore::create(&dir).unwrap();
+            let rows: Vec<RowRecord> = (0..n)
+                .map(|i| match i.checked_sub(SEGMENT_ROWS - 1) {
+                    Some(k @ 0..=2) => RowRecord {
+                        credit_millis: 333,
+                        ..row(&mut store, (SEGMENT_ROWS - 1) as u64, ["A", "B", "C"][k])
+                    },
+                    Some(_) => row(&mut store, (i - 2) as u64, "P"),
+                    None => row(&mut store, i as u64, "P"),
+                })
+                .collect();
+            for chunk in rows.chunks(call_rows) {
+                store.append_rows(chunk).unwrap();
+            }
+            store.flush().unwrap();
+            assert_eq!(store.segment_count(), 4);
+            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, fs::read(e.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            fs::remove_dir_all(&dir).unwrap();
+            files
+        };
+        let one_call = write("seal-one-call", n);
+        let sized_calls = write("seal-sized-calls", SEGMENT_ROWS);
+        let names: Vec<&str> = one_call.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names.iter().filter(|n| n.ends_with(".bds")).count(), 4);
+        assert!(names.contains(&crate::catalog::MANIFEST_NAME), "{names:?}");
+        assert!(one_call == sized_calls, "store files differ: {names:?}");
     }
 
     #[test]
