@@ -187,20 +187,35 @@ impl Drop for BenchDir {
     }
 }
 
-/// Best-of-3 wall seconds for `run`, with the last run's output. Each
-/// output is dropped before the next run starts, so no run is timed
-/// while an earlier result holds memory it could reuse.
-fn best_of_3<T>(mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
+/// Runs the decode and pruned benches time per scan; they report the
+/// median. A millisecond scan timed once, or as the best of a few runs,
+/// measures allocator state as much as the scan.
+const SCAN_REPEATS: usize = 5;
+
+/// Median wall seconds of `SCAN_REPEATS` runs of `run`, with the last
+/// run's output. Each output is dropped before the next run starts, so
+/// no run is timed while an earlier result holds memory it could reuse.
+fn median_secs<T>(run: impl FnMut() -> T) -> (f64, T) {
+    let start = Instant::now();
+    median_secs_on(|| start.elapsed().as_secs_f64(), run)
+}
+
+/// [`median_secs`] on the clock `now`, in seconds.
+fn median_secs_on<T>(mut now: impl FnMut() -> f64, mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut secs = Vec::with_capacity(SCAN_REPEATS);
     let mut out = None;
-    for _ in 0..3 {
+    for _ in 0..SCAN_REPEATS {
         drop(out.take());
-        let t = Instant::now();
+        let t = now();
         let r = run();
-        best = best.min(t.elapsed().as_secs_f64());
+        secs.push(now() - t);
         out = Some(r);
     }
-    (best, out.expect("three runs happened"))
+    secs.sort_by(f64::total_cmp);
+    (
+        secs[SCAN_REPEATS / 2],
+        out.expect("SCAN_REPEATS is at least one"),
+    )
 }
 
 /// The ~3-day window in the middle of the dataset's time range.
@@ -310,9 +325,9 @@ pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> Row {
 /// Persist the dataset to a throwaway store sealed in 8 chunks, then time
 /// the raw [`BlockStore::scan_columnar_with`] decode at one worker
 /// (sequential) and at the auto thread count (one per CPU, clamped to
-/// the segment count), best of three runs each. `exact_match` holds when
-/// both `BlockColumns` equal, bitwise (every column, CSR offsets
-/// included), the row scan regrouped through
+/// the segment count), the median of five runs each (`SCAN_REPEATS`).
+/// `exact_match` holds when both `BlockColumns` equal, bitwise (every
+/// column, CSR offsets included), the row scan regrouped through
 /// [`BlockColumns::push_row`], built after the timed runs.
 pub fn run_decode_bench(ds: &Dataset) -> Row {
     let dir = BenchDir::new("decbench", ds);
@@ -328,7 +343,7 @@ pub fn run_decode_bench(ds: &Dataset) -> Row {
     let pred = ScanPredicate::all();
     let scan = |threads| {
         let opts = ScanOptions::strict().with_threads(threads);
-        best_of_3(|| {
+        median_secs(|| {
             store
                 .scan_columnar_with(&pred, opts, |_| true)
                 .expect("bench scan")
@@ -382,8 +397,9 @@ pub fn run_decode_bench(ds: &Dataset) -> Row {
 
 /// Persist the dataset, compact it into large sorted v3 segments (the
 /// layout a chain-year store settles into), then time a full columnar
-/// decode against two pruned scans, best of three each: a ~3-day time
-/// window in the middle of the range (page-group zone pruning), and the
+/// decode against two pruned scans, the median of five runs each
+/// (`SCAN_REPEATS`): a ~3-day time window in the middle of the range
+/// (page-group zone pruning), and the
 /// producer whose rows span the fewest segments (manifest/segment bloom
 /// pruning) — the worst case for a full decode, the best case for bloom
 /// pruning, and exactly the per-entity query the SoK literature runs.
@@ -429,7 +445,7 @@ pub fn run_pruned_bench(ds: &Dataset) -> Row {
 
     let scan = |pred: &ScanPredicate| {
         let opts = ScanOptions::strict().with_threads(0);
-        best_of_3(|| {
+        median_secs(|| {
             store
                 .scan_columnar_with(pred, opts, |_| true)
                 .expect("bench scan")
@@ -876,21 +892,31 @@ mod tests {
     }
 
     #[test]
-    fn best_of_3_drops_each_output_before_the_next_run() {
-        struct Live<'a>(&'a std::cell::Cell<usize>);
+    fn median_secs_drops_each_output_and_returns_the_median() {
+        use std::cell::Cell;
+        struct Live<'a>(&'a Cell<usize>);
         impl Drop for Live<'_> {
             fn drop(&mut self) {
                 self.0.set(self.0.get() - 1);
             }
         }
-        let live = std::cell::Cell::new(0);
+        // A scripted clock: run k takes `took[k]` seconds.
+        let took = [5.0, 1.0, 4.0, 2.0, 3.0];
+        let clock = Cell::new(0.0);
+        let live = Cell::new(0);
         let mut live_at_start = Vec::new();
-        let (_, last) = best_of_3(|| {
-            live_at_start.push(live.get());
-            live.set(live.get() + 1);
-            Live(&live)
-        });
-        assert_eq!(live_at_start, [0, 0, 0]);
+        let (secs, last) = median_secs_on(
+            || clock.get(),
+            || {
+                let k = live_at_start.len();
+                live_at_start.push(live.get());
+                clock.set(clock.get() + took[k]);
+                live.set(live.get() + 1);
+                Live(&live)
+            },
+        );
+        assert_eq!(secs, 3.0);
+        assert_eq!(live_at_start, [0; SCAN_REPEATS]);
         assert_eq!(live.get(), 1);
         drop(last);
         assert_eq!(live.get(), 0);

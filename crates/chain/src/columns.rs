@@ -407,6 +407,11 @@ impl<'a> ColumnsSlice<'a> {
         Timestamp(self.timestamps[i])
     }
 
+    /// The height column, one entry per block.
+    pub fn heights(&self) -> &'a [u64] {
+        self.heights
+    }
+
     /// The timestamp column (seconds), one entry per block.
     pub fn timestamps(&self) -> &'a [i64] {
         self.timestamps

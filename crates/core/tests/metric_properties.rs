@@ -3,8 +3,9 @@
 use blockdec_chain::{AttributedBlock, Credit, ProducerId, Timestamp};
 use blockdec_core::metrics::gini::gini_pairwise_reference;
 use blockdec_core::metrics::{
-    gini, hhi, nakamoto, nakamoto_with_threshold, normalized_shannon_entropy, shannon_entropy,
-    theil, top_k_share,
+    gini, hhi, nakamoto, nakamoto_with_threshold, nakamoto_with_threshold_sorted,
+    normalized_shannon_entropy, shannon_entropy, theil, top_k_share, NAKAMOTO_THRESHOLD,
+    SELFISH_MINING_THRESHOLD,
 };
 use blockdec_core::windows::sliding::SlidingWindowSpec;
 use blockdec_core::ProducerDistribution;
@@ -79,6 +80,17 @@ proptest! {
     fn nakamoto_monotone_in_threshold(w in weights(), t1 in 0.1f64..0.9, t2 in 0.1f64..0.9) {
         let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
         prop_assert!(nakamoto_with_threshold(&w, lo) <= nakamoto_with_threshold(&w, hi));
+    }
+
+    /// EXT3's claim: the 33% selfish-mining bound never needs more
+    /// colluders than the 51% one.
+    #[test]
+    fn selfish_bound_never_needs_more_colluders(mut w in weights()) {
+        w.sort_by(f64::total_cmp);
+        prop_assert!(
+            nakamoto_with_threshold_sorted(&w, SELFISH_MINING_THRESHOLD)
+                <= nakamoto_with_threshold_sorted(&w, NAKAMOTO_THRESHOLD)
+        );
     }
 
     #[test]

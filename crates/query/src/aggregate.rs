@@ -28,7 +28,8 @@ pub struct ProducerAgg {
 ///
 /// The range's credits come from the columnar scan
 /// ([`MeasurementSource::block_columns`]) and fold, in scan order, into
-/// one slot per dictionary id. Each producer's sum therefore adds the
+/// one slot per dictionary id, in one pass over the flat credit columns.
+/// Each producer's sum therefore adds the
 /// same credits in the same order as a row-by-row fold would. The scan
 /// fails with [`blockdec_store::StoreError::InconsistentCatalog`] on a
 /// credit whose producer id lies outside the dictionary, so every id
@@ -36,10 +37,9 @@ pub struct ProducerAgg {
 pub fn producer_block_counts(store: &BlockStore, filter: &Filter) -> Result<Vec<(u32, f64)>> {
     let cols = store.block_columns(filter)?;
     let mut counts: Vec<Option<f64>> = vec![None; store.registry().len()];
-    for i in 0..cols.len() {
-        for (p, &w) in cols.producers_of(i).iter().zip(cols.weights_of(i)) {
-            *counts[p.index()].get_or_insert(0.0) += w;
-        }
+    let (producers, weights) = cols.as_slice().credits_in(0..cols.len());
+    for (p, &w) in producers.iter().zip(weights) {
+        *counts[p.index()].get_or_insert(0.0) += w;
     }
     Ok((0..)
         .zip(counts)

@@ -10,7 +10,7 @@ use crate::segment::{write_segment_file, PrunedDecode, SegmentDecoder, SEGMENT_R
 use crate::zonemap::ZoneMap;
 use blockdec_chain::{AttributedBlock, BlockColumns, ProducerId, ProducerRegistry, Timestamp};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Filter for [`BlockStore::scan`]. All bounds are inclusive; `None`
 /// means unconstrained.
@@ -212,6 +212,9 @@ pub struct BlockStore {
     /// map, kept across calls. An entry is trusted only while the store
     /// id still carries the source id's name.
     remap: Vec<u32>,
+    /// Decoders of finished pruned scans, warm for the next ones; see
+    /// [`BlockStore::read_segments`].
+    decoders: Mutex<Vec<SegmentDecoder>>,
 }
 
 /// Page-cache capacity of a new handle, in bytes (64 MiB); change it
@@ -229,6 +232,7 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         last_height,
         scan_threads: 0,
         remap: Vec::new(),
+        decoders: Mutex::new(Vec::new()),
     }
 }
 
@@ -458,26 +462,39 @@ impl BlockStore {
     }
 
     /// Seal full segments off the front of the buffer to bound memory.
-    /// Each segment is written from its slice of the buffer, and the
-    /// sealed prefix is drained once, so one large append copies only
-    /// the short tail it leaves buffered. When a seal fails, its chunk
-    /// leaves the buffer along with the sealed ones before it, and the
-    /// rows after it stay buffered.
     fn seal_full_segments(&mut self) -> Result<()> {
         if self.active.len() < SEGMENT_ROWS {
             return Ok(());
         }
+        self.seal_buffered(false)
+    }
+
+    /// Seal the buffer front to back as `SEGMENT_ROWS`-row segments,
+    /// and with `tail` the short rest as a last one. Each segment is
+    /// written from its slice of the buffer, and the committed prefix is
+    /// drained once, so one large append copies only the short tail it
+    /// leaves buffered. The first failed seal stops the loop: its chunk
+    /// and every row after it stay buffered, so the handle still holds
+    /// every row it accepted, and a later flush seals them again.
+    fn seal_buffered(&mut self, tail: bool) -> Result<()> {
         let mut active = std::mem::take(&mut self.active);
         let mut sealed = 0;
-        let result = active.chunks_exact(SEGMENT_ROWS).try_for_each(|chunk| {
-            sealed += chunk.len();
-            self.seal(chunk)
-        });
+        let result = active
+            .chunks(SEGMENT_ROWS)
+            .take_while(|chunk| tail || chunk.len() == SEGMENT_ROWS)
+            .try_for_each(|chunk| {
+                self.seal(chunk)?;
+                sealed += chunk.len();
+                Ok(())
+            });
         active.drain(..sealed);
         self.active = active;
         result
     }
 
+    /// Write `rows` as the next segment and commit it. A failed commit
+    /// takes the segment back out of the handle's manifest, so a retry
+    /// writes the same file name again.
     fn seal(&mut self, rows: &[RowRecord]) -> Result<()> {
         debug_assert!(!rows.is_empty());
         let id = self.manifest.next_segment_id;
@@ -485,24 +502,30 @@ impl BlockStore {
         self.manifest.segments.push(meta);
         self.manifest.next_segment_id = id + 1;
         // Commit: dictionary first (superset is harmless), then manifest.
-        save_dictionary(self.store.as_ref(), &self.registry)?;
-        self.manifest.save(self.store.as_ref())?;
+        let committed = save_dictionary(self.store.as_ref(), &self.registry)
+            .and_then(|()| self.manifest.save(self.store.as_ref()));
+        if committed.is_err() {
+            self.manifest.segments.pop();
+            self.manifest.next_segment_id = id;
+        }
         // No cache invalidation: the page cache is keyed by content
         // identity (file name + footer CRC), so entries for superseded
         // bytes simply stop being addressed and age out.
-        Ok(())
+        committed
     }
 
-    /// Seal any buffered rows into a final (possibly short) segment and
-    /// commit. Idempotent when the buffer is empty.
+    /// Seal the buffered rows and commit: full segments first, then the
+    /// short rest. Idempotent when the buffer is empty.
     pub fn flush(&mut self) -> Result<()> {
         let _t = blockdec_obs::span!("stage.store_flush", rows = self.active.len());
         if self.active.is_empty() {
             // Still persist dictionary growth from interning.
             return save_dictionary(self.store.as_ref(), &self.registry);
         }
-        let rows = std::mem::take(&mut self.active);
-        self.seal(&rows)
+        self.seal_buffered(true)?;
+        // A flushed handle holds no buffer memory until its next append.
+        self.active.shrink_to_fit();
+        Ok(())
     }
 
     /// Scan rows matching a predicate, in height order.
@@ -696,25 +719,40 @@ impl BlockStore {
         // Each accepted row either joins the last block (same height) or
         // starts a new one, and stitching merges a straddling block, so
         // the first decreasing pair of blocks is the first out-of-order
-        // pair of rows in scan order, at any thread count.
-        if let Some(i) = (1..cols.len()).find(|&i| cols.height(i) < cols.height(i - 1)) {
-            return Err(StoreError::InconsistentCatalog(format!(
-                "scan yielded rows out of height order: height {} after {}",
-                cols.height(i),
-                cols.height(i - 1)
-            )));
+        // pair of rows in scan order, at any thread count. The whole
+        // column is checked first; that pair is looked for only when the
+        // check fails.
+        let view = cols.as_slice();
+        let heights = view.heights();
+        if !heights.is_sorted() {
+            if let Some(i) = (1..heights.len()).find(|&i| heights[i] < heights[i - 1]) {
+                return Err(StoreError::InconsistentCatalog(format!(
+                    "scan yielded rows out of height order: height {} after {}",
+                    heights[i],
+                    heights[i - 1]
+                )));
+            }
         }
         // Appends reject ids outside the dictionary, so only a damaged
         // catalog yields one (fsck: `unknown-producer`). Readers size
         // dense per-id slots by these ids (the producer distributions,
         // the query fold), so an unchecked id could ask for gigabytes.
+        // The largest id is checked first; the first id out of range is
+        // looked for only when that one is.
         let n = self.registry.len();
-        let (producers, _) = cols.as_slice().credits_in(0..cols.len());
-        if let Some(p) = producers.iter().find(|p| p.index() >= n) {
-            return Err(StoreError::InconsistentCatalog(format!(
-                "producer id {} outside dictionary (len {n})",
-                p.0
-            )));
+        let (producers, _) = view.credits_in(0..view.len());
+        if producers
+            .iter()
+            .map(|p| p.index())
+            .max()
+            .is_some_and(|max| max >= n)
+        {
+            if let Some(p) = producers.iter().find(|p| p.index() >= n) {
+                return Err(StoreError::InconsistentCatalog(format!(
+                    "producer id {} outside dictionary (len {n})",
+                    p.0
+                )));
+            }
         }
         debug_assert!(cols.validate().is_ok(), "scan built invalid columns");
         blockdec_obs::counter("columnar.blocks").add(cols.len() as u64);
@@ -804,6 +842,20 @@ impl BlockStore {
     /// returns how many matched. One
     /// [`SegmentDecoder`] (and its scratch buffers) serves the whole
     /// chunk.
+    ///
+    /// Under a predicate that [can prune](ScanPredicate::can_prune), the
+    /// decoder comes from the handle's pool, or is built when the pool
+    /// is empty, and goes back to the pool when the chunk ends, so a
+    /// long-lived handle's pruned scans decode into warm scratch. The
+    /// pool's lock is held only to take and to return, never during a
+    /// decode, so parallel chunk workers do not wait on each other, and
+    /// the pool holds at most one decoder per chunk worker that ever ran
+    /// at once, each with at most 4 MiB of scratch. Every decode clears
+    /// the decoder first, so no row of one scan reaches the next, even
+    /// after an error mid-segment. The unconstrained scan decodes every
+    /// group of every segment once, so its decoder grows to
+    /// [`SEGMENT_ROWS`] rows; it builds a fresh one and drops it before
+    /// returning, so that scratch does not outlive the scan.
     fn read_segments(
         &self,
         segs: &[&SegmentMeta],
@@ -811,8 +863,13 @@ impl BlockStore {
         skip_corrupt: bool,
         take: &mut impl FnMut(&SegmentDecoder) -> u64,
     ) -> SegmentsRead {
+        let pooled = pred.can_prune();
+        let mut dec = if pooled {
+            self.decoder_pool().pop().unwrap_or_default()
+        } else {
+            SegmentDecoder::new()
+        };
         let mut read = SegmentsRead::default();
-        let mut dec = SegmentDecoder::new();
         for seg in segs {
             let span = blockdec_obs::span!("store.segment_read", file = seg.file.as_str());
             let decoded = decode_one_segment(self.store.as_ref(), &self.pages, seg, pred, &mut dec);
@@ -852,7 +909,17 @@ impl BlockStore {
             );
             read.rows_matched += take(&dec);
         }
+        if pooled {
+            self.decoder_pool().push(dec);
+        }
         read
+    }
+
+    /// The decoder pool of [`BlockStore::read_segments`], locked,
+    /// ignoring poison: every decode clears its decoder first, so a scan
+    /// that panicked cannot leave anything the next scan would see.
+    fn decoder_pool(&self) -> MutexGuard<'_, Vec<SegmentDecoder>> {
+        self.decoders.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Backend page-cache counters and configuration.
@@ -1165,6 +1232,34 @@ mod tests {
         assert_eq!(names.iter().filter(|n| n.ends_with(".bds")).count(), 4);
         assert!(names.contains(&crate::catalog::MANIFEST_NAME), "{names:?}");
         assert!(one_call == sized_calls, "store files differ: {names:?}");
+    }
+
+    #[test]
+    fn a_failed_seal_keeps_its_rows_until_a_flush_commits_them() {
+        let n = 3 * SEGMENT_ROWS + 17;
+        // Commits 1–3 are the first seal's segment file, dictionary and
+        // manifest; commit 4 is the second seal's segment file.
+        for k in 1..=4 {
+            let dir = tmp_dir(&format!("failed-seal-{k}"));
+            let mut store = BlockStore::create(&dir).unwrap();
+            let rows: Vec<RowRecord> = (0..n as u64).map(|h| row(&mut store, h, "P")).collect();
+            crate::FaultInjector::new(&dir, 0).arm_crash_at_commit(k);
+            let err = store.append_rows(&rows).unwrap_err();
+            assert!(err.to_string().contains("injected crash"), "k={k}: {err}");
+            assert_eq!(store.row_count(), n as u64, "k={k}");
+            assert_eq!(store.last_height(), Some(n as u64 - 1), "k={k}");
+            store.flush().unwrap();
+            assert_eq!(store.segment_count(), 4, "k={k}");
+            assert_eq!(store.buffered_rows(), 0, "k={k}");
+            drop(store);
+            let reopened = BlockStore::open(&dir).unwrap();
+            assert_eq!(reopened.row_count(), n as u64, "k={k}");
+            assert!(
+                reopened.scan(&ScanPredicate::all()).unwrap() == rows,
+                "k={k}: the reopened store must hold every row exactly once"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
