@@ -1609,6 +1609,6 @@ mod tests {
             );
             names += 1;
         }
-        assert_eq!(names, 13);
+        assert_eq!(names, 16);
     }
 }

@@ -7,6 +7,8 @@
 //! identity** (the manifest's `file@crc` cache key plus the range)
 //! means a rewritten segment can never serve stale bytes and no
 //! invalidation is needed across compaction: a new CRC is a new key.
+//! Bit rot keeps the key, so a scan that fails to read a segment drops
+//! that key's ranges ([`PageCache::remove_key`]).
 //!
 //! Capacity is in bytes. Entries are `Arc`-shared so a hit never copies
 //! the range; eviction is LRU by a monotonic clock stamp. This is the
@@ -168,6 +170,22 @@ impl PageCache {
         }
     }
 
+    /// Drop every cached range of the object whose content identity is
+    /// `key`, leaving other objects' ranges resident.
+    pub fn remove_key(&self, key: &str) {
+        let mut inner = self.locked();
+        let mut freed = 0;
+        inner.map.retain(|(k, _, _), (_, bytes)| {
+            let keep = k != key;
+            if !keep {
+                freed += bytes.len();
+            }
+            keep
+        });
+        inner.resident_bytes -= freed;
+        blockdec_obs::counter("store.backend.resident_bytes").set(inner.resident_bytes as u64);
+    }
+
     /// Drop every cached range.
     pub fn clear(&self) {
         let mut inner = self.locked();
@@ -266,6 +284,28 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (0, 2));
         assert_eq!(stats.bytes_fetched, 16);
         assert_eq!(stats.resident_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn remove_key_drops_only_that_objects_ranges() {
+        let (dir, store) = tmp_store("remove");
+        let cache = PageCache::new(1024);
+        cache.get_range(&store, "blob@1", "blob", 0, 8).unwrap();
+        cache.get_range(&store, "blob@1", "blob", 100, 16).unwrap();
+        cache.get_range(&store, "blob@2", "blob", 0, 32).unwrap();
+        cache.get_range(&store, "blob@10", "blob", 0, 4).unwrap();
+        assert_eq!(cache.stats().resident_bytes, 8 + 16 + 32 + 4);
+
+        cache.remove_key("blob@1");
+        assert_eq!(cache.stats().resident_bytes, 32 + 4);
+        // The other keys' ranges still hit; the removed ones miss.
+        cache.get_range(&store, "blob@2", "blob", 0, 32).unwrap();
+        cache.get_range(&store, "blob@10", "blob", 0, 4).unwrap();
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 4));
+        cache.get_range(&store, "blob@1", "blob", 100, 16).unwrap();
+        assert_eq!(cache.stats().misses, 5);
+        assert_eq!(cache.stats().resident_bytes, 32 + 4 + 16);
         fs::remove_dir_all(&dir).unwrap();
     }
 

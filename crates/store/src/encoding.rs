@@ -3,8 +3,11 @@
 //!
 //! The default column codec is delta (for sorted/slowly-changing columns)
 //! or identity, composed with zigzag (for signed deltas) and LEB128
-//! varint. The writer never picks the frame-of-reference bit-packed
-//! codec; it stays because docs/FORMAT.md says readers accept codec 2.
+//! varint. The writer picks the frame-of-reference bit-packed codec only
+//! for a page of two or more rows that all hold one value: at width 0
+//! its payload is that value's varint and a zero width byte, and it
+//! decodes as one fill. Wider bit-packed pages are never written, but
+//! readers accept them, as docs/FORMAT.md says.
 //!
 //! Decoding is batch-oriented: [`decode_column_into`] appends a whole
 //! column into a caller-owned buffer (so scans reuse scratch across
@@ -135,6 +138,9 @@ pub fn encode_column(codec: Codec, values: &[u64], out: &mut Vec<u8>) {
             let width = 64 - (max - min).leading_zeros();
             put_uvarint(out, min);
             out.push(width as u8);
+            if width == 0 {
+                return;
+            }
             // Pack `width`-bit offsets LSB-first into a bit stream. The
             // accumulator is u128: a 64-bit offset shifted by up to 7
             // pending bits would overflow u64.
@@ -287,6 +293,10 @@ pub fn decode_column_into(
                     detail: format!("{} bytes, need {needed}", body.len()),
                 });
             }
+            if width == 0 {
+                out.resize(out.len() + count, min);
+                return Ok(());
+            }
             let mut acc: u128 = 0;
             let mut bits: u32 = 0;
             let mask: u128 = if width == 64 {
@@ -305,7 +315,15 @@ pub fn decode_column_into(
                 let off = (acc & mask) as u64;
                 acc >>= width;
                 bits -= width;
-                out.push(min + off);
+                // A writer's offsets never pass `u64::MAX`; a crafted
+                // body's can.
+                let Some(v) = min.checked_add(off) else {
+                    return Err(StoreError::Corrupt {
+                        what: "bitpack body".into(),
+                        detail: format!("offset {off} overflows min {min}"),
+                    });
+                };
+                out.push(v);
             }
         }
     }
@@ -667,6 +685,51 @@ mod tests {
         // width 0: just header bytes.
         assert!(out.len() < 16, "{}", out.len());
         assert_eq!(decode(Codec::ForBitpack, &out, 4096).unwrap(), values);
+    }
+
+    #[test]
+    fn width_zero_page_is_the_value_and_a_zero_width() {
+        let mut page = Vec::new();
+        encode_column(Codec::ForBitpack, &[1000; 4096], &mut page);
+        assert_eq!(page, [0xe8, 0x07, 0x00]);
+        // The decode appends one fill after what the buffer holds.
+        let mut out = vec![7];
+        decode_column_into(Codec::ForBitpack, &page, 4096, &mut out).unwrap();
+        assert_eq!(out.len(), 4097);
+        assert!(out[0] == 7 && out[1..].iter().all(|&v| v == 1000));
+        // Both header fields must be present.
+        for cut in [0, 1, 2] {
+            let err = decode(Codec::ForBitpack, &page[..cut], 4096).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { .. }),
+                "cut {cut}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn bitpack_offsets_that_pass_u64_max_are_corrupt() {
+        // min = u64::MAX, width 1 and a set offset bit: no writer packs
+        // an offset that takes the value past u64::MAX.
+        let mut page = Vec::new();
+        put_uvarint(&mut page, u64::MAX);
+        page.extend_from_slice(&[1, 0xFF]);
+        let err = decode(Codec::ForBitpack, &page, 1).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn bitpack_roundtrips_at_the_top_of_u64() {
+        // {u64::MAX - 2, u64::MAX} packs at width 2, whose largest
+        // offset, 3, would pass u64::MAX: a header-level bound on
+        // `min` and the width would reject this page.
+        let mut page = Vec::new();
+        encode_column(Codec::ForBitpack, &[u64::MAX - 2, u64::MAX], &mut page);
+        assert_eq!(page[10], 2, "width after the ten-byte varint");
+        for values in [[u64::MAX - 2, u64::MAX], [0, u64::MAX]] {
+            roundtrip(Codec::ForBitpack, &values);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::bloom::ProducerFilter;
 use crate::catalog::SegmentMeta;
 use crate::checksum::crc32;
 use crate::encoding::{
-    decode_column_into, decode_signed_column_into, encode_column, encode_signed_column, Codec,
+    decode_column_into, decode_signed_column_into, encode_column, zigzag_encode, Codec,
 };
 use crate::error::{Result, StoreError};
 use crate::lebytes;
@@ -200,7 +200,10 @@ enum Column {
 }
 
 /// The column layout, in file order (repeated once per page group),
-/// with each column's name and the codec the writer uses.
+/// with each column's name and its default codec. The writer uses the
+/// default for every page except one whose two or more rows all hold
+/// one value, which it writes as a width-0 [`Codec::ForBitpack`] page
+/// ([`page_codec`]).
 const COLUMNS: [(Column, &str, Codec); 7] = [
     (Column::Height, "height", Codec::DeltaVarint),
     (Column::Timestamp, "timestamp", Codec::DeltaVarint),
@@ -425,36 +428,43 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
 /// Encode one page group's seven column pages.
 fn encode_group(rows: &[RowRecord], out: &mut Vec<u8>, payload: &mut Vec<u8>) {
     let n = rows.len();
-    for (col, _, codec) in COLUMNS {
+    for (col, _, default) in COLUMNS {
+        let values = column_values(rows, col);
+        let codec = page_codec(default, &values);
         payload.clear();
-        match col {
-            Column::Height => encode_column(codec, &collect(rows, |r| r.height), payload),
-            Column::Timestamp => {
-                let v: Vec<i64> = rows.iter().map(|r| r.timestamp).collect();
-                encode_signed_column(codec, &v, payload);
-            }
-            Column::Producer => {
-                encode_column(codec, &collect(rows, |r| u64::from(r.producer)), payload)
-            }
-            Column::Credit => encode_column(
-                codec,
-                &collect(rows, |r| u64::from(r.credit_millis)),
-                payload,
-            ),
-            Column::TxCount => {
-                encode_column(codec, &collect(rows, |r| u64::from(r.tx_count)), payload)
-            }
-            Column::SizeBytes => {
-                encode_column(codec, &collect(rows, |r| u64::from(r.size_bytes)), payload)
-            }
-            Column::Difficulty => encode_column(codec, &collect(rows, |r| r.difficulty), payload),
-        }
+        encode_column(codec, &values, payload);
         write_page(out, codec, n as u32, payload);
+    }
+}
+
+/// The values a page of `col` stores for `rows`: timestamps
+/// zigzag-mapped, every other field widened to u64.
+fn column_values(rows: &[RowRecord], col: Column) -> Vec<u64> {
+    match col {
+        Column::Height => collect(rows, |r| r.height),
+        Column::Timestamp => collect(rows, |r| zigzag_encode(r.timestamp)),
+        Column::Producer => collect(rows, |r| u64::from(r.producer)),
+        Column::Credit => collect(rows, |r| u64::from(r.credit_millis)),
+        Column::TxCount => collect(rows, |r| u64::from(r.tx_count)),
+        Column::SizeBytes => collect(rows, |r| u64::from(r.size_bytes)),
+        Column::Difficulty => collect(rows, |r| r.difficulty),
     }
 }
 
 fn collect(rows: &[RowRecord], f: impl Fn(&RowRecord) -> u64) -> Vec<u64> {
     rows.iter().map(f).collect()
+}
+
+/// The codec of a page that stores `values`: [`Codec::ForBitpack`],
+/// whose width is then 0, when two or more values are all equal, and
+/// the column's `default` otherwise. A one-row page keeps its default,
+/// which is a byte shorter there.
+fn page_codec(default: Codec, values: &[u64]) -> Codec {
+    if values.len() >= 2 && values.iter().all(|&v| v == values[0]) {
+        Codec::ForBitpack
+    } else {
+        default
+    }
 }
 
 /// What a pruned decode touched: how many page groups the index let it
@@ -1107,12 +1117,9 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn golden_segment_matches_the_format_doc() {
-        // docs/FORMAT.md's worked hexdump: three rows, one page group.
-        // The footer CRC covers every byte before it, so together with
-        // the length it pins the whole file layout.
-        let rows: Vec<RowRecord> = (0..3u32)
+    /// The three rows of docs/FORMAT.md's worked hexdump.
+    fn worked_example_rows() -> Vec<RowRecord> {
+        (0..3u32)
             .map(|n| RowRecord {
                 height: 556_459 + u64::from(n),
                 timestamp: 1_546_300_800 + 600 * i64::from(n),
@@ -1122,14 +1129,257 @@ mod tests {
                 size_bytes: 1100,
                 difficulty: 5_000_000 + u64::from(n),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn golden_segment_matches_the_format_doc() {
+        // docs/FORMAT.md's worked hexdump: three rows, one page group,
+        // whose credit and size_bytes pages hold one value each and so
+        // are width-0 ForBitpack pages. The footer CRC covers every byte
+        // before it, so together with the length it pins the whole file
+        // layout.
+        let rows = worked_example_rows();
         let bytes = encode_segment(&rows);
+        assert_eq!(bytes.len(), 236);
+        assert_eq!(footer_crc(&bytes), Some(0x617b_67bd));
+        // The index CRC cancels the index bytes out of the footer CRC,
+        // so the index block is pinned by its own CRC word at 0xd8.
+        assert_eq!(lebytes::u32_at(&bytes, 0xd8), 0xd638_14fa);
+        assert_eq!(decode_segment(&bytes, "golden").unwrap(), rows);
+    }
+
+    /// The worked example as the writer wrote it before it wrote
+    /// constant pages as width-0 ForBitpack pages: every page in codec 0
+    /// or 1, 242 bytes. Stores written then must read as they always did.
+    const CODECS_0_1_EXAMPLE: &str = concat!(
+        "42445347030003000000",                             // header
+        "010300000005000000abfb21020268a1ce08",             // height
+        "01030000000900000080b6d5c20be012e01261e19b9c",     // timestamp
+        "000300000003000000000100b28bc4ca",                 // producer
+        "000300000006000000e807e807e8079180dcf0",           // credit
+        "000300000006000000d00fd10fd20f48fec780",           // tx_count
+        "000300000006000000cc08cc08cc0803d3eaab",           // size_bytes
+        "010300000006000000c096b1020202a8bf8b2a",           // difficulty
+        "4244495801000000",                                 // index magic, 1 group
+        "0a00000003000000ab7d080000000000ad7d080000000000", // group 0 entry
+        "80ad2a5c0000000030b22a5c00000000",
+        "070000000100000002220054018800b8", // group 0 bloom
+        "070000000100000002220054018800b8", // segment bloom
+        "fa1438d6",                         // index crc
+        "8e00000055d76606f200000042445346", // index offset and footer
+    );
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn segments_in_codecs_0_and_1_still_decode() {
+        let bytes = from_hex(CODECS_0_1_EXAMPLE);
         assert_eq!(bytes.len(), 242);
         assert_eq!(footer_crc(&bytes), Some(0x0666_d755));
-        // The index CRC cancels the index bytes out of the footer CRC,
-        // so the index block is pinned by its own CRC word at 0xde.
-        assert_eq!(lebytes::u32_at(&bytes, 0xde), 0xd638_14fa);
-        assert_eq!(decode_segment(&bytes, "golden").unwrap(), rows);
+        assert_eq!(check_footer(&bytes), FooterCheck::Ok);
+        let rows = worked_example_rows();
+        assert_eq!(decode_segment(&bytes, "codecs 0/1").unwrap(), rows);
+        let mut dec = SegmentDecoder::new();
+        let pred = ScanPredicate::all().heights(rows[1].height, rows[1].height);
+        assert_eq!(
+            dec.decode_pruned(&bytes, "codecs 0/1", &pred).unwrap().rows,
+            3
+        );
+        let got: Vec<RowRecord> = (0..dec.len()).map(|i| dec.row(i)).collect();
+        assert_eq!(got, rows);
+        // Today's writer spells the same rows six bytes shorter.
+        assert_eq!(encode_segment(&rows).len(), bytes.len() - 6);
+    }
+
+    /// Every page of `bytes`, walked group by group with `read_page`:
+    /// `(group, column name, default codec, codec, payload)`.
+    fn pages(bytes: &[u8]) -> Vec<(usize, &'static str, Codec, Codec, Vec<u8>)> {
+        let index = parse_index(bytes, "t").unwrap();
+        let index_off = lebytes::u32_at(bytes, bytes.len() - FOOTER_LEN - 4) as usize;
+        let mut cursor = &bytes[10..index_off];
+        let mut out = Vec::new();
+        for (g, group) in index.groups.iter().enumerate() {
+            for (_, name, default) in COLUMNS {
+                let (codec, rows, payload) = read_page(&mut cursor, "t").unwrap();
+                assert_eq!(rows, group.rows, "group {g} column {name}");
+                out.push((g, name, default, codec, payload.to_vec()));
+            }
+        }
+        assert!(cursor.is_empty());
+        out
+    }
+
+    #[test]
+    fn only_all_equal_pages_of_two_or_more_rows_are_width_zero() {
+        // Four groups: the CLI's shape (constant credit and zero tx,
+        // size and difficulty), one height whose credits share a
+        // timestamp and producer, no constant column, and one row.
+        let n = 3 * PAGE_GROUP_ROWS + 1;
+        let r: Vec<RowRecord> = (0..n)
+            .map(|i| {
+                let (g, j) = (i / PAGE_GROUP_ROWS, (i % PAGE_GROUP_ROWS) as u32);
+                let mut row = RowRecord {
+                    height: 7_000_000 + i as u64,
+                    timestamp: 1_546_300_800 + 13 * i as i64,
+                    producer: j % 23,
+                    credit_millis: 1000,
+                    tx_count: 0,
+                    size_bytes: 0,
+                    difficulty: 0,
+                };
+                if g == 1 {
+                    row.height = 7_000_000 + PAGE_GROUP_ROWS as u64;
+                    row.timestamp = 1_546_400_000;
+                    row.producer = 5;
+                }
+                if g >= 1 {
+                    row.credit_millis = 1 + j % 1000;
+                    row.tx_count = j;
+                    row.size_bytes = 900_000 + j;
+                    row.difficulty = 5_000_000_000 + u64::from(j);
+                }
+                row
+            })
+            .collect();
+        let bytes = encode_segment(&r);
+        let pages = pages(&bytes);
+        assert_eq!(pages.len(), 4 * COLUMNS.len());
+        let mut width_zero = [0; 4];
+        for (i, (g, name, default, codec, payload)) in pages.into_iter().enumerate() {
+            let chunk = &r[g * PAGE_GROUP_ROWS..n.min((g + 1) * PAGE_GROUP_ROWS)];
+            let values = column_values(chunk, COLUMNS[i % COLUMNS.len()].0);
+            let one_value = values.iter().all(|&v| v == values[0]);
+            if chunk.len() >= 2 && one_value {
+                assert_eq!(codec, Codec::ForBitpack, "group {g} column {name}");
+                let mut want = Vec::new();
+                crate::encoding::put_uvarint(&mut want, values[0]);
+                want.push(0);
+                assert_eq!(payload, want, "group {g} column {name}");
+                width_zero[g] += 1;
+            } else {
+                assert_eq!(codec, default, "group {g} column {name}");
+            }
+        }
+        assert_eq!(width_zero, [4, 3, 0, 0]);
+        assert_eq!(decode_segment(&bytes, "t").unwrap(), r);
+    }
+
+    /// `n` rows whose columns each hold one value per page group about
+    /// half the time, drawn from `seed`. The values include 0, `1000`,
+    /// `u32::MAX` in the narrow columns, `u64::MAX` in difficulty and
+    /// both ends of the timestamp range; heights never decrease.
+    fn constant_heavy_rows(n: usize, seed: u64) -> Vec<RowRecord> {
+        const NARROW: [u32; 4] = [0, 1, 1000, u32::MAX];
+        const WIDE: [u64; 4] = [0, 1, 1000, u64::MAX];
+        const TIMES: [i64; 4] = [i64::MIN, -1, 1_546_300_800, i64::MAX];
+        let mut state = seed;
+        let mut draw = move || {
+            state = blockdec_chain::hash::splitmix64(state);
+            state
+        };
+        let mut height = draw() % 1_000_000;
+        let mut rows = Vec::with_capacity(n);
+        while rows.len() < n {
+            // Bit c of `one` is set when column c (file order) holds a
+            // single value in this group, picked by byte c of `fixed`.
+            let (one, fixed) = (draw(), draw());
+            let pick = |c: u32| (fixed >> (8 * c)) as usize % 4;
+            let holds_one = |c: u32| one >> c & 1 == 1;
+            let base_time = 1_546_300_800 + (draw() % 1_000_000) as i64;
+            for i in 0..PAGE_GROUP_ROWS.min(n - rows.len()) {
+                let r = draw();
+                let narrow = |c: u32, varying: u32| {
+                    if holds_one(c) {
+                        NARROW[pick(c)]
+                    } else if r % 8 == 0 {
+                        NARROW[(r >> 3) as usize % 4]
+                    } else {
+                        varying
+                    }
+                };
+                if !holds_one(0) {
+                    height += r % 3;
+                }
+                rows.push(RowRecord {
+                    height,
+                    timestamp: if holds_one(1) {
+                        TIMES[pick(1)]
+                    } else {
+                        base_time + 600 * i as i64 - (r >> 20) as i64 % 900
+                    },
+                    producer: narrow(2, (r >> 8) as u32 % 64),
+                    credit_millis: narrow(3, (r >> 14) as u32 % 2000),
+                    tx_count: narrow(4, (r >> 24) as u32),
+                    size_bytes: narrow(5, (r >> 32) as u32),
+                    difficulty: if holds_one(6) {
+                        WIDE[pick(6)]
+                    } else {
+                        r.rotate_left(17)
+                    },
+                });
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn constant_heavy_segments_decode_whole_pruned_and_ranged() {
+        let mut codecs = [0usize; 3];
+        for n in [1, 2, 4095, 4096, 4097, 3 * 4096 + 5] {
+            for seed in 0..4u64 {
+                let r = constant_heavy_rows(n, seed * 7919 + n as u64);
+                let encoded = encode_segment(&r);
+                for (.., codec, _) in pages(&encoded) {
+                    codecs[codec as usize] += 1;
+                }
+                let full = decode_segment(&encoded, "t").unwrap();
+                assert_eq!(full, r, "n={n} seed={seed}");
+                let mut state = seed;
+                let mut row_at = || {
+                    state = blockdec_chain::hash::splitmix64(state);
+                    &r[state as usize % n]
+                };
+                let (a, b) = (row_at().height, row_at().height);
+                let heights = ScanPredicate::all().heights(a.min(b), a.max(b));
+                let (a, b) = (row_at().timestamp, row_at().timestamp);
+                let times = ScanPredicate::all().times(a.min(b), a.max(b));
+                let (h, t) = (heights.heights.unwrap(), times.times.unwrap());
+                let both = heights.times(t.0, t.1);
+                let one_height = ScanPredicate::all().heights(h.0, h.0);
+                for pred in [heights, times, both, one_height, ScanPredicate::all()] {
+                    let want: Vec<RowRecord> =
+                        full.iter().filter(|x| pred.matches(x)).copied().collect();
+                    let mut dec = SegmentDecoder::new();
+                    let pruned = dec.decode_pruned(&encoded, "t", &pred).unwrap();
+                    let got: Vec<RowRecord> = (0..dec.len())
+                        .map(|i| dec.row(i))
+                        .filter(|x| pred.matches(x))
+                        .collect();
+                    assert_eq!(got, want, "n={n} seed={seed} {pred:?}");
+                    let mut fetch = |off: u64, len: usize| -> Result<Arc<Vec<u8>>> {
+                        Ok(Arc::new(encoded[off as usize..][..len].to_vec()))
+                    };
+                    let mut ranged = SegmentDecoder::new();
+                    let got_ranged = ranged
+                        .decode_pruned_ranged(&mut fetch, encoded.len() as u64, "t", &pred)
+                        .unwrap();
+                    assert_eq!(got_ranged, pruned, "n={n} seed={seed} {pred:?}");
+                    let got: Vec<RowRecord> = (0..ranged.len())
+                        .map(|i| ranged.row(i))
+                        .filter(|x| pred.matches(x))
+                        .collect();
+                    assert_eq!(got, want, "n={n} seed={seed} {pred:?} ranged");
+                }
+            }
+        }
+        // Every codec the writer emits shows up, width-0 pages included.
+        assert!(codecs.iter().all(|&c| c > 0), "pages per codec: {codecs:?}");
     }
 
     #[test]

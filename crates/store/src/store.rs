@@ -856,6 +856,12 @@ impl BlockStore {
     /// group of every segment once, so its decoder grows to
     /// [`SEGMENT_ROWS`] rows; it builds a fresh one and drops it before
     /// returning, so that scratch does not outlive the scan.
+    ///
+    /// A segment that fails to read, in a strict or a degraded scan,
+    /// loses its ranges in the page cache. Until then cached ranges can
+    /// mask bytes that rotted on disk; from the first failed read on,
+    /// the handle's scans fetch the segment again and report it as a
+    /// fresh handle does.
     fn read_segments(
         &self,
         segs: &[&SegmentMeta],
@@ -873,6 +879,9 @@ impl BlockStore {
         for seg in segs {
             let span = blockdec_obs::span!("store.segment_read", file = seg.file.as_str());
             let decoded = decode_one_segment(self.store.as_ref(), &self.pages, seg, pred, &mut dec);
+            if decoded.is_err() {
+                self.pages.remove_key(&seg.cache_key());
+            }
             let (byte_len, pruned) = match decoded {
                 Ok(v) => v,
                 Err(e) if skip_corrupt => {
@@ -1808,6 +1817,66 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_read_drops_the_segments_cached_ranges() {
+        // Bit rot keeps a segment's cache key (its name and footer CRC),
+        // so cached ranges mask the rot until a read of the segment
+        // fails. From then on the handle reports the segment as a fresh
+        // handle does, while a healthy segment keeps its ranges.
+        let dir = tmp_dir("rot-cache");
+        let mut store = BlockStore::create(&dir).unwrap();
+        let rows: Vec<RowRecord> = (0..6_000)
+            .map(|h| row(&mut store, h, &format!("P{}", h % 7)))
+            .collect();
+        store.append_rows(&rows[..5_000]).unwrap();
+        store.flush().unwrap();
+        store.append_rows(&rows[5_000..]).unwrap();
+        store.flush().unwrap();
+        let rotten = ScanPredicate::all().heights(0, 4_999);
+        let healthy = ScanPredicate::all().heights(5_000, 5_999);
+        let (strict, degraded) = (
+            BlockStore::open(&dir).unwrap(),
+            BlockStore::open(&dir).unwrap(),
+        );
+        for handle in [&strict, &degraded] {
+            assert_eq!(handle.scan(&rotten).unwrap().len(), 5_000);
+            assert_eq!(handle.scan(&healthy).unwrap().len(), 1_000);
+        }
+        crate::FaultInjector::new(&dir, 21)
+            .flip_bit(&segment_file_name(0))
+            .unwrap();
+
+        assert_eq!(strict.scan(&rotten).unwrap().len(), 5_000, "cached");
+        let fresh = BlockStore::open(&dir)
+            .unwrap()
+            .scan(&rotten)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            fresh.ends_with("crc mismatch: stored 0x94b9bbba, computed 0x0f8b47fc"),
+            "{fresh}"
+        );
+        let unconstrained = strict.scan(&ScanPredicate::all()).unwrap_err();
+        assert_eq!(unconstrained.to_string(), fresh);
+        assert_eq!(strict.scan(&rotten).unwrap_err().to_string(), fresh);
+        let before = strict.page_cache_stats();
+        assert_eq!(strict.scan(&healthy).unwrap().len(), 1_000);
+        let after = strict.page_cache_stats();
+        assert_eq!(
+            after.misses, before.misses,
+            "the healthy segment stays cached"
+        );
+        assert!(after.hits > before.hits);
+
+        // A degraded scan that skips the segment drops its ranges too.
+        let (_, stats) = degraded
+            .scan_with_options(&ScanPredicate::all(), ScanOptions::degraded())
+            .unwrap();
+        assert_eq!(stats.segments_skipped, 1);
+        assert_eq!(degraded.scan(&rotten).unwrap_err().to_string(), fresh);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bloom_filter_prunes_producer_scans() {
         let dir = tmp_dir("bloom-prune");
         let mut store = BlockStore::create(&dir).unwrap();
@@ -1995,7 +2064,14 @@ mod tests {
                     let kept = b.scan_columnar_with(pred, opts, even).unwrap().1;
                     assert_eq!(kept, cold, "{pred:?} {opts:?} keeping even heights");
                 }
-                assert_eq!(pred.can_prune(), b.page_cache_stats().hits > 0);
+                // Pruned scans read through the page cache, which keeps
+                // no range of a segment that failed to read.
+                let read_cleanly =
+                    cold.segments_total - cold.segments_pruned - cold.segments_skipped;
+                assert_eq!(
+                    pred.can_prune() && read_cleanly > 0,
+                    b.page_cache_stats().hits > 0
+                );
             }
         };
         check(ScanOptions::strict());

@@ -11,8 +11,8 @@
 use blockdec_chain::hash::splitmix64;
 use blockdec_chain::BlockColumns;
 use blockdec_store::catalog::segment_file_name;
-use blockdec_store::segment::PAGE_GROUP_ROWS;
-use blockdec_store::{BlockStore, FaultInjector, RowRecord, ScanOptions, ScanPredicate, ScanStats};
+use blockdec_store::segment::{parse_index, FOOTER_LEN, PAGE_GROUP_ROWS};
+use blockdec_store::{BlockStore, RowRecord, ScanOptions, ScanPredicate, ScanStats};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
@@ -26,10 +26,10 @@ const BLOCKS: u64 = 14 * 1_440;
 const FLUSH_ROWS: usize = 5_000;
 /// The segment whose bytes get one bit flipped.
 const CORRUPT_SEGMENT: usize = 2;
-/// `FaultInjector` seeds that flip a bit in the corrupt segment's second
-/// page group, so that a strict scan of the segment's heights fails
-/// mid-segment, after decoding the first group.
-const FLIP_SEEDS: [u64; 2] = [21, 7];
+/// Where each test flips a bit in the corrupt segment's second page
+/// group, as thirds of the group's extent, so that a strict scan of the
+/// segment's heights fails mid-segment, after decoding the first group.
+const FLIP_THIRDS: [usize; 2] = [1, 2];
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -108,12 +108,21 @@ fn corrupt_rows(rows: &[RowRecord]) -> &[RowRecord] {
 }
 
 /// Build the fixture in `dir` and flip one bit of the corrupt segment's
-/// second page group. Returns the rows.
-fn corrupt_fixture(dir: &Path, seed: u64) -> Vec<RowRecord> {
+/// second page group, `thirds` thirds of the way into its extent (from
+/// its offset to the index block). Returns the rows.
+fn corrupt_fixture(dir: &Path, thirds: usize) -> Vec<RowRecord> {
     let rows = build_fixture(dir);
-    FaultInjector::new(dir, seed)
-        .flip_bit(&segment_file_name(CORRUPT_SEGMENT as u64))
-        .unwrap();
+    let path = dir.join(segment_file_name(CORRUPT_SEGMENT as u64));
+    let mut bytes = fs::read(&path).unwrap();
+    let index = parse_index(&bytes, "fixture").unwrap();
+    assert_eq!(index.groups.len(), 2);
+    let start = index.groups[1].offset as usize;
+    // The index block's offset is the word before the footer.
+    let index_off = bytes.len() - FOOTER_LEN - 4;
+    let index_off = u32::from_le_bytes(bytes[index_off..][..4].try_into().unwrap()) as usize;
+    let at = start + (index_off - start) * thirds / 3;
+    bytes[at] ^= 0x10;
+    fs::write(&path, &bytes).unwrap();
     let segment = corrupt_rows(&rows);
     let heights = |from: usize, to: usize| {
         ScanPredicate::all().heights(segment[from].height, segment[to - 1].height)
@@ -188,7 +197,7 @@ fn fresh_outcomes(dir: &Path, scans: &[Scan], threads: usize) -> Vec<Outcome> {
 #[test]
 fn a_long_lived_handle_scans_like_a_fresh_one() {
     let dir = tmp_dir("interleave");
-    let rows = corrupt_fixture(&dir, FLIP_SEEDS[0]);
+    let rows = corrupt_fixture(&dir, FLIP_THIRDS[0]);
     let scans = scans(&rows);
 
     let store = BlockStore::open(&dir).unwrap();
@@ -228,7 +237,7 @@ fn a_long_lived_handle_scans_like_a_fresh_one() {
 #[test]
 fn concurrent_scans_of_one_handle_equal_fresh_ones() {
     let dir = tmp_dir("concurrent");
-    let rows = corrupt_fixture(&dir, FLIP_SEEDS[1]);
+    let rows = corrupt_fixture(&dir, FLIP_THIRDS[1]);
     let scans = scans(&rows);
     // Every decode thread count gives the same outcome, so one fresh
     // reference serves both.
