@@ -69,12 +69,15 @@ cmp target/ci-smoke/exp/fig10_ethereum_entropy_sliding_day_6000.csv \
 
 # Smoke: durability. A freshly loaded store must fsck clean (exit 0),
 # and the fsck self-test must inject, detect, and repair every fault
-# class (exit 0; any miss is non-zero and fails the gate under set -e).
+# class (exit 0; any miss is non-zero and fails the gate under set -e)
+# and print exactly the lines pinned in ci/fsck-selftest.txt.
 rm -rf target/ci-smoke/fsck-store target/ci-smoke/fsck-selftest
 ./target/release/blockdec load --chain bitcoin --days 2 --seed 11 \
     --store target/ci-smoke/fsck-store
 ./target/release/blockdec fsck --store target/ci-smoke/fsck-store
-./target/release/blockdec fsck --self-test --store target/ci-smoke/fsck-selftest
+./target/release/blockdec fsck --self-test --store target/ci-smoke/fsck-selftest \
+    > target/ci-smoke/fsck-selftest.txt
+diff -u ci/fsck-selftest.txt target/ci-smoke/fsck-selftest.txt
 
 # Smoke: compaction. Load a deliberately fragmented store (a segment
 # every 150 blocks), compact it, and require (1) the segment count to

@@ -27,9 +27,27 @@ use blockdec_bench::perf::{
     run_decode_bench, run_follow_bench, run_matrix_bench, run_pruned_bench, write_bench_json, Row,
 };
 use blockdec_bench::{run_experiment, Dataset, StoredDataset, ALL_EXPERIMENTS};
+use std::cell::LazyCell;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// `generate(days)`, timed and reported.
+fn generated(generate: fn(u32) -> Dataset, days: u32) -> (Dataset, f64) {
+    let t = Instant::now();
+    let ds = generate(days);
+    let secs = t.elapsed().as_secs_f64();
+    eprintln!("  {}: {} blocks in {:?}", ds.name, ds.len(), t.elapsed());
+    (ds, secs)
+}
+
+/// `ds` written to a scratch store and read back, timed and reported.
+fn stored(ds: &Dataset) -> StoredDataset {
+    let t = Instant::now();
+    let stored = StoredDataset::load(ds);
+    eprintln!("  {} stored and read back in {:?}", ds.name, t.elapsed());
+    stored
+}
 
 fn main() -> ExitCode {
     // Tracing honors BLOCKDEC_LOG / BLOCKDEC_LOG_FORMAT; off by default.
@@ -89,51 +107,39 @@ fn main() -> ExitCode {
     }
 
     eprintln!("generating calibrated datasets ({days} days)...");
-    let t0 = Instant::now();
-    let btc = Dataset::bitcoin(days);
-    let btc_gen_secs = t0.elapsed().as_secs_f64();
-    eprintln!("  bitcoin: {} blocks in {:?}", btc.len(), t0.elapsed());
-    let t1 = Instant::now();
-    let eth = Dataset::ethereum(days);
-    let eth_gen_secs = t1.elapsed().as_secs_f64();
-    eprintln!("  ethereum: {} blocks in {:?}", eth.len(), t1.elapsed());
+    // A chain-year is generated when an experiment that reads it or the
+    // benches first use it. An experiment reads it back from a scratch
+    // store, written on first use and removed before the benches.
+    let btc_data = LazyCell::new(|| generated(Dataset::bitcoin, days));
+    let eth_data = LazyCell::new(|| generated(Dataset::ethereum, days));
+    let btc_year = LazyCell::new(|| stored(&btc_data.0));
+    let eth_year = LazyCell::new(|| stored(&eth_data.0));
 
-    let mut summary = String::from("# blockdec experiment run\n\n");
-    summary.push_str(&format!(
-        "Datasets: bitcoin {} blocks, ethereum {} blocks ({days} simulated days).\n\n",
-        btc.len(),
-        eth.len()
-    ));
-
+    let mut sections = String::new();
     let mut failed = false;
-    if !ids.is_empty() {
-        // The experiments read each chain back from a scratch store,
-        // removed when this block ends.
+    for id in &ids {
         let t = Instant::now();
-        let (btc_stored, eth_stored) = (StoredDataset::load(&btc), StoredDataset::load(&eth));
-        eprintln!("  stored and read back in {:?}", t.elapsed());
-        for id in &ids {
-            let t = Instant::now();
-            match run_experiment(id, &btc_stored, &eth_stored, &outdir) {
-                Ok(result) => {
-                    println!("\n== {} — {} [{:?}]", result.id, result.title, t.elapsed());
-                    for line in &result.lines {
-                        println!("{line}");
-                    }
-                    summary.push_str(&format!("## {} — {}\n\n", result.id, result.title));
-                    for line in &result.lines {
-                        summary.push_str(&format!("- {}\n", line.trim_start()));
-                    }
-                    summary.push('\n');
+        match run_experiment(id, &btc_year, &eth_year, &outdir) {
+            Ok(result) => {
+                println!("\n== {} — {} [{:?}]", result.id, result.title, t.elapsed());
+                for line in &result.lines {
+                    println!("{line}");
                 }
-                Err(e) => {
-                    eprintln!("experiment {id} FAILED: {e}");
-                    failed = true;
+                sections.push_str(&format!("## {} — {}\n\n", result.id, result.title));
+                for line in &result.lines {
+                    sections.push_str(&format!("- {}\n", line.trim_start()));
                 }
+                sections.push('\n');
+            }
+            Err(e) => {
+                eprintln!("experiment {id} FAILED: {e}");
+                failed = true;
             }
         }
     }
+    drop((btc_year, eth_year));
     if let Some(path) = &bench_json {
+        let ((btc, btc_gen_secs), (eth, eth_gen_secs)) = (&*btc_data, &*eth_data);
         let mut sections: Vec<(&str, Vec<Row>)> = Vec::new();
         let mut record = |section, rows: Vec<Row>| {
             for row in &rows {
@@ -147,28 +153,19 @@ fn main() -> ExitCode {
         record(
             "matrix",
             vec![
-                run_matrix_bench(&btc, btc_gen_secs, 1008),
-                run_matrix_bench(&eth, eth_gen_secs, 6000),
+                run_matrix_bench(btc, *btc_gen_secs, 1008),
+                run_matrix_bench(eth, *eth_gen_secs, 6000),
             ],
         );
         eprintln!("\nbenchmarking columnar (SoA) pipeline vs AoS materialization...");
         record(
             "columnar",
-            vec![
-                run_columnar_bench(&btc, 1008),
-                run_columnar_bench(&eth, 6000),
-            ],
+            vec![run_columnar_bench(btc, 1008), run_columnar_bench(eth, 6000)],
         );
         eprintln!("\nbenchmarking store→columns decode, sequential vs parallel...");
-        record(
-            "decode",
-            vec![run_decode_bench(&btc), run_decode_bench(&eth)],
-        );
+        record("decode", vec![run_decode_bench(btc), run_decode_bench(eth)]);
         eprintln!("\nbenchmarking pruned (index + bloom) scans vs full decode...");
-        record(
-            "pruned",
-            vec![run_pruned_bench(&btc), run_pruned_bench(&eth)],
-        );
+        record("pruned", vec![run_pruned_bench(btc), run_pruned_bench(eth)]);
         eprintln!("\nbenchmarking backend bytes-fetched and LocalFs-vs-Sim parity...");
         // The fetch-fraction gate is only meaningful on the paper's
         // chain-year layout, so Bitcoin always runs at 365 days even in
@@ -177,7 +174,7 @@ fn main() -> ExitCode {
         if days >= 365 {
             record(
                 "backend",
-                vec![run_backend_bench(&btc), run_backend_bench(&eth)],
+                vec![run_backend_bench(btc), run_backend_bench(eth)],
             );
         } else {
             eprintln!("  (re-generating bitcoin at 365 days for the fetch-fraction gate)");
@@ -186,7 +183,7 @@ fn main() -> ExitCode {
         eprintln!("\nbenchmarking live head-following ingestion and metric deltas...");
         record(
             "follow",
-            vec![run_follow_bench(&btc, 1008), run_follow_bench(&eth, 6000)],
+            vec![run_follow_bench(btc, 1008), run_follow_bench(eth, 6000)],
         );
 
         for name in false_flags(&sections) {
@@ -215,6 +212,15 @@ fn main() -> ExitCode {
         }
     }
     if !bench_only {
+        let datasets: Vec<String> = [LazyCell::get(&btc_data), LazyCell::get(&eth_data)]
+            .into_iter()
+            .flatten()
+            .map(|(ds, _)| format!("{} {} blocks", ds.name, ds.len()))
+            .collect();
+        let summary = format!(
+            "# blockdec experiment run\n\nDatasets: {} ({days} simulated days).\n\n{sections}",
+            datasets.join(", ")
+        );
         if let Err(e) = std::fs::write(outdir.join("summary.md"), &summary) {
             eprintln!("could not write summary.md: {e}");
         }

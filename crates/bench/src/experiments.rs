@@ -30,6 +30,7 @@ use blockdec_core::metrics::MetricKind;
 use blockdec_core::series::MeasurementSeries;
 use blockdec_core::windows::sliding::SlidingWindowSpec;
 use blockdec_query::{top_producers, Filter, MeasurementSource};
+use std::cell::LazyCell;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -666,11 +667,12 @@ fn ext4(btc: &StoredDataset, outdir: &Path) -> io::Result<ExperimentResult> {
     Ok(ExperimentResult::new("ext4", vec![path], lines))
 }
 
-/// Run one experiment by id.
+/// Run one experiment by id. Each arm dereferences only the chain-years
+/// it reads, so a run generates, stores and reads back only those.
 pub fn run_experiment(
     id: &str,
-    btc: &StoredDataset,
-    eth: &StoredDataset,
+    btc: &LazyCell<StoredDataset, impl FnOnce() -> StoredDataset>,
+    eth: &LazyCell<StoredDataset, impl FnOnce() -> StoredDataset>,
     outdir: &Path,
 ) -> io::Result<ExperimentResult> {
     fs::create_dir_all(outdir)?;
@@ -843,10 +845,10 @@ mod tests {
     fn all_experiment_ids_run_on_small_datasets() {
         // 70 days of Bitcoin covers the day-13 and day-60 events; 2 days
         // of Ethereum keeps the test fast.
-        let btc = StoredDataset::load(&Dataset::bitcoin(70));
+        let btc = LazyCell::new(|| StoredDataset::load(&Dataset::bitcoin(70)));
         let mut eth_scenario = blockdec_sim::Scenario::ethereum_2019().truncated(2);
         eth_scenario.limit_blocks = Some(9_000);
-        let eth = StoredDataset::load(&Dataset::from_scenario(eth_scenario));
+        let eth = LazyCell::new(|| StoredDataset::load(&Dataset::from_scenario(eth_scenario)));
         let dir = outdir("all");
         for (id, _) in ALL_EXPERIMENTS {
             let result = run_experiment(id, &btc, &eth, &dir)
@@ -866,15 +868,33 @@ mod tests {
 
     #[test]
     fn unknown_id_is_an_error() {
-        let btc = StoredDataset::load(&Dataset::bitcoin(1));
-        let eth = StoredDataset::load(&Dataset::ethereum(0));
+        let btc = LazyCell::new(|| StoredDataset::load(&Dataset::bitcoin(1)));
+        let eth = LazyCell::new(|| StoredDataset::load(&Dataset::ethereum(0)));
         assert!(run_experiment("fig99", &btc, &eth, &outdir("bad")).is_err());
+        assert!(LazyCell::get(&btc).is_none() && LazyCell::get(&eth).is_none());
+    }
+
+    #[test]
+    fn an_experiment_loads_only_the_chains_it_reads() {
+        let dir = outdir("chains");
+        for (id, reads_btc, reads_eth) in [
+            ("fig1", true, false),
+            ("fig4", false, true),
+            ("ext2", true, true),
+        ] {
+            let btc = LazyCell::new(|| StoredDataset::load(&Dataset::bitcoin(2)));
+            let eth = LazyCell::new(|| StoredDataset::load(&Dataset::ethereum(1)));
+            run_experiment(id, &btc, &eth, &dir).unwrap();
+            let loaded = (LazyCell::get(&btc).is_some(), LazyCell::get(&eth).is_some());
+            assert_eq!(loaded, (reads_btc, reads_eth), "{id}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn table3_flags_day13() {
-        let btc = StoredDataset::load(&Dataset::bitcoin(30));
-        let eth = StoredDataset::load(&Dataset::ethereum(0));
+        let btc = LazyCell::new(|| StoredDataset::load(&Dataset::bitcoin(30)));
+        let eth = LazyCell::new(|| StoredDataset::load(&Dataset::ethereum(0)));
         let dir = outdir("t3");
         let r = run_experiment("table3", &btc, &eth, &dir).unwrap();
         let text = r.lines.join("\n");

@@ -507,7 +507,7 @@ pub fn compare(args: &Args) -> CmdResult {
 /// `blockdec query` — run an ad-hoc query against a store:
 /// `top N producers | producers | count`, with optional
 /// `where height between A and B`, `time between T1 and T2`,
-/// `producer = "Name"`, `credit >= X`, `tx >= N` conjunctions.
+/// `producer = "Name"`, `credit >= X` conjunctions.
 pub fn query(args: &Args) -> CmdResult {
     let store_dir = args.required("store")?;
     let q = args.required("q")?;
@@ -641,26 +641,33 @@ pub fn fsck(args: &Args) -> Result<u8, String> {
         return Ok(FSCK_CLEAN);
     }
     let doctor = StoreDoctor::with_backend(backend_from_args(store_dir, args)?);
-    let report = doctor.check().map_err(|e| e.to_string())?;
-    println!(
-        "checked {} segments / {} rows",
-        report.segments_checked, report.rows_checked
-    );
-    for f in &report.faults {
-        eprintln!("FAULT [{}] {}: {}", f.kind.label(), f.file, f.detail);
+    let repair = args.has_switch("repair");
+    let print_check = |report: &blockdec_store::FsckReport| {
+        println!(
+            "checked {} segments / {} rows",
+            report.segments_checked, report.rows_checked
+        );
+        for f in &report.faults {
+            eprintln!("FAULT [{}] {}: {}", f.kind.label(), f.file, f.detail);
+        }
+        if report.is_clean() {
+            println!("store is clean");
+        } else if !repair {
+            let n = report.faults.len();
+            eprintln!("{n} fault(s) found; re-run with --repair to fix");
+        }
+    };
+    if !repair {
+        let report = doctor.check().map_err(|e| e.to_string())?;
+        print_check(&report);
+        let clean = report.is_clean();
+        return Ok(if clean { FSCK_CLEAN } else { FSCK_FAULTS_FOUND });
     }
-    if report.is_clean() {
-        println!("store is clean");
+    // With --repair, the check printed is the one the repair acts on.
+    let outcome = doctor.repair_with(print_check).map_err(|e| e.to_string())?;
+    if outcome.is_noop() {
         return Ok(FSCK_CLEAN);
     }
-    if !args.has_switch("repair") {
-        eprintln!(
-            "{} fault(s) found; re-run with --repair to fix",
-            report.faults.len()
-        );
-        return Ok(FSCK_FAULTS_FOUND);
-    }
-    let outcome = doctor.repair().map_err(|e| e.to_string())?;
     println!(
         "repaired: {} segment(s) quarantined ({} rows), {} temp file(s) removed{}{}",
         outcome.quarantined.len(),

@@ -402,6 +402,51 @@ fn fsck_and_compact() {
 }
 
 #[test]
+fn fsck_repair_counts_each_fault_once() {
+    let dir = workdir("fsck-repair");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let out = blockdec(&[
+        "load",
+        "--chain",
+        "bitcoin",
+        "--days",
+        "3",
+        "--store",
+        store,
+        "--flush-every",
+        "150",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let seg = dir.join("store").join("seg-00000001.bds");
+    let mut bytes = fs::read(&seg).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    fs::write(&seg, bytes).unwrap();
+
+    let out = blockdec(&["fsck", "--store", store, "--repair", "--log-level", "info"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert_eq!(err.matches("FAULT [bit-rot]").count(), 1, "{err}");
+    assert!(
+        err.contains("store faults: 1 detected, 1 segment(s) quarantined"),
+        "{err}"
+    );
+    // One check inside the repair, one after it.
+    let fsck_runs = err.lines().find_map(|line| {
+        let mut words = line.split_whitespace();
+        (words.next() == Some("fsck"))
+            .then(|| words.next())
+            .flatten()
+    });
+    assert_eq!(fsck_runs, Some("2"), "{err}");
+
+    let out = blockdec(&["fsck", "--store", store]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn bad_window_spec_is_rejected() {
     let dir = workdir("badwin");
     let store = dir.join("store");

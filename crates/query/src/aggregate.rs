@@ -247,8 +247,10 @@ mod tests {
             Filter::True,
             Filter::TimeBetween(t(50), t(300)),
             Filter::CreditAtLeast(500),
-            Filter::TxCountAtLeast(5),
-            Filter::TimeBetween(t(90), t(370)).and(Filter::TxCountAtLeast(3)),
+            Filter::CreditAtLeast(1000),
+            Filter::TimeBetween(t(90), t(370))
+                .and(Filter::ProducerIs(1))
+                .and(Filter::CreditAtLeast(334)),
         ];
         for threads in [1, 0] {
             store.set_scan_threads(threads);

@@ -21,8 +21,6 @@ pub enum Filter {
     ProducerIs(u32),
     /// Credit at least this many millis (e.g. 1000 = full blocks only).
     CreditAtLeast(u32),
-    /// At least this many transactions.
-    TxCountAtLeast(u32),
     /// All sub-filters hold.
     And(Vec<Filter>),
 }
@@ -57,7 +55,6 @@ impl Filter {
             Filter::TimeBetween(lo, hi) => (*lo..=*hi).contains(&row.timestamp),
             Filter::ProducerIs(p) => row.producer == *p,
             Filter::CreditAtLeast(c) => row.credit_millis >= *c,
-            Filter::TxCountAtLeast(t) => row.tx_count >= *t,
             Filter::And(fs) => fs.iter().all(|f| f.matches(row)),
         }
     }
@@ -95,7 +92,7 @@ impl Filter {
                 // down, the other as residual (yields empty result).
                 Some(_) => residual.push(self.clone()),
             },
-            Filter::CreditAtLeast(_) | Filter::TxCountAtLeast(_) => residual.push(self.clone()),
+            Filter::CreditAtLeast(_) => residual.push(self.clone()),
             Filter::And(fs) => {
                 for f in fs {
                     f.push_into(pred, residual);
@@ -132,7 +129,7 @@ mod tests {
         assert!(!Filter::ProducerIs(4).matches(&r));
         assert!(Filter::CreditAtLeast(1000).matches(&r));
         assert!(!Filter::CreditAtLeast(1001).matches(&r));
-        assert!(Filter::TxCountAtLeast(42).matches(&r));
+        assert!(!Filter::ProducerIs(3).and(Filter::ProducerIs(4)).matches(&r));
     }
 
     #[test]
@@ -189,8 +186,11 @@ mod tests {
             Filter::True,
             Filter::HeightBetween(20, 80).and(Filter::CreditAtLeast(500)),
             Filter::TimeBetween(100, 900)
-                .and(Filter::TxCountAtLeast(5))
+                .and(Filter::CreditAtLeast(1000))
                 .and(Filter::ProducerIs(2)),
+            Filter::HeightBetween(10, 90)
+                .and(Filter::ProducerIs(2))
+                .and(Filter::ProducerIs(3)),
         ];
         let rows: Vec<RowRecord> = (0..100)
             .map(|i| {

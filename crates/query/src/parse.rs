@@ -11,7 +11,6 @@
 //!          | "time" "between" TIME "and" TIME
 //!          | "producer" "=" STRING
 //!          | "credit" ">=" NUMBER          (block credits, e.g. 1 = full)
-//!          | "tx" ">=" INT
 //! TIME    := INT (unix seconds)
 //!          | quoted timestamp, any form blockdec_chain::time::parse_timestamp
 //!            reads ("2019-01-14", ISO 8601, BigQuery, integer secs or millis)
@@ -27,11 +26,10 @@
 //! count where producer = "F2Pool" and credit >= 1
 //! ```
 //!
-//! `tx` reads the store's `tx_count` column, which only rows written
-//! through `BlockStore::append_rows` fill. `BlockStore::append_attributed`,
-//! the one writer behind `blockdec load`, `ingest` and `follow`, stores 0
-//! there (and in `size_bytes` and `difficulty`), so on a store the CLI
-//! built `tx >= N` with `N >= 1` matches no row.
+//! There is no `tx` predicate: `BlockStore::append_attributed`, the one
+//! writer behind `blockdec load`, `ingest` and `follow`, stores no
+//! transaction counts, so a query naming `tx` is a parse error that
+//! says so.
 //!
 //! Producer names are resolved against the store's dictionary at parse
 //! time, so a typo'd pool name is a parse error rather than an empty
@@ -210,15 +208,11 @@ impl<'a> Parser<'a> {
                     };
                     Ok(Filter::CreditAtLeast(weight_to_millis(v)))
                 }
-                "tx" => {
-                    match self.next() {
-                        Some(Token::Ge) => {}
-                        other => return Err(format!("expected '>=', found {other:?}")),
-                    }
-                    let n = self.expect_int()?;
-                    let n = u32::try_from(n).map_err(|_| format!("tx count {n} out of range"))?;
-                    Ok(Filter::TxCountAtLeast(n))
-                }
+                "tx" => Err(
+                    "the tx predicate was removed: stores written by load, ingest \
+                             and follow hold no transaction counts, so it matched no row"
+                        .into(),
+                ),
                 other => Err(format!("unknown predicate {other:?}")),
             },
             other => Err(format!("expected a predicate, found {other:?}")),
@@ -309,7 +303,7 @@ mod tests {
     #[test]
     fn parses_conjunctions() {
         let plan = parse_query(
-            "producers where height between 1 and 9 and tx >= 100 and credit >= 0.5",
+            "producers where height between 1 and 9 and producer = 'AntPool' and credit >= 0.5",
             &registry(),
         )
         .unwrap();
@@ -317,7 +311,7 @@ mod tests {
             plan.filter,
             Filter::And(vec![
                 Filter::HeightBetween(1, 9),
-                Filter::TxCountAtLeast(100),
+                Filter::ProducerIs(1),
                 Filter::CreditAtLeast(500),
             ])
         );
@@ -377,10 +371,24 @@ mod tests {
             "count where producer = unquoted",
             "count where time between 'nonsense' and '2019-01-02'",
             "top 5 producers garbage",
-            "count where tx > 5",
-            "count where tx >= 4294967296",
+            "count where credit > 5",
+            "count where height between 0 and 18446744073709551616",
         ] {
             assert!(parse_query(q, &r).is_err(), "accepted {q:?}");
+        }
+    }
+
+    #[test]
+    fn tx_is_a_removed_field() {
+        for q in [
+            "count where tx >= 1",
+            "top 3 producers where credit >= 1 and tx >= 5",
+        ] {
+            let err = parse_query(q, &registry()).unwrap_err();
+            assert!(
+                err.starts_with("the tx predicate was removed"),
+                "{q}: {err}"
+            );
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::backend::{get_retry, ObjectStore};
 use crate::bloom::ProducerFilter;
 use crate::error::{Result, StoreError};
-use crate::row::RowRecord;
+use crate::segment::SegmentIndex;
 use crate::zonemap::ZoneMap;
 use serde::{Deserialize, Serialize};
 
@@ -38,16 +38,23 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// The entry for segment `file` holding `rows` under footer CRC
-    /// `crc`. The zone and the producer bloom are built from the rows,
-    /// as the segment's own index block is.
-    pub(crate) fn new(file: String, rows: &[RowRecord], crc: u32) -> SegmentMeta {
-        let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
+    /// The entry for segment `file` under footer CRC `crc`, derived from
+    /// its index block: the zone spans the groups' zones and sums their
+    /// rows, and the producer bloom is the segment bloom.
+    pub(crate) fn from_index(file: String, index: SegmentIndex, crc: u32) -> SegmentMeta {
+        let groups = &index.groups;
+        let zone = ZoneMap {
+            min_height: groups.iter().map(|g| g.min_height).min().unwrap_or(0),
+            max_height: groups.iter().map(|g| g.max_height).max().unwrap_or(0),
+            min_time: groups.iter().map(|g| g.min_time).min().unwrap_or(0),
+            max_time: groups.iter().map(|g| g.max_time).max().unwrap_or(0),
+            rows: groups.iter().map(|g| u64::from(g.rows)).sum(),
+        };
         SegmentMeta {
             file,
-            zone: ZoneMap::from_rows(rows),
+            zone,
             crc,
-            producers: ProducerFilter::from_producers(&producers),
+            producers: index.producers,
         }
     }
 

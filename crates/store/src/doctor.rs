@@ -21,12 +21,8 @@ use crate::backend::{get_retry, local, LocalFs, ObjectStore};
 use crate::catalog::{parse_segment_id, segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
 use crate::error::{Result, StoreError};
-use crate::lebytes;
 use crate::row::RowRecord;
-use crate::segment::{
-    check_footer, decode_segment, write_segment_file, FooterCheck, SegmentDecoder, FOOTER_LEN,
-};
-use crate::zonemap::ZoneMap;
+use crate::segment::{check_footer, write_segment_file, FooterCheck, SegmentDecoder};
 use blockdec_chain::ProducerRegistry;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -185,10 +181,11 @@ pub struct StoreDoctor {
     store: Arc<dyn ObjectStore>,
 }
 
-/// Everything check() learns about one segment file.
+/// Everything a check learns about one segment file.
 enum SegmentHealth {
-    /// Decoded rows and the footer CRC that checked out.
-    Healthy(Vec<RowRecord>, u32),
+    /// Every check passed: the segment's manifest entry, derived from
+    /// the index its decode checked, and its largest producer id.
+    Healthy(SegmentMeta, u32),
     /// The index block is damaged but every page decoded cleanly via
     /// the sequential salvage path: repair can rebuild the segment
     /// without losing a row.
@@ -196,7 +193,17 @@ enum SegmentHealth {
     Faulty(FaultKind, String),
 }
 
-fn classify_segment_bytes(bytes: &[u8], what: &str) -> SegmentHealth {
+/// Classify segment `file` with one full decode of its `bytes`, which
+/// leaves a healthy segment's rows in `dec`. The footer is read again
+/// only to name the fault of a decode that failed.
+fn classify_segment_bytes(dec: &mut SegmentDecoder, bytes: &[u8], file: &str) -> SegmentHealth {
+    let e = match dec.decode_full(bytes, file) {
+        Ok((index, crc)) => {
+            let meta = SegmentMeta::from_index(file.to_string(), index, crc);
+            return SegmentHealth::Healthy(meta, dec.producers().max().unwrap_or(0));
+        }
+        Err(e) => e,
+    };
     match check_footer(bytes) {
         FooterCheck::NotFinalized => SegmentHealth::Faulty(
             FaultKind::Truncated,
@@ -209,36 +216,38 @@ fn classify_segment_bytes(bytes: &[u8], what: &str) -> SegmentHealth {
         FooterCheck::CrcMismatch => {
             SegmentHealth::Faulty(FaultKind::BitRot, "whole-file crc mismatch".into())
         }
-        FooterCheck::Ok => match decode_segment(bytes, what) {
-            Ok(rows) => {
-                SegmentHealth::Healthy(rows, lebytes::u32_at(bytes, bytes.len() - FOOTER_LEN))
-            }
-            Err(e) => {
-                // Whatever failed, the pages may be intact behind an index
-                // that lies (a group offset inside the previous group's
-                // pages reads as a truncated page): when the index-free
-                // salvage decodes every page, the fault is the index's.
-                let mut dec = SegmentDecoder::new();
-                match dec.decode_salvage(bytes, what) {
-                    Ok(n) => SegmentHealth::Recoverable(
-                        FaultKind::BadIndex,
-                        format!("index damaged but all pages intact: {e}"),
-                        (0..n).map(|i| dec.row(i)).collect(),
-                    ),
-                    Err(_) if matches!(e, StoreError::CorruptIndex { .. }) => {
-                        SegmentHealth::Faulty(
-                            FaultKind::BadIndex,
-                            format!("index damaged and pages unsalvageable: {e}"),
-                        )
-                    }
-                    Err(_) => SegmentHealth::Faulty(
-                        FaultKind::BadPage,
-                        format!("finalized but undecodable: {e}"),
-                    ),
-                }
-            }
+        // Whatever failed, the pages may be intact behind an index that
+        // lies (a group offset inside the previous group's pages reads
+        // as a truncated page): when the index-free salvage decodes
+        // every page, the fault is the index's.
+        FooterCheck::Ok => match dec.decode_salvage(bytes, file) {
+            Ok(n) => SegmentHealth::Recoverable(
+                FaultKind::BadIndex,
+                format!("index damaged but all pages intact: {e}"),
+                (0..n).map(|i| dec.row(i)).collect(),
+            ),
+            Err(_) if matches!(e, StoreError::CorruptIndex { .. }) => SegmentHealth::Faulty(
+                FaultKind::BadIndex,
+                format!("index damaged and pages unsalvageable: {e}"),
+            ),
+            Err(_) => SegmentHealth::Faulty(
+                FaultKind::BadPage,
+                format!("finalized but undecodable: {e}"),
+            ),
         },
     }
+}
+
+/// What one pass over a store finds: the check's report, and what a
+/// repair acts on.
+struct Findings {
+    report: FsckReport,
+    manifest: Option<Manifest>,
+    registry: Option<ProducerRegistry>,
+    /// Each segment file read, in catalog order, with its health.
+    segments: Vec<(String, SegmentHealth)>,
+    /// Segment files on disk that a readable manifest does not list.
+    orphans: Vec<String>,
 }
 
 impl StoreDoctor {
@@ -253,162 +262,146 @@ impl StoreDoctor {
         StoreDoctor { store }
     }
 
-    /// List `seg-*.bds` files physically present under the store root
-    /// (quarantine excluded), sorted by name.
-    fn on_disk_segments(&self) -> Result<BTreeSet<String>> {
-        Ok(self
-            .store
-            .list()?
-            .into_iter()
-            .filter(|name| parse_segment_id(name).is_some())
-            .collect())
-    }
-
     /// Scan every artifact and classify faults without touching
     /// anything. Errors only on environmental problems (an unreadable
     /// directory), never on store damage.
     pub fn check(&self) -> Result<FsckReport> {
+        Ok(self.examine()?.report)
+    }
+
+    /// The one pass behind [`StoreDoctor::check`] and
+    /// [`StoreDoctor::repair`]. It fetches each segment file once and
+    /// decodes it once, with one decoder for the whole pass, and holds
+    /// rows only for index-damaged segments it salvaged. Without a
+    /// readable manifest it classifies every segment file on disk, for
+    /// repair to rebuild the catalog from, and reports none of them.
+    fn examine(&self) -> Result<Findings> {
         let _t = blockdec_obs::span!("stage.fsck");
         let mut report = FsckReport::default();
+        let names = self.store.list()?;
 
         // Stale temp files from interrupted commits.
-        for name in self.store.list()? {
-            if local::is_temp_name(&name) {
+        for name in &names {
+            if local::is_temp_name(name) {
                 report.faults.push(Fault {
                     kind: FaultKind::TornTemp,
-                    file: name,
+                    file: name.clone(),
                     detail: "stale temp file from an interrupted commit".into(),
                 });
             }
         }
+        // Segment files physically present (quarantine excluded).
+        let on_disk: BTreeSet<String> = names
+            .into_iter()
+            .filter(|name| parse_segment_id(name).is_some())
+            .collect();
 
-        // Manifest.
-        let manifest = if !self.store.exists(MANIFEST_NAME) {
-            report.faults.push(Fault {
-                kind: FaultKind::MissingManifest,
-                file: MANIFEST_NAME.into(),
-                detail: "manifest is missing; catalog must be rebuilt from segments".into(),
-            });
-            None
-        } else {
-            match Manifest::load_lenient(self.store.as_ref()) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    report.faults.push(Fault {
-                        kind: FaultKind::BadManifest,
-                        file: MANIFEST_NAME.into(),
-                        detail: e.to_string(),
-                    });
-                    None
-                }
-            }
+        let manifest = self.load_or_fault(
+            &mut report,
+            MANIFEST_NAME,
+            (FaultKind::MissingManifest, FaultKind::BadManifest),
+            "manifest is missing; catalog must be rebuilt from segments",
+            Manifest::load_lenient,
+        );
+        let registry = self.load_or_fault(
+            &mut report,
+            DICTIONARY_NAME,
+            (FaultKind::MissingDictionary, FaultKind::BadDictionary),
+            "producer dictionary is missing",
+            load_dictionary,
+        );
+
+        // Segments: the manifest's entries when it is readable, every
+        // segment file on disk otherwise.
+        let candidates: Vec<(&str, Option<&SegmentMeta>)> = match &manifest {
+            Some(m) => m
+                .segments
+                .iter()
+                .map(|s| (s.file.as_str(), Some(s)))
+                .collect(),
+            None => on_disk.iter().map(|name| (name.as_str(), None)).collect(),
         };
-
-        // Dictionary.
-        let registry = if !self.store.exists(DICTIONARY_NAME) {
-            report.faults.push(Fault {
-                kind: FaultKind::MissingDictionary,
-                file: DICTIONARY_NAME.into(),
-                detail: "producer dictionary is missing".into(),
-            });
-            None
-        } else {
-            match load_dictionary(self.store.as_ref()) {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    report.faults.push(Fault {
-                        kind: FaultKind::BadDictionary,
-                        file: DICTIONARY_NAME.into(),
-                        detail: e.to_string(),
-                    });
-                    None
-                }
-            }
-        };
-
-        // Segments referenced by the manifest.
-        let mut referenced: BTreeSet<String> = BTreeSet::new();
-        if let Some(manifest) = &manifest {
-            let mut prev: Option<&SegmentMeta> = None;
-            for seg in &manifest.segments {
-                referenced.insert(seg.file.clone());
-                report.segments_checked += 1;
-                if !self.store.exists(&seg.file) {
+        let mut dec = SegmentDecoder::new();
+        let mut segments = Vec::with_capacity(candidates.len());
+        let mut prev: Option<&SegmentMeta> = None;
+        for (file, listed) in candidates {
+            report.segments_checked += usize::from(listed.is_some());
+            if !self.store.exists(file) {
+                if listed.is_some() {
                     report.faults.push(Fault {
                         kind: FaultKind::MissingSegment,
-                        file: seg.file.clone(),
+                        file: file.to_string(),
                         detail: "manifest references a segment file that does not exist".into(),
                     });
-                    prev = Some(seg);
-                    continue;
                 }
-                let bytes = get_retry(self.store.as_ref(), &seg.file)?;
-                match classify_segment_bytes(&bytes, &seg.file) {
+                prev = listed;
+                continue;
+            }
+            let bytes = get_retry(self.store.as_ref(), file)?;
+            let health = classify_segment_bytes(&mut dec, &bytes, file);
+            if let Some(seg) = listed {
+                let mut fault = |kind, detail| {
+                    report.faults.push(Fault {
+                        kind,
+                        file: file.to_string(),
+                        detail,
+                    })
+                };
+                match &health {
                     SegmentHealth::Faulty(kind, detail)
-                    | SegmentHealth::Recoverable(kind, detail, _) => {
-                        report.faults.push(Fault {
-                            kind,
-                            file: seg.file.clone(),
-                            detail,
-                        });
-                    }
-                    SegmentHealth::Healthy(rows, _) => {
-                        report.rows_checked += rows.len() as u64;
-                        let zone = ZoneMap::from_rows(&rows);
-                        if zone != seg.zone {
-                            report.faults.push(Fault {
-                                kind: FaultKind::ZoneDrift,
-                                file: seg.file.clone(),
-                                detail: format!(
+                    | SegmentHealth::Recoverable(kind, detail, _) => fault(*kind, detail.clone()),
+                    SegmentHealth::Healthy(meta, _) => {
+                        report.rows_checked += meta.zone.rows;
+                        if meta.zone != seg.zone {
+                            fault(
+                                FaultKind::ZoneDrift,
+                                format!(
                                     "manifest zone {:?} disagrees with rows {:?}",
-                                    seg.zone, zone
+                                    seg.zone, meta.zone
                                 ),
-                            });
+                            );
                         } else if let Some(p) = prev {
                             if seg.zone.min_height < p.zone.max_height {
-                                report.faults.push(Fault {
-                                    kind: FaultKind::ZoneDrift,
-                                    file: seg.file.clone(),
-                                    detail: format!(
-                                        "height range overlaps previous segment {}",
-                                        p.file
-                                    ),
-                                });
+                                fault(
+                                    FaultKind::ZoneDrift,
+                                    format!("height range overlaps previous segment {}", p.file),
+                                );
                             }
                         }
                         if let Some(reg) = &registry {
-                            if let Some(bad) =
-                                rows.iter().find(|r| r.producer as usize >= reg.len())
-                            {
-                                report.faults.push(Fault {
-                                    kind: FaultKind::UnknownProducer,
-                                    file: seg.file.clone(),
-                                    detail: format!(
-                                        "row producer id {} outside dictionary (len {})",
-                                        bad.producer,
+                            if let Some(bad) = dec.producers().find(|&p| p as usize >= reg.len()) {
+                                fault(
+                                    FaultKind::UnknownProducer,
+                                    format!(
+                                        "row producer id {bad} outside dictionary (len {})",
                                         reg.len()
                                     ),
-                                });
+                                );
                             }
                         }
                     }
                 }
-                prev = Some(seg);
             }
+            segments.push((file.to_string(), health));
+            prev = listed;
         }
 
         // Orphans: on-disk segment files the manifest does not claim.
         // With no (readable) manifest every segment file is reported
         // against the missing catalog instead, not as an orphan.
-        if manifest.is_some() {
-            for name in self.on_disk_segments()? {
-                if !referenced.contains(&name) {
+        let mut orphans = Vec::new();
+        if let Some(manifest) = &manifest {
+            let referenced: BTreeSet<&str> =
+                manifest.segments.iter().map(|s| s.file.as_str()).collect();
+            for name in on_disk {
+                if !referenced.contains(name.as_str()) {
                     report.segments_checked += 1;
                     report.faults.push(Fault {
                         kind: FaultKind::OrphanSegment,
-                        file: name,
+                        file: name.clone(),
                         detail: "segment file on disk is not referenced by the manifest".into(),
                     });
+                    orphans.push(name);
                 }
             }
         }
@@ -420,55 +413,78 @@ impl StoreDoctor {
             rows = report.rows_checked;
             "fsck check complete"
         );
-        Ok(report)
+        Ok(Findings {
+            report,
+            manifest,
+            registry,
+            segments,
+            orphans,
+        })
     }
 
-    /// Move `file` into `quarantine/`, creating the area on first use.
-    /// A name collision in quarantine gets a numeric suffix — earlier
-    /// quarantined bytes are never replaced.
-    fn quarantine(&self, file: &str) -> Result<()> {
-        self.store.quarantine(file)
+    /// `load` the catalog file `name`, or report it as the first of
+    /// `kinds` (with `missing`) when it does not exist and as the second
+    /// (with the load error) when it does not load.
+    fn load_or_fault<T>(
+        &self,
+        report: &mut FsckReport,
+        name: &str,
+        kinds: (FaultKind, FaultKind),
+        missing: &str,
+        load: impl FnOnce(&dyn ObjectStore) -> Result<T>,
+    ) -> Option<T> {
+        let (kind, detail) = if !self.store.exists(name) {
+            (kinds.0, missing.to_string())
+        } else {
+            match load(self.store.as_ref()) {
+                Ok(loaded) => return Some(loaded),
+                Err(e) => (kinds.1, e.to_string()),
+            }
+        };
+        report.faults.push(Fault {
+            kind,
+            file: name.into(),
+            detail,
+        });
+        None
     }
 
     /// Repair the store in place: sweep stale temps into quarantine,
     /// quarantine every faulty segment, rebuild or extend the
     /// dictionary when damaged, and rewrite a consistent manifest
-    /// covering exactly the surviving segments. Returns what was done;
-    /// call [`StoreDoctor::check`] afterwards to confirm a clean state.
+    /// covering exactly the surviving segments. It acts on its own
+    /// check, whose report it returns as [`RepairOutcome::pre`]; call
+    /// [`StoreDoctor::check`] afterwards to confirm a clean state.
     pub fn repair(&self) -> Result<RepairOutcome> {
+        self.repair_with(|_| {})
+    }
+
+    /// [`StoreDoctor::repair`], handing its check's report to
+    /// `on_check` before it changes anything: `blockdec fsck --repair`
+    /// prints the faults there, ahead of the repair's own log lines.
+    pub fn repair_with(&self, on_check: impl FnOnce(&FsckReport)) -> Result<RepairOutcome> {
         let _t = blockdec_obs::span!("stage.fsck_repair");
-        let pre = self.check()?;
+        let found = self.examine()?;
+        on_check(&found.report);
         let mut outcome = RepairOutcome {
-            pre,
+            pre: found.report,
             ..RepairOutcome::default()
         };
         if outcome.pre.is_clean() {
             return Ok(outcome);
         }
+        let manifest = found.manifest;
 
         outcome.removed_temps = self.store.sweep_temps()?;
 
-        // Candidate segments: the manifest's view when it is readable,
-        // otherwise every segment file on disk (manifest rebuild mode).
-        let manifest = Manifest::load_lenient(self.store.as_ref()).ok();
-        let candidates: Vec<String> = match &manifest {
-            Some(m) => m.segments.iter().map(|s| s.file.clone()).collect(),
-            None => self.on_disk_segments()?.into_iter().collect(),
-        };
-
-        // Decode every candidate; quarantine what cannot be trusted.
-        // Index-only damage keeps its salvaged rows for re-encoding.
-        let mut kept: Vec<(SegmentMeta, Vec<RowRecord>)> = Vec::new();
+        // Quarantine what cannot be trusted. Index-only damage keeps its
+        // salvaged rows for re-encoding; a healthy segment keeps its
+        // manifest entry and largest producer id, not its rows.
+        let mut kept: Vec<(SegmentMeta, u32)> = Vec::new();
         let mut salvaged: Vec<Vec<RowRecord>> = Vec::new();
-        for file in candidates {
-            if !self.store.exists(&file) {
-                continue; // manifest drift: nothing on disk to keep or move
-            }
-            let bytes = get_retry(self.store.as_ref(), &file)?;
-            match classify_segment_bytes(&bytes, &file) {
-                SegmentHealth::Healthy(rows, crc) => {
-                    kept.push((SegmentMeta::new(file, &rows, crc), rows));
-                }
+        for (file, health) in found.segments {
+            match health {
+                SegmentHealth::Healthy(meta, max_producer) => kept.push((meta, max_producer)),
                 SegmentHealth::Recoverable(kind, detail, rows) => {
                     blockdec_obs::warn!(
                         file = file.clone(),
@@ -476,7 +492,7 @@ impl StoreDoctor {
                         rows = rows.len();
                         "quarantining segment, salvaging its rows: {detail}"
                     );
-                    self.quarantine(&file)?;
+                    self.store.quarantine(&file)?;
                     outcome.quarantined.push(file);
                     salvaged.push(rows);
                 }
@@ -486,7 +502,7 @@ impl StoreDoctor {
                         kind = kind.label();
                         "quarantining faulty segment: {detail}"
                     );
-                    self.quarantine(&file)?;
+                    self.store.quarantine(&file)?;
                     outcome.quarantined.push(file);
                 }
             }
@@ -494,14 +510,9 @@ impl StoreDoctor {
 
         // Orphans (only meaningful when a manifest told us what is
         // committed): preserve the bytes, but out of the data path.
-        if manifest.is_some() {
-            let committed: BTreeSet<&String> = kept.iter().map(|(m, _)| &m.file).collect();
-            for name in self.on_disk_segments()? {
-                if !committed.contains(&name) {
-                    self.quarantine(&name)?;
-                    outcome.quarantined.push(name);
-                }
-            }
+        for name in found.orphans {
+            self.store.quarantine(&name)?;
+            outcome.quarantined.push(name);
         }
 
         // The next free segment id lies beyond every name ever seen, so
@@ -524,25 +535,26 @@ impl StoreDoctor {
             let meta = write_segment_file(self.store.as_ref(), &file, &rows)?;
             recovered_rows += rows.len() as u64;
             outcome.rebuilt.push(file);
-            kept.push((meta, rows));
+            let max_producer = rows.iter().map(|r| r.producer).max().unwrap_or(0);
+            kept.push((meta, max_producer));
         }
 
         // Order by height and drop (quarantine) anything that overlaps
         // its predecessor — a consistent catalog must be height-sorted.
         kept.sort_by_key(|(m, _)| (m.zone.min_height, m.file.clone()));
         let mut segments: Vec<SegmentMeta> = Vec::with_capacity(kept.len());
-        let mut surviving_rows: Vec<Vec<RowRecord>> = Vec::with_capacity(kept.len());
-        for (meta, rows) in kept {
+        let mut max_id: Option<u32> = None;
+        for (meta, max_producer) in kept {
             if let Some(prevseg) = segments.last() {
                 if meta.zone.min_height < prevseg.zone.max_height {
-                    self.quarantine(&meta.file)?;
+                    self.store.quarantine(&meta.file)?;
+                    outcome.rows_quarantined += meta.zone.rows;
                     outcome.quarantined.push(meta.file);
-                    outcome.rows_quarantined += rows.len() as u64;
                     continue;
                 }
             }
+            max_id = max_id.max(Some(max_producer));
             segments.push(meta);
-            surviving_rows.push(rows);
         }
         // Rows lost from the committed state (orphan rows were never
         // committed, so only manifest-referenced quarantines count;
@@ -562,14 +574,8 @@ impl StoreDoctor {
         // Dictionary: rebuild with placeholders when missing/corrupt,
         // extend when too short. Placeholder names keep producer ids —
         // and therefore every metric series — unchanged.
-        let registry = load_dictionary(self.store.as_ref()).ok();
-        let max_id = surviving_rows
-            .iter()
-            .flat_map(|rows| rows.iter())
-            .map(|r| r.producer)
-            .max();
         let needed = max_id.map_or(0, |m| m as usize + 1);
-        let registry = match registry {
+        let registry = match found.registry {
             Some(reg) if reg.len() >= needed => reg,
             damaged => {
                 let mut reg = damaged.unwrap_or_default();
@@ -777,11 +783,11 @@ mod tests {
         store.flush().unwrap();
         let victim = segment_file_name(0);
         let mut bytes = fs::read(dir.join(&victim)).unwrap();
-        let (start, _) = crate::segment::index_bounds(&bytes).unwrap();
-        let at = start + 8 + crate::segment::GROUP_ENTRY_LEN;
-        let moved = lebytes::u32_at(&bytes, at) - 1;
+        let index = crate::segment::index_bounds(&bytes).unwrap();
+        let at = index.0 + 8 + crate::segment::GROUP_ENTRY_LEN;
+        let moved = crate::lebytes::u32_at(&bytes, at) - 1;
         bytes[at..at + 4].copy_from_slice(&moved.to_le_bytes());
-        crate::segment::refit_index_crc(&mut bytes);
+        crate::segment::refit_index_crc(&mut bytes, index);
         crate::segment::refit_footer(&mut bytes);
         fs::write(dir.join(&victim), bytes).unwrap();
 
@@ -800,6 +806,221 @@ mod tests {
         let store = BlockStore::open(&dir).unwrap();
         assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A [`LocalFs`] that counts the reads (`get` and `get_range`) of
+    /// each object.
+    struct CountingFs {
+        inner: LocalFs,
+        reads: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
+    }
+
+    impl CountingFs {
+        /// The segment reads counted since the last call, by file.
+        fn take_segment_reads(&self) -> Vec<(String, usize)> {
+            let reads = std::mem::take(&mut *self.reads.lock().unwrap());
+            reads
+                .into_iter()
+                .filter(|(name, _)| parse_segment_id(name).is_some())
+                .collect()
+        }
+
+        fn count(&self, name: &str) {
+            *self
+                .reads
+                .lock()
+                .unwrap()
+                .entry(name.to_string())
+                .or_default() += 1;
+        }
+    }
+
+    impl ObjectStore for CountingFs {
+        fn describe(&self, name: &str) -> String {
+            self.inner.describe(name)
+        }
+        fn describe_root(&self) -> String {
+            self.inner.describe_root()
+        }
+        fn create_root(&self) -> Result<()> {
+            self.inner.create_root()
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn size(&self, name: &str) -> Result<u64> {
+            self.inner.size(name)
+        }
+        fn get(&self, name: &str) -> Result<Vec<u8>> {
+            self.count(name);
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.count(name);
+            self.inner.get_range(name, offset, len)
+        }
+        fn put_atomic(&self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.put_atomic(name, bytes)
+        }
+        fn list(&self) -> Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn quarantine(&self, name: &str) -> Result<()> {
+            self.inner.quarantine(name)
+        }
+        fn remove(&self, name: &str) -> Result<()> {
+            self.inner.remove(name)
+        }
+        fn sweep_temps(&self) -> Result<usize> {
+            self.inner.sweep_temps()
+        }
+    }
+
+    #[test]
+    fn check_and_repair_read_each_segment_once() {
+        let dir = tmp_dir("reads");
+        build_store(&dir);
+        let victim = segment_file_name(1);
+        crate::fault::FaultInjector::new(&dir, 5)
+            .flip_bit(&victim)
+            .unwrap();
+        let fs = Arc::new(CountingFs {
+            inner: LocalFs::new(&dir),
+            reads: Default::default(),
+        });
+        let doctor = StoreDoctor::with_backend(fs.clone());
+        let once: Vec<(String, usize)> = (0..3).map(|id| (segment_file_name(id), 1)).collect();
+        assert_eq!(doctor.check().unwrap().kinds(), vec![FaultKind::BitRot]);
+        assert_eq!(fs.take_segment_reads(), once);
+        let outcome = doctor.repair().unwrap();
+        assert_eq!(outcome.quarantined, vec![victim]);
+        assert_eq!(fs.take_segment_reads(), once);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn index_offset_word_damage_is_repaired_without_losing_rows() {
+        // The index-offset word points into the pages behind a refitted
+        // footer: the index cannot be found, but salvage walks the
+        // pages without it.
+        let dir = tmp_dir("index-word");
+        let all = build_store(&dir);
+        let victim = segment_file_name(1);
+        let mut bytes = fs::read(dir.join(&victim)).unwrap();
+        let at = bytes.len() - crate::segment::FOOTER_LEN - 4;
+        bytes[at..at + 4].copy_from_slice(&20u32.to_le_bytes());
+        crate::segment::refit_footer(&mut bytes);
+        fs::write(dir.join(&victim), bytes).unwrap();
+        let doctor = StoreDoctor::new(&dir);
+        let report = doctor.check().unwrap();
+        assert_eq!(report.kinds(), vec![FaultKind::BadIndex]);
+        assert!(
+            report.faults[0]
+                .detail
+                .starts_with("index damaged but all pages intact"),
+            "{:?}",
+            report.faults
+        );
+        let outcome = doctor.repair().unwrap();
+        assert_eq!(outcome.rows_quarantined, 0, "salvage must lose no rows");
+        assert!(doctor.check().unwrap().is_clean());
+        let store = BlockStore::open(&dir).unwrap();
+        assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every cut and every single-bit flip in the last 32 bytes (the
+    /// trailer and the end of the index) of a valid three-group segment.
+    #[test]
+    fn hostile_trailers_fail_typed_or_yield_the_original_rows() {
+        use crate::segment::{decode_segment, encode_segment};
+        let rows: Vec<RowRecord> = (0..10_000u64)
+            .map(|h| RowRecord {
+                height: 7_000_000 + h,
+                timestamp: 1_546_300_800 + h as i64 * 13,
+                producer: (h % 37) as u32,
+                credit_millis: 1000,
+                tx_count: 0,
+                size_bytes: 0,
+                difficulty: 0,
+            })
+            .collect();
+        let bytes = encode_segment(&rows);
+        let len = bytes.len();
+        let mut cases: Vec<(String, Vec<u8>, FaultKind)> = (1..=32)
+            .map(|cut| {
+                (
+                    format!("cut {cut}"),
+                    bytes[..len - cut].to_vec(),
+                    FaultKind::Truncated,
+                )
+            })
+            .collect();
+        for at in len - 32..len {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                // The footer's last 8 bytes are its length and magic.
+                let kind = if at >= len - 8 {
+                    FaultKind::Truncated
+                } else {
+                    FaultKind::BitRot
+                };
+                cases.push((format!("flip byte {at} bit {bit}"), flipped, kind));
+            }
+        }
+        let heights = ScanPredicate::all().heights(rows[5_000].height, rows[5_100].height);
+        let mut dec = SegmentDecoder::new();
+        let decoded = |dec: &SegmentDecoder, pred: &ScanPredicate| -> Vec<RowRecord> {
+            (0..dec.len())
+                .map(|i| dec.row(i))
+                .filter(|r| pred.matches(r))
+                .collect()
+        };
+        let (mut pruned_ok, mut salvaged) = (0, 0);
+        for (case, damaged, kind) in cases {
+            match decode_segment(&damaged, "t") {
+                Err(
+                    StoreError::Corrupt { .. }
+                    | StoreError::BadFormat { .. }
+                    | StoreError::CorruptIndex { .. },
+                ) => {}
+                other => panic!("{case}: full decode gave {other:?}"),
+            }
+            for pred in [ScanPredicate::all(), heights] {
+                let want: Vec<RowRecord> =
+                    rows.iter().filter(|r| pred.matches(r)).copied().collect();
+                if dec.decode_pruned(&damaged, "t", &pred).is_ok() {
+                    assert_eq!(decoded(&dec, &pred), want, "{case}: pruned {pred:?}");
+                    pruned_ok += 1;
+                }
+                let mut fetch = |off: u64, n: usize| Ok(&damaged[off as usize..][..n]);
+                let ranged = dec.decode_pruned_ranged(&mut fetch, damaged.len() as u64, "t", &pred);
+                if ranged.is_ok() {
+                    assert_eq!(decoded(&dec, &pred), want, "{case}: ranged {pred:?}");
+                    pruned_ok += 1;
+                }
+            }
+            if dec.decode_salvage(&damaged, "t").is_ok() {
+                assert_eq!(
+                    decoded(&dec, &ScanPredicate::all()),
+                    rows,
+                    "{case}: salvage"
+                );
+                salvaged += 1;
+            }
+            match classify_segment_bytes(&mut dec, &damaged, "t") {
+                SegmentHealth::Faulty(got, _) | SegmentHealth::Recoverable(got, ..) => {
+                    assert_eq!(got, kind, "{case}")
+                }
+                SegmentHealth::Healthy(..) => panic!("{case}: classified healthy"),
+            }
+        }
+        // The pruned decodes skip the whole-file CRC, so they read past
+        // a flip in it, as salvage reads past any flip outside the
+        // footer's length and magic.
+        assert_eq!(pruned_ok, 4 * 8 * 4);
+        assert_eq!(salvaged, 24 * 8);
     }
 
     #[test]

@@ -149,8 +149,8 @@ impl FaultInjector {
     /// below its trailer, say) is a [`StoreError::CorruptIndex`].
     pub fn corrupt_index(&mut self, file: &str) -> Result<()> {
         let mut bytes = self.read_seg(file, 0)?;
-        let (start, end) = index_body(&bytes, file, 1)?;
-        let at = start + self.next_below((end - start) as u64) as usize;
+        let (start, end) = index_block(&bytes, file, 1)?;
+        let at = start + self.next_below((end - 4 - start) as u64) as usize;
         bytes[at] ^= 1 << self.next_below(8);
         refit_footer(&mut bytes);
         self.write_seg(file, &bytes)
@@ -166,12 +166,12 @@ impl FaultInjector {
         let mut bytes = self.read_seg(file, 0)?;
         // Entry 0 starts after `BDIX` + group_count; max_height sits 16
         // bytes in (offset u32, rows u32, min_height u64 precede it).
-        let (index_off, _) = index_body(&bytes, file, 8 + 16 + 8)?;
-        let field = index_off + 8 + 16;
+        let index = index_block(&bytes, file, 8 + 16 + 8)?;
+        let field = index.0 + 8 + 16;
         let mut max_h = crate::lebytes::u64_at(&bytes, field);
         max_h += 1 + self.next_below(1000);
         bytes[field..field + 8].copy_from_slice(&max_h.to_le_bytes());
-        refit_index_crc(&mut bytes);
+        refit_index_crc(&mut bytes, index);
         refit_footer(&mut bytes);
         self.write_seg(file, &bytes)
     }
@@ -210,13 +210,12 @@ impl FaultInjector {
     }
 }
 
-/// The CRC-covered index body of segment `file`: its start and end
-/// offsets, when the trailer frames one of at least `min_len` bytes.
-fn index_body(bytes: &[u8], file: &str, min_len: usize) -> Result<(usize, usize)> {
-    // The body ends 4 bytes before the index_off field (those 4 bytes
-    // are the index CRC itself).
+/// The index block of segment `file`, magic through index CRC, as
+/// [`index_bounds`] finds it, when the CRC-covered bytes before its
+/// 4-byte CRC number at least `min_len`.
+fn index_block(bytes: &[u8], file: &str, min_len: usize) -> Result<(usize, usize)> {
     match index_bounds(bytes) {
-        Some((start, idx_field)) if idx_field - 4 >= start + min_len => Ok((start, idx_field - 4)),
+        Some((start, end)) if end - 4 >= start + min_len => Ok((start, end)),
         _ => Err(StoreError::CorruptIndex {
             what: file.to_string(),
             detail: format!("no parseable index frame of {min_len}+ bytes"),

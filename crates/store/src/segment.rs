@@ -120,24 +120,64 @@ fn footer_result(check: FooterCheck, file_len: usize, what: &str) -> Result<()> 
     })
 }
 
-/// [`check_footer`] as a `Result`, with `what` naming the artifact.
-pub fn verify_footer(data: &[u8], what: &str) -> Result<()> {
-    footer_result(check_footer(data), data.len(), what)
-}
-
-/// [`check_footer_frame`] as a `Result`.
-fn verify_footer_frame(tail: &[u8], file_len: usize, what: &str) -> Result<()> {
-    footer_result(check_footer_frame(tail, file_len), file_len, what)
-}
-
 /// The stored whole-file CRC of a finalized segment — its content
 /// identity (used to key the page cache and recorded in the manifest).
-/// `None` when the footer frame is absent or inconsistent.
+/// `None` when the trailer's footer frame or length does not check out.
 pub fn footer_crc(data: &[u8]) -> Option<u32> {
-    match check_footer_frame(data, data.len()) {
-        FooterCheck::Ok => Some(lebytes::u32_at(data, data.len() - FOOTER_LEN)),
-        _ => None,
+    read_trailer(data, data.len(), "segment")
+        .ok()
+        .map(|t| t.crc)
+}
+
+/// Bytes of a segment's trailer: the index-offset word, then the
+/// footer. A ranged decode fetches these first.
+const TRAILER_LEN: usize = 4 + FOOTER_LEN;
+
+/// What a segment's trailer says, as [`read_trailer`], the one reader
+/// of its layout, finds it.
+pub(crate) struct Trailer {
+    /// The whole-file CRC the footer records.
+    pub(crate) crc: u32,
+    /// The index-offset word, unchecked.
+    index_off: usize,
+    /// Where the body, everything the whole-file CRC covers, ends.
+    body_end: usize,
+}
+
+impl Trailer {
+    /// The index block (magic through index CRC), when the index-offset
+    /// word puts it past the header, before the word itself.
+    fn index_range(&self, what: &str) -> Result<Range<usize>> {
+        let index_end = self.body_end - 4;
+        if self.index_off < 10 || self.index_off + 4 > index_end {
+            return Err(StoreError::CorruptIndex {
+                what: what.to_string(),
+                detail: format!("index offset {} out of range", self.index_off),
+            });
+        }
+        Ok(self.index_off..index_end)
     }
+}
+
+/// Read the trailer of a `file_len`-byte segment from `tail`, the whole
+/// file or at least its last [`TRAILER_LEN`] bytes, after checking the
+/// footer frame (not the whole-file CRC) and that the body holds the
+/// 10-byte header.
+pub(crate) fn read_trailer(tail: &[u8], file_len: usize, what: &str) -> Result<Trailer> {
+    footer_result(check_footer_frame(tail, file_len), file_len, what)?;
+    let body_len = file_len - FOOTER_LEN;
+    if body_len < 10 {
+        return Err(StoreError::BadFormat {
+            what: what.to_string(),
+            detail: format!("file too short: {body_len} bytes"),
+        });
+    }
+    let footer = tail.len() - FOOTER_LEN;
+    Ok(Trailer {
+        crc: lebytes::u32_at(tail, footer),
+        index_off: lebytes::u32_at(tail, footer - 4) as usize,
+        body_end: body_len,
+    })
 }
 
 /// Append the finalization footer to an encoded segment body.
@@ -158,32 +198,24 @@ pub(crate) fn refit_footer(data: &mut Vec<u8>) {
     push_footer(data);
 }
 
-/// Recompute and rewrite the index block's CRC over its current bytes —
-/// used by the fault injector to plant an index whose CRC is valid but
-/// whose zone entries disagree with the rows (a buggy-indexer fault, as
-/// opposed to index bit rot which leaves the CRC stale).
-pub(crate) fn refit_index_crc(data: &mut [u8]) {
-    let len = data.len();
-    assert!(len >= FOOTER_LEN + 8, "no index to refit");
-    let idx_field = len - FOOTER_LEN - 4;
-    let index_off = lebytes::u32_at(data, idx_field) as usize;
-    assert!(index_off + 4 <= idx_field, "index offset out of range");
-    let crc = crc32(&data[index_off..idx_field - 4]);
-    data[idx_field - 4..idx_field].copy_from_slice(&crc.to_le_bytes());
+/// Recompute and rewrite the CRC of the index block at `[start, end)`
+/// (as [`index_bounds`] gives it) over its current bytes — used by the
+/// fault injector to plant an index whose CRC is valid but whose zone
+/// entries disagree with the rows (a buggy-indexer fault, as opposed to
+/// index bit rot which leaves the CRC stale).
+pub(crate) fn refit_index_crc(data: &mut [u8], (start, end): (usize, usize)) {
+    let crc = crc32(&data[start..end - 4]);
+    data[end - 4..end].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Byte range `[start, end)` of the index block (magic through index
 /// CRC) inside a finalized segment, for targeted fault injection.
 pub(crate) fn index_bounds(data: &[u8]) -> Option<(usize, usize)> {
-    if data.len() < FOOTER_LEN + 8 {
-        return None;
-    }
-    let idx_field = data.len() - FOOTER_LEN - 4;
-    let index_off = u32::from_le_bytes(data[idx_field..idx_field + 4].try_into().ok()?) as usize;
-    if index_off + 4 > idx_field {
-        return None;
-    }
-    Some((index_off, idx_field))
+    let what = "segment";
+    let index = read_trailer(data, data.len(), what)
+        .and_then(|t| t.index_range(what))
+        .ok()?;
+    Some((index.start, index.end))
 }
 
 /// The seven columns of a page group. Encoders and decoders match on
@@ -261,24 +293,13 @@ pub struct SegmentIndex {
     pub producers: ProducerFilter,
 }
 
-/// Parse and CRC-check the index block of a finalized v3 segment. The
-/// caller must have verified at least the footer frame, so the trailing
-/// `index_off` word is trustworthy as a length. Structural problems and
-/// CRC mismatches surface as [`StoreError::CorruptIndex`].
+/// Parse and CRC-check the index block of a finalized v3 segment, found
+/// through its trailer, whose footer-frame and length errors it
+/// returns. Structural problems and CRC mismatches surface as
+/// [`StoreError::CorruptIndex`].
 pub fn parse_index(data: &[u8], what: &str) -> Result<SegmentIndex> {
-    let bad = |detail: String| StoreError::CorruptIndex {
-        what: what.to_string(),
-        detail,
-    };
-    if data.len() < FOOTER_LEN + 8 {
-        return Err(bad(format!("file too short for an index: {}", data.len())));
-    }
-    let idx_field = data.len() - FOOTER_LEN - 4;
-    let index_off = lebytes::u32_at(data, idx_field) as usize;
-    if index_off < 10 || index_off + 4 > idx_field {
-        return Err(bad(format!("index offset {index_off} out of range")));
-    }
-    parse_index_region(&data[index_off..idx_field], index_off, what)
+    let index = read_trailer(data, data.len(), what)?.index_range(what)?;
+    parse_index_region(&data[index.clone()], index.start, what)
 }
 
 /// Parse the bytes of the index region itself, `[index_off, idx_field)`
@@ -371,6 +392,11 @@ fn parse_index_region(region: &[u8], index_off: usize, what: &str) -> Result<Seg
 
 /// Encode rows into the segment byte format.
 pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
+    encode_indexed(rows).0
+}
+
+/// [`encode_segment`], handing back the index block it wrote.
+fn encode_indexed(rows: &[RowRecord]) -> (Vec<u8>, SegmentIndex) {
     assert!(!rows.is_empty(), "cannot encode an empty segment");
     assert!(rows.len() <= SEGMENT_ROWS, "segment over capacity");
     let n = rows.len();
@@ -381,7 +407,7 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
 
     let mut payload = Vec::with_capacity(PAGE_GROUP_ROWS * 2);
     let mut groups: Vec<PageGroup> = Vec::with_capacity(n.div_ceil(PAGE_GROUP_ROWS));
-    let mut group_blooms: Vec<ProducerFilter> = Vec::with_capacity(groups.capacity());
+    let mut group_producers: Vec<ProducerFilter> = Vec::with_capacity(groups.capacity());
     for chunk in rows.chunks(PAGE_GROUP_ROWS) {
         let offset = out.len() as u32;
         encode_group(chunk, &mut out, &mut payload);
@@ -399,13 +425,19 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
             max_time: max_t,
         });
         let chunk_producers: Vec<u32> = chunk.iter().map(|r| r.producer).collect();
-        group_blooms.push(ProducerFilter::from_producers(&chunk_producers));
+        group_producers.push(ProducerFilter::from_producers(&chunk_producers));
     }
+    let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
+    let index = SegmentIndex {
+        groups,
+        group_producers,
+        producers: ProducerFilter::from_producers(&producers),
+    };
 
     let index_off = out.len() as u32;
     out.extend_from_slice(&INDEX_MAGIC);
-    out.extend_from_slice(&(groups.len() as u32).to_le_bytes());
-    for g in &groups {
+    out.extend_from_slice(&(index.groups.len() as u32).to_le_bytes());
+    for g in &index.groups {
         out.extend_from_slice(&g.offset.to_le_bytes());
         out.extend_from_slice(&g.rows.to_le_bytes());
         out.extend_from_slice(&g.min_height.to_le_bytes());
@@ -413,16 +445,15 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
         out.extend_from_slice(&g.min_time.to_le_bytes());
         out.extend_from_slice(&g.max_time.to_le_bytes());
     }
-    for bloom in &group_blooms {
+    for bloom in &index.group_producers {
         bloom.encode_into(&mut out);
     }
-    let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
-    ProducerFilter::from_producers(&producers).encode_into(&mut out);
+    index.producers.encode_into(&mut out);
     let index_crc = crc32(&out[index_off as usize..]);
     out.extend_from_slice(&index_crc.to_le_bytes());
     out.extend_from_slice(&index_off.to_le_bytes());
     push_footer(&mut out);
-    out
+    (out, index)
 }
 
 /// Encode one page group's seven column pages.
@@ -659,10 +690,19 @@ impl SegmentDecoder {
     /// producer. Index inconsistencies surface as
     /// [`StoreError::CorruptIndex`].
     pub fn decode(&mut self, data: &[u8], what: &str) -> Result<usize> {
+        self.decode_full(data, what)?;
+        Ok(self.rows)
+    }
+
+    /// [`SegmentDecoder::decode`], handing back the index it parsed once
+    /// and checked against every row and the footer CRC it verified,
+    /// which a manifest entry derives from ([`SegmentMeta::from_index`]).
+    pub(crate) fn decode_full(&mut self, data: &[u8], what: &str) -> Result<(SegmentIndex, u32)> {
         self.clear();
-        verify_footer(data, what)?;
-        let n = self.decode_pruned(data, what, &ScanPredicate::all())?.rows;
-        let index = parse_index(data, what)?;
+        footer_result(check_footer(data), data.len(), what)?;
+        let mut fetch = |off: u64, len: usize| Ok(&data[off as usize..][..len]);
+        let (_, index, trailer) =
+            self.decode_body(&mut fetch, data.len() as u64, what, &ScanPredicate::all())?;
         let group_of_row = index
             .groups
             .iter()
@@ -683,7 +723,7 @@ impl SegmentDecoder {
                 detail: format!("{bloom} misses producer {p} (false negatives must be impossible)"),
             });
         }
-        Ok(n)
+        Ok((index, trailer.crc))
     }
 
     /// [`SegmentDecoder::decode_pruned_ranged`] over an in-memory segment:
@@ -735,50 +775,45 @@ impl SegmentDecoder {
         B: Deref,
         B::Target: AsRef<[u8]>,
     {
+        Ok(self.decode_body(fetch, file_len, what, pred)?.0)
+    }
+
+    /// [`SegmentDecoder::decode_pruned_ranged`], handing back the index
+    /// and trailer it read for the full decode's bloom audit.
+    fn decode_body<B>(
+        &mut self,
+        fetch: &mut dyn FnMut(u64, usize) -> Result<B>,
+        file_len: u64,
+        what: &str,
+        pred: &ScanPredicate,
+    ) -> Result<(PrunedDecode, SegmentIndex, Trailer)>
+    where
+        B: Deref,
+        B::Target: AsRef<[u8]>,
+    {
         self.clear();
-        let tail_len = file_len.min((FOOTER_LEN + 4) as u64);
+        let tail_len = file_len.min(TRAILER_LEN as u64);
         let tail = fetch(file_len - tail_len, tail_len as usize)?;
-        let tail = (*tail).as_ref();
-        verify_footer_frame(tail, file_len as usize, what)?;
-        let body_len = (file_len as usize) - FOOTER_LEN;
-        if body_len < 10 {
-            return Err(StoreError::BadFormat {
-                what: what.to_string(),
-                detail: format!("file too short: {body_len} bytes"),
-            });
-        }
+        let trailer = read_trailer((*tail).as_ref(), file_len as usize, what)?;
         let n = Self::parse_header((*fetch(0, 10)?).as_ref(), what)?;
-        let bad_index = |detail: String| StoreError::CorruptIndex {
-            what: what.to_string(),
-            detail,
-        };
-        let idx_field = (file_len as usize) - FOOTER_LEN - 4;
-        let index_off = lebytes::u32_at(tail, 0) as usize;
-        if index_off < 10 || index_off + 4 > idx_field {
-            return Err(bad_index(format!("index offset {index_off} out of range")));
-        }
-        let region = fetch(index_off as u64, idx_field - index_off)?;
-        let index = parse_index_region((*region).as_ref(), index_off, what)?;
-        check_row_count(&index, n, what)?;
-        if index.groups[0].offset != 10 {
-            return Err(bad_index(format!(
-                "group 0: index offset {} but pages start at 10",
-                index.groups[0].offset
-            )));
-        }
+        let range = trailer.index_range(what)?;
+        let region = fetch(range.start as u64, range.len())?;
+        let index = parse_index_region((*region).as_ref(), range.start, what)?;
+        check_layout(&index, n, what)?;
         let mut decoded = 0usize;
-        for (g, start, end) in surviving_groups(&index, index_off, pred) {
+        for (g, start, end) in surviving_groups(&index, range.start, pred) {
             let extent = fetch(start as u64, end - start)?;
             self.decode_indexed_group((*extent).as_ref(), &index, g, what)?;
             decoded += 1;
         }
         self.validate_narrow(what)?;
         self.rows = self.heights.len();
-        Ok(PrunedDecode {
+        let pruned = PrunedDecode {
             rows: self.rows,
             groups_total: index.groups.len(),
             groups_skipped: index.groups.len() - decoded,
-        })
+        };
+        Ok((pruned, index, trailer))
     }
 
     /// Decode page group `g` of `index` from `extent` — exactly the
@@ -856,26 +891,18 @@ impl SegmentDecoder {
     }
 
     /// Last-resort decode for repair: parse the header and decode page
-    /// groups sequentially at their conventional positions, ignoring
-    /// the index block entirely. Per-page CRCs still gate every byte of
-    /// row data, so salvage succeeds exactly when the pages are intact
-    /// behind a damaged index — which is what lets
+    /// groups sequentially at their conventional positions, from offset
+    /// 10 on, ignoring the index block and the index-offset word
+    /// entirely. Per-page CRCs still gate every byte of row data, so
+    /// salvage succeeds exactly when the pages are intact behind a
+    /// damaged index — which is what lets
     /// [`crate::doctor::StoreDoctor`] recover all rows of a segment
     /// whose only fault is index corruption.
     pub fn decode_salvage(&mut self, data: &[u8], what: &str) -> Result<usize> {
         self.clear();
-        verify_footer_frame(data, data.len(), what)?;
-        let body = &data[..data.len() - FOOTER_LEN];
-        let n = Self::parse_header(body, what)?;
-        let idx_field = data.len() - FOOTER_LEN - 4;
-        let index_off = lebytes::u32_at(data, idx_field) as usize;
-        if index_off < 10 || index_off > idx_field {
-            return Err(StoreError::Corrupt {
-                what: what.to_string(),
-                detail: format!("index offset {index_off} out of range"),
-            });
-        }
-        let mut cursor = &data[10..index_off];
+        let trailer = read_trailer(data, data.len(), what)?;
+        let n = Self::parse_header(data, what)?;
+        let mut cursor = &data[10..trailer.body_end];
         let mut remaining = n;
         while remaining > 0 {
             let g = remaining.min(PAGE_GROUP_ROWS);
@@ -941,6 +968,12 @@ impl SegmentDecoder {
         matched
     }
 
+    /// The decoded rows' producer ids, in row order (checked to fit
+    /// u32 by `validate_narrow`).
+    pub(crate) fn producers(&self) -> impl Iterator<Item = u32> + '_ {
+        self.producers[..self.rows].iter().map(|&p| p as u32)
+    }
+
     /// Rows decoded by the last successful [`SegmentDecoder::decode`].
     pub fn len(&self) -> usize {
         self.rows
@@ -1003,16 +1036,22 @@ fn for_each_run(n: usize, mut ok: impl FnMut(usize) -> bool, mut run: impl FnMut
     }
 }
 
-/// Check that the header's row count `n` equals the index's total.
-fn check_row_count(index: &SegmentIndex, n: usize, what: &str) -> Result<()> {
+/// Check that the header's row count `n` equals the index's total, and
+/// that group 0 starts right after the header.
+fn check_layout(index: &SegmentIndex, n: usize, what: &str) -> Result<()> {
     let declared: usize = index.groups.iter().map(|g| g.rows as usize).sum();
-    if declared != n {
-        return Err(StoreError::CorruptIndex {
-            what: what.to_string(),
-            detail: format!("index declares {declared} rows, header says {n}"),
-        });
-    }
-    Ok(())
+    let detail = if declared != n {
+        format!("index declares {declared} rows, header says {n}")
+    } else if index.groups[0].offset != 10 {
+        let offset = index.groups[0].offset;
+        format!("group 0: index offset {offset} but pages start at 10")
+    } else {
+        return Ok(());
+    };
+    Err(StoreError::CorruptIndex {
+        what: what.to_string(),
+        detail,
+    })
 }
 
 /// The page groups of `index` a pruned decode must read — those whose
@@ -1057,17 +1096,16 @@ pub fn decode_segment(data: &[u8], what: &str) -> Result<Vec<RowRecord>> {
 
 /// Write a segment crash-safely through the backend (see
 /// [`crate::backend::ObjectStore::put_atomic`]) and return its manifest
-/// entry, so scans can prune (zone, bloom) and cache (CRC) without
-/// opening the file.
+/// entry, derived from the index just encoded, so scans can prune
+/// (zone, bloom) and cache (CRC) without opening the file.
 pub fn write_segment_file(
     store: &dyn ObjectStore,
     name: &str,
     rows: &[RowRecord],
 ) -> Result<SegmentMeta> {
     let span = blockdec_obs::span!("store.segment_write", file = name);
-    let bytes = encode_segment(rows);
-    // encode_segment has just written the footer this CRC opens.
-    let crc = lebytes::u32_at(&bytes, bytes.len() - FOOTER_LEN);
+    let (bytes, index) = encode_indexed(rows);
+    let crc = read_trailer(&bytes, bytes.len(), name)?.crc;
     store.put_atomic(name, &bytes)?;
     let elapsed_ms = span.stop() * 1e3;
     blockdec_obs::counter("store.segments.written").inc();
@@ -1078,7 +1116,7 @@ pub fn write_segment_file(
         elapsed_ms = elapsed_ms;
         "wrote segment"
     );
-    Ok(SegmentMeta::new(name.to_string(), rows, crc))
+    Ok(SegmentMeta::from_index(name.to_string(), index, crc))
 }
 
 /// Read and decode a segment object from the backend (transient read
@@ -1522,6 +1560,55 @@ mod tests {
     }
 
     #[test]
+    fn manifest_entry_is_the_index_summary() {
+        // The entry derived from the index equals the rows' own zone
+        // and bloom, whether the writer derives it from the index it
+        // encoded or the full decode from the index it checked.
+        let cases = [1, 4096, 4097, 10_000, SEGMENT_ROWS]
+            .map(rows)
+            .into_iter()
+            .chain((0..4).map(|seed| constant_heavy_rows(3 * PAGE_GROUP_ROWS + 5, seed)));
+        for r in cases {
+            let (bytes, index) = encode_indexed(&r);
+            let meta = SegmentMeta::from_index("f".into(), index, footer_crc(&bytes).unwrap());
+            let producers: Vec<u32> = r.iter().map(|x| x.producer).collect();
+            let want = ZoneMap {
+                min_height: r.iter().map(|x| x.height).min().unwrap(),
+                max_height: r.iter().map(|x| x.height).max().unwrap(),
+                min_time: r.iter().map(|x| x.timestamp).min().unwrap(),
+                max_time: r.iter().map(|x| x.timestamp).max().unwrap(),
+                rows: r.len() as u64,
+            };
+            assert_eq!(meta.zone, want);
+            assert_eq!(meta.producers, ProducerFilter::from_producers(&producers));
+            let mut dec = SegmentDecoder::new();
+            let (index, crc) = dec.decode_full(&bytes, "f").unwrap();
+            assert_eq!(SegmentMeta::from_index("f".into(), index, crc), meta);
+        }
+    }
+
+    #[test]
+    fn salvage_ignores_the_index_offset_word() {
+        // A CRC-clean segment whose index-offset word points before the
+        // pages, into them or past the file: every full decode fails on
+        // the index, and salvage, which walks the pages from offset 10,
+        // recovers every row.
+        let r = rows(10_000);
+        for index_off in [0u32, 3, 20, 4_000, u32::MAX] {
+            let mut bytes = encode_segment(&r);
+            let at = bytes.len() - TRAILER_LEN;
+            bytes[at..at + 4].copy_from_slice(&index_off.to_le_bytes());
+            refit_footer(&mut bytes);
+            let err = decode_segment(&bytes, "t").unwrap_err();
+            assert!(matches!(err, StoreError::CorruptIndex { .. }), "{err}");
+            let mut dec = SegmentDecoder::new();
+            assert_eq!(dec.decode_salvage(&bytes, "t").unwrap(), r.len());
+            let got: Vec<RowRecord> = (0..dec.len()).map(|i| dec.row(i)).collect();
+            assert_eq!(got, r, "index offset {index_off}");
+        }
+    }
+
+    #[test]
     fn file_roundtrip() {
         use std::fs;
         let dir = std::env::temp_dir().join(format!("blockdec-seg-{}", std::process::id()));
@@ -1664,14 +1751,14 @@ mod tests {
     fn zone_drift_behind_valid_index_crc_is_corrupt_index() {
         let r = rows(5000);
         let mut encoded = encode_segment(&r);
-        let (start, _) = index_bounds(&encoded).unwrap();
+        let index = index_bounds(&encoded).unwrap();
         // Bump group 0's max_height (offset 16 into its 40-byte entry,
         // after the 8-byte index header) and make the index CRC and
         // footer collude: only the rows themselves can expose the lie.
-        let at = start + 8 + 16;
+        let at = index.0 + 8 + 16;
         let drifted = u64::from_le_bytes(encoded[at..at + 8].try_into().unwrap()) + 7;
         encoded[at..at + 8].copy_from_slice(&drifted.to_le_bytes());
-        refit_index_crc(&mut encoded);
+        refit_index_crc(&mut encoded, index);
         refit_footer(&mut encoded);
         assert!(parse_index(&encoded, "t").is_ok(), "index crc must pass");
         let err = decode_segment(&encoded, "t").unwrap_err();
@@ -1685,11 +1772,11 @@ mod tests {
         // decode, but stop one byte short of the extent the index gives.
         let r = rows(10_000);
         let mut encoded = encode_segment(&r);
-        let (start, _) = index_bounds(&encoded).unwrap();
-        let at = start + 8 + GROUP_ENTRY_LEN;
+        let index = index_bounds(&encoded).unwrap();
+        let at = index.0 + 8 + GROUP_ENTRY_LEN;
         let moved = lebytes::u32_at(&encoded, at) + 1;
         encoded[at..at + 4].copy_from_slice(&moved.to_le_bytes());
-        refit_index_crc(&mut encoded);
+        refit_index_crc(&mut encoded, index);
         refit_footer(&mut encoded);
         let full = decode_segment(&encoded, "t").unwrap_err();
         assert!(matches!(full, StoreError::CorruptIndex { .. }), "{full}");

@@ -32,17 +32,20 @@ pub fn local_backend(dir: &Path) -> Arc<dyn ObjectStore> {
 
 /// 60 deterministic fixture rows (heights 0..60, two producers).
 pub fn fixture_rows() -> Vec<RowRecord> {
-    (0..60u64)
-        .map(|h| RowRecord {
-            height: h,
-            timestamp: 1_546_300_800 + h as i64 * 600,
-            producer: (h % 3 == 0) as u32,
-            credit_millis: 1000,
-            tx_count: 2,
-            size_bytes: 500,
-            difficulty: 7,
-        })
-        .collect()
+    (0..60).map(fixture_row).collect()
+}
+
+/// The fixture's row at height `h`.
+fn fixture_row(h: u64) -> RowRecord {
+    RowRecord {
+        height: h,
+        timestamp: 1_546_300_800 + h as i64 * 600,
+        producer: u32::from(h.is_multiple_of(3)),
+        credit_millis: 1000,
+        tx_count: 2,
+        size_bytes: 500,
+        difficulty: 7,
+    }
 }
 
 /// Build a clean 3-segment fixture store at `dir` and return its rows.
@@ -76,13 +79,33 @@ fn run_case(
     let rows = build_fixture(&dir, backend)?;
     let mut inj = FaultInjector::new(&dir, 0xB10C_DEC0 + label.len() as u64);
     inject(&mut inj).map_err(|e| format!("{label}: inject: {e}"))?;
+    let store = detect_and_repair(&dir, backend, label, &[expect])?;
+    let expected: Vec<RowRecord> = rows
+        .into_iter()
+        .filter(|r| lost.is_none_or(|(lo, hi)| r.height < lo || r.height > hi))
+        .collect();
+    let surviving = scan_equals(&store, label, &expected)?;
+    progress(&format!(
+        "self-test {label}: detected {}, repaired, {surviving} rows surviving",
+        expect.label()
+    ));
+    Ok(())
+}
 
-    let doctor = StoreDoctor::with_backend(backend(&dir));
+/// Check the store at `dir`, which must detect every kind in `expect`,
+/// repair it, require a clean post-repair check, and reopen it.
+fn detect_and_repair(
+    dir: &Path,
+    backend: &BackendFactory,
+    label: &str,
+    expect: &[FaultKind],
+) -> Result<BlockStore, String> {
+    let doctor = StoreDoctor::with_backend(backend(dir));
     let report = doctor.check().map_err(|e| format!("{label}: check: {e}"))?;
-    if !report.has(expect) {
+    if let Some(missed) = expect.iter().find(|&&kind| !report.has(kind)) {
         return Err(format!(
             "{label}: expected {} to be detected, got {:?}",
-            expect.label(),
+            missed.label(),
             report.kinds()
         ));
     }
@@ -98,13 +121,12 @@ fn run_case(
             post.faults
         ));
     }
+    BlockStore::open_with(backend(dir)).map_err(|e| format!("{label}: reopen: {e}"))
+}
 
-    let expected: Vec<RowRecord> = rows
-        .into_iter()
-        .filter(|r| lost.is_none_or(|(lo, hi)| r.height < lo || r.height > hi))
-        .collect();
-    let store =
-        BlockStore::open_with(backend(&dir)).map_err(|e| format!("{label}: reopen: {e}"))?;
+/// A strict scan of `store`, which must return exactly `expected`;
+/// returns how many rows it did.
+fn scan_equals(store: &BlockStore, label: &str, expected: &[RowRecord]) -> Result<usize, String> {
     let got = store
         .scan(&ScanPredicate::all())
         .map_err(|e| format!("{label}: post-repair scan: {e}"))?;
@@ -115,12 +137,7 @@ fn run_case(
             expected.len()
         ));
     }
-    progress(&format!(
-        "self-test {label}: detected {}, repaired, {} rows surviving",
-        expect.label(),
-        got.len()
-    ));
-    Ok(())
+    Ok(got.len())
 }
 
 /// Exercise every fault class end to end (inject → detect → repair →
@@ -248,21 +265,13 @@ pub fn run_self_test(
     // Crash mid-flush: the segment file and dictionary commit, then the
     // manifest commit "crashes". The committed state must be intact and
     // the uncommitted segment must end up quarantined as an orphan.
+    let crashed = [FaultKind::OrphanSegment, FaultKind::TornTemp];
     {
+        let label = "crash-mid-flush";
         let dir = base.join("case-crash-mid-flush");
         let rows = build_fixture(&dir, backend)?;
         let mut store = BlockStore::open_with(backend(&dir)).map_err(|e| e.to_string())?;
-        let extra: Vec<RowRecord> = (60..80u64)
-            .map(|h| RowRecord {
-                height: h,
-                timestamp: 1_546_300_800 + h as i64 * 600,
-                producer: 0,
-                credit_millis: 1000,
-                tx_count: 2,
-                size_bytes: 500,
-                difficulty: 7,
-            })
-            .collect();
+        let extra: Vec<RowRecord> = (60..80).map(fixture_row).collect();
         store.append_rows(&extra).map_err(|e| e.to_string())?;
         let mut inj = FaultInjector::new(&dir, 7);
         inj.arm_crash_at_commit(3); // 1 = segment, 2 = dictionary, 3 = manifest
@@ -270,32 +279,10 @@ pub fn run_self_test(
             return Err("crash-mid-flush: flush should have failed".into());
         }
         drop(store);
-        let doctor = StoreDoctor::with_backend(backend(&dir));
-        let report = doctor.check().map_err(|e| e.to_string())?;
-        if !report.has(FaultKind::OrphanSegment) || !report.has(FaultKind::TornTemp) {
-            return Err(format!(
-                "crash-mid-flush: expected orphan-segment + torn-temp, got {:?}",
-                report.kinds()
-            ));
-        }
-        doctor.repair().map_err(|e| e.to_string())?;
-        if !doctor.check().map_err(|e| e.to_string())?.is_clean() {
-            return Err("crash-mid-flush: still dirty after repair".into());
-        }
-        let store = BlockStore::open_with(backend(&dir)).map_err(|e| e.to_string())?;
-        let got = store
-            .scan(&ScanPredicate::all())
-            .map_err(|e| e.to_string())?;
-        if got != rows {
-            return Err(format!(
-                "crash-mid-flush: expected the {} committed rows, got {}",
-                rows.len(),
-                got.len()
-            ));
-        }
+        let store = detect_and_repair(&dir, backend, label, &crashed)?;
+        let surviving = scan_equals(&store, label, &rows)?;
         progress(&format!(
-            "self-test crash-mid-flush: detected orphan-segment + torn-temp, repaired, {} rows surviving",
-            got.len()
+            "self-test crash-mid-flush: detected orphan-segment + torn-temp, repaired, {surviving} rows surviving"
         ));
     }
 
@@ -305,6 +292,7 @@ pub fn run_self_test(
     // must be quarantined as an orphan, and a post-repair compaction
     // must complete with identical rows.
     {
+        let label = "crash-mid-compaction";
         let dir = base.join("case-crash-mid-compaction");
         let rows = build_fixture(&dir, backend)?;
         let mut store = BlockStore::open_with(backend(&dir)).map_err(|e| e.to_string())?;
@@ -316,42 +304,15 @@ pub fn run_self_test(
             return Err("crash-mid-compaction: compact should have failed".into());
         }
         drop(store);
-        let doctor = StoreDoctor::with_backend(backend(&dir));
-        let report = doctor.check().map_err(|e| e.to_string())?;
-        if !report.has(FaultKind::OrphanSegment) || !report.has(FaultKind::TornTemp) {
-            return Err(format!(
-                "crash-mid-compaction: expected orphan-segment + torn-temp, got {:?}",
-                report.kinds()
-            ));
-        }
-        doctor.repair().map_err(|e| e.to_string())?;
-        if !doctor.check().map_err(|e| e.to_string())?.is_clean() {
-            return Err("crash-mid-compaction: still dirty after repair".into());
-        }
-        let mut store = BlockStore::open_with(backend(&dir)).map_err(|e| e.to_string())?;
-        let got = store
-            .scan(&ScanPredicate::all())
-            .map_err(|e| e.to_string())?;
-        if got != rows {
-            return Err(format!(
-                "crash-mid-compaction: expected the {} committed rows, got {}",
-                rows.len(),
-                got.len()
-            ));
-        }
+        let mut store = detect_and_repair(&dir, backend, label, &crashed)?;
+        scan_equals(&store, label, &rows)?;
         // The retry after recovery completes and changes nothing.
         if !store.compact().map_err(|e| e.to_string())? {
             return Err("crash-mid-compaction: retry compaction was a no-op".into());
         }
-        let after = store
-            .scan(&ScanPredicate::all())
-            .map_err(|e| e.to_string())?;
-        if after != rows {
-            return Err("crash-mid-compaction: rows changed across retried compaction".into());
-        }
+        let after = scan_equals(&store, label, &rows)?;
         progress(&format!(
-            "self-test crash-mid-compaction: committed state intact, repaired, retry compacted {} rows",
-            after.len()
+            "self-test crash-mid-compaction: committed state intact, repaired, retry compacted {after} rows"
         ));
     }
 

@@ -4,7 +4,6 @@
 //! the same trick analytical stores use to make time-range queries cheap
 //! on append-only data.
 
-use crate::row::RowRecord;
 use serde::{Deserialize, Serialize};
 
 /// Min/max statistics of one segment.
@@ -23,26 +22,6 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Compute from rows. Panics on an empty slice (segments are never
-    /// empty).
-    pub fn from_rows(rows: &[RowRecord]) -> ZoneMap {
-        assert!(!rows.is_empty(), "zone map of empty segment");
-        let mut z = ZoneMap {
-            min_height: u64::MAX,
-            max_height: 0,
-            min_time: i64::MAX,
-            max_time: i64::MIN,
-            rows: rows.len() as u64,
-        };
-        for r in rows {
-            z.min_height = z.min_height.min(r.height);
-            z.max_height = z.max_height.max(r.height);
-            z.min_time = z.min_time.min(r.timestamp);
-            z.max_time = z.max_time.max(r.timestamp);
-        }
-        z
-    }
-
     /// Could any row fall inside `[lo, hi]` (inclusive) by height?
     pub fn overlaps_heights(&self, lo: u64, hi: u64) -> bool {
         lo <= self.max_height && hi >= self.min_height
@@ -58,31 +37,19 @@ impl ZoneMap {
 mod tests {
     use super::*;
 
-    fn row(height: u64, timestamp: i64) -> RowRecord {
-        RowRecord {
-            height,
-            timestamp,
-            producer: 0,
-            credit_millis: 1000,
-            tx_count: 0,
-            size_bytes: 0,
-            difficulty: 0,
+    fn zone(heights: (u64, u64), times: (i64, i64)) -> ZoneMap {
+        ZoneMap {
+            min_height: heights.0,
+            max_height: heights.1,
+            min_time: times.0,
+            max_time: times.1,
+            rows: 2,
         }
     }
 
     #[test]
-    fn computes_bounds() {
-        let z = ZoneMap::from_rows(&[row(10, 100), row(12, 95), row(11, 130)]);
-        assert_eq!(z.min_height, 10);
-        assert_eq!(z.max_height, 12);
-        assert_eq!(z.min_time, 95);
-        assert_eq!(z.max_time, 130);
-        assert_eq!(z.rows, 3);
-    }
-
-    #[test]
     fn height_overlap() {
-        let z = ZoneMap::from_rows(&[row(100, 0), row(200, 0)]);
+        let z = zone((100, 200), (0, 0));
         assert!(z.overlaps_heights(150, 160));
         assert!(z.overlaps_heights(0, 100));
         assert!(z.overlaps_heights(200, 500));
@@ -92,7 +59,7 @@ mod tests {
 
     #[test]
     fn time_overlap() {
-        let z = ZoneMap::from_rows(&[row(0, -50), row(0, 50)]);
+        let z = zone((0, 0), (-50, 50));
         assert!(z.overlaps_times(-100, -50));
         assert!(z.overlaps_times(0, 0));
         assert!(!z.overlaps_times(51, 100));
@@ -100,14 +67,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_panics() {
-        ZoneMap::from_rows(&[]);
-    }
-
-    #[test]
     fn serde_roundtrip() {
-        let z = ZoneMap::from_rows(&[row(5, 7)]);
+        let z = zone((5, 5), (7, 7));
         let json = serde_json::to_string(&z).unwrap();
         assert_eq!(serde_json::from_str::<ZoneMap>(&json).unwrap(), z);
     }
