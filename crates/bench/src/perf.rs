@@ -187,9 +187,10 @@ impl Drop for BenchDir {
     }
 }
 
-/// Runs the decode and pruned benches time per scan; they report the
-/// median. A millisecond scan timed once, or as the best of a few runs,
-/// measures allocator state as much as the scan.
+/// Runs every timed side of the matrix, columnar, decode and pruned
+/// benches takes; they report the median. A millisecond scan or matrix
+/// timed once, or as the best of a few runs, measures allocator state as
+/// much as the work.
 const SCAN_REPEATS: usize = 5;
 
 /// Median wall seconds of `SCAN_REPEATS` runs of `run`, with the last
@@ -232,21 +233,15 @@ fn per_sec(n: f64, secs: f64) -> f64 {
     n / secs.max(1e-9)
 }
 
-/// Run the naive baseline and the planner once each over the same
-/// matrix, check the outputs for exact equality, and report timings.
-/// `generate_secs` (the dataset's generation time) is context, not part
-/// of the ratio.
+/// Time the naive baseline and the planner over the same matrix, the
+/// median of five runs each (`SCAN_REPEATS`), check the last outputs for
+/// exact equality, and report timings. `generate_secs` (the dataset's
+/// generation time) is context, not part of the ratio.
 pub fn run_matrix_bench(ds: &Dataset, generate_secs: f64, sliding_size: usize) -> Row {
     let configs = paper_matrix(ds, sliding_size);
     let blocks = &ds.attributed;
-
-    let t = Instant::now();
-    let naive = naive_matrix(blocks, &configs);
-    let naive_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let planned = run_matrix(blocks, &configs);
-    let planner_secs = t.elapsed().as_secs_f64();
+    let (naive_secs, naive) = median_secs(|| naive_matrix(blocks, &configs));
+    let (planner_secs, planned) = median_secs(|| run_matrix(blocks, &configs));
 
     Row(vec![
         ("dataset", Text(ds.name.clone())),
@@ -279,9 +274,10 @@ pub fn aos_resident_bytes(blocks: &[AttributedBlock]) -> usize {
 }
 
 /// Run both end-to-end pipelines — store scan through planner — over the
-/// same dataset and matrix, once over `Vec<AttributedBlock>` and once over
-/// [`blockdec_chain::BlockColumns`], check outputs for bitwise equality
-/// (`==` on the full series), and report timings plus resident-memory
+/// same dataset and matrix, over `Vec<AttributedBlock>` and over
+/// [`blockdec_chain::BlockColumns`], the median of five runs each
+/// (`SCAN_REPEATS`), check the last outputs for bitwise equality (`==`
+/// on the full series), and report timings plus resident-memory
 /// footprints.
 ///
 /// The dataset is first persisted to a throwaway store so both sides pay
@@ -296,17 +292,18 @@ pub fn run_columnar_bench(ds: &Dataset, sliding_size: usize) -> Row {
     let store = dir.store(ds, 1, false);
     let pred = ScanPredicate::all();
 
-    let t = Instant::now();
-    let blocks = store.scan_attributed(&pred).expect("AoS scan");
-    let aos_series = plan.run(&blocks);
-    let aos_secs = t.elapsed().as_secs_f64();
+    let (aos_secs, (blocks, aos_series)) = median_secs(|| {
+        let blocks = store.scan_attributed(&pred).expect("AoS scan");
+        let series = plan.run(&blocks);
+        (blocks, series)
+    });
     let aos_bytes = aos_resident_bytes(&blocks);
     drop(blocks);
-
-    let t = Instant::now();
-    let cols = store.scan_columnar(&pred).expect("columnar scan");
-    let col_series = plan.run_columns(cols.as_slice());
-    let columnar_secs = t.elapsed().as_secs_f64();
+    let (columnar_secs, (cols, col_series)) = median_secs(|| {
+        let cols = store.scan_columnar(&pred).expect("columnar scan");
+        let series = plan.run_columns(cols.as_slice());
+        (cols, series)
+    });
 
     Row(vec![
         ("dataset", Text(ds.name.clone())),
@@ -1586,6 +1583,13 @@ mod tests {
         let (btc, eth) = (Dataset::bitcoin(2), Dataset::ethereum(1));
         let sections = [
             (
+                "matrix",
+                vec![
+                    run_matrix_bench(&btc, 0.0, 144),
+                    run_matrix_bench(&eth, 0.0, 6000),
+                ],
+            ),
+            (
                 "decode",
                 vec![run_decode_bench(&btc), run_decode_bench(&eth)],
             ),
@@ -1609,6 +1613,6 @@ mod tests {
             );
             names += 1;
         }
-        assert_eq!(names, 16);
+        assert_eq!(names, 17);
     }
 }

@@ -12,9 +12,9 @@
 //! Pushed blocks wait in one set of flat [`BlockColumns`], and every
 //! trim of them is a bulk copy ([`BlockColumns::extend_columns`]): a
 //! sliding stream re-slices its held blocks past each emitted window's
-//! start, and a fixed stream keeps its later buckets' blocks in arrival
-//! order, one copy per run of kept blocks (a single run when buckets
-//! arrive in order). Copying them one block and one credit at a time
+//! start, and a fixed stream keeps its later buckets' blocks as one
+//! suffix of the evaluation order, each bucket's blocks still in arrival
+//! order, in one copy. Copying them one block and one credit at a time
 //! held the incremental path back: once the batch engine it is checked
 //! against got faster, the `follow` bench's delta-vs-recompute speedup
 //! fell below its CI floor in some runs. Two window families stream:
@@ -34,7 +34,7 @@
 
 use crate::metrics::MetricKind;
 use crate::series::{MeasurementPoint, WindowLabel};
-use crate::window::{calendar_buckets, Slider, Windows};
+use crate::window::{Slider, Windows};
 use crate::windows::sliding::SlidingWindowSpec;
 use blockdec_chain::{AttributedBlock, BlockColumns, Granularity, ProducerId, Timestamp};
 use std::collections::VecDeque;
@@ -308,9 +308,7 @@ impl MetricDeltaStream {
         else {
             return;
         };
-        let held = self.held.as_slice();
-        let buckets = calendar_buckets(held, *granularity, *origin);
-        let windows = Windows::by_bucket(held, &buckets);
+        let windows = Windows::fixed(self.held.as_slice(), *granularity, *origin);
         let due = windows.ranges.partition_point(|(b, _)| *b <= horizon);
         if due == 0 {
             return;
@@ -318,17 +316,11 @@ impl MetricDeltaStream {
         *emitted_through = Some(windows.ranges[due - 1].0);
         let points = windows.evaluate(0..due, &[self.metric]);
         self.ready.extend(points.into_iter().flatten());
-        // Keep the later buckets' blocks in arrival order, one bulk copy
-        // per run of kept blocks: one run when buckets arrive in order.
-        let mut kept = BlockColumns::new();
-        let mut at = 0;
-        for run in buckets.chunk_by(|a, b| (*a > horizon) == (*b > horizon)) {
-            if run[0] > horizon {
-                kept.extend_columns(held.slice(at, at + run.len()));
-            }
-            at += run.len();
-        }
-        self.held = kept;
+        // The later buckets' blocks are one suffix of the evaluation
+        // order, which keeps each bucket's blocks in arrival order.
+        let blocks = windows.blocks();
+        let kept = blocks.slice(windows.ranges[due - 1].1.end, blocks.len());
+        self.held = kept.to_columns();
     }
 
     /// End of stream: flush windows that were only held back by the lag

@@ -10,12 +10,19 @@
 //!
 //! Weights live in dense slots, one `f64` per producer id, indexed by
 //! [`ProducerId::index`] and grown on first touch. Beside them sit the
-//! list of ids that hold weight and each present id's position in that
-//! list. `add` and `remove` are O(1); `producers`, `is_empty`, `iter`,
-//! [`ProducerDistribution::sorted_weights_into`] and `clear` are
+//! list of ids that hold weight (the first `count` entries of a buffer
+//! with one entry per id, plus one) and each present id's position in
+//! that list. `add` and `remove` are O(1); `producers`, `is_empty`,
+//! `iter`, [`ProducerDistribution::sorted_weights_into`] and `clear` are
 //! O(present producers), never O(dictionary), so the window core's
 //! rebuild arm, which clears once per fixed bucket, does not pay for a
 //! large dictionary.
+//!
+//! [`ProducerDistribution::add_credits`], which adds the window core's
+//! credit runs, grows the slots once for the run's largest id and has no
+//! per-credit presence branch: it writes each id at the list's end and
+//! bumps `count` only when the id joins. The spare entry gives that
+//! write a place when every id is already present.
 //!
 //! Why: every window of every matrix cell folds each block's credits
 //! through here, about seven updates per simulated Ethereum block. With
@@ -23,7 +30,11 @@
 //! per-window sort, were where the planner spent its time, and the
 //! planner was about 70% of a `measure` run over a 60-day Ethereum store.
 //! Dense slots roughly halved the planner's time (PERFORMANCE.md, "Dense
-//! credit slots and slicing-by-8 CRC").
+//! credit slots and slicing-by-8 CRC"). Adding the 359k-credit run of a
+//! 60-day Ethereum stream one [`ProducerDistribution::add`] at a time
+//! took 0.98–1.05 ms (the fastest of 40 runs), and
+//! [`ProducerDistribution::add_credits`] takes 0.57–0.69 ms
+//! (PERFORMANCE.md, "Calendar windows formed per bucket").
 //!
 //! Each producer's slot sees the same f64 operations in the same order a
 //! map entry did, the total is updated identically, and the metric
@@ -32,8 +43,8 @@
 //!
 //! Memory: ids are store-dictionary
 //! ([`blockdec_chain::ProducerRegistry`]) indices, and a distribution
-//! holds 12 bytes per id up to the largest id it has seen, whether or not
-//! its window holds that producer: about 3.6 KiB for the 310 producers of
+//! holds 16 bytes per id up to the largest id it has seen, whether or not
+//! its window holds that producer: about 4.8 KiB for the 310 producers of
 //! the simulated Ethereum year. The store's columnar scan rejects an id
 //! outside its dictionary, so a damaged catalog cannot ask for more.
 
@@ -51,8 +62,10 @@ use blockdec_chain::{AttributedBlock, ProducerId};
 pub struct ProducerDistribution {
     /// Weight per id, indexed by [`ProducerId::index`]; `0.0` when absent.
     slots: Vec<f64>,
-    /// Ids holding weight, in arbitrary order.
+    /// `present[..count]` are the ids holding weight, in arbitrary order.
+    /// One entry longer than `slots` once grown; the rest is scratch.
     present: Vec<ProducerId>,
+    count: usize,
     /// Each present id's index in `present`, indexed like `slots`;
     /// [`ABSENT`] for the others.
     position: Vec<u32>,
@@ -99,15 +112,23 @@ impl ProducerDistribution {
         }
         let i = producer.index();
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, 0.0);
-            self.position.resize(i + 1, ABSENT);
+            self.grow(i + 1);
         }
         if self.position[i] == ABSENT {
-            self.position[i] = self.present.len() as u32;
-            self.present.push(producer);
+            self.position[i] = self.count as u32;
+            self.present[self.count] = producer;
+            self.count += 1;
         }
         self.slots[i] += weight;
         self.total += weight;
+    }
+
+    /// Room for ids below `ids`: slots, positions, and the present list
+    /// with its spare entry.
+    fn grow(&mut self, ids: usize) {
+        self.slots.resize(ids, 0.0);
+        self.position.resize(ids, ABSENT);
+        self.present.resize(ids + 1, ProducerId(0));
     }
 
     /// Remove weight from a producer (the mirror of a prior `add`).
@@ -139,8 +160,10 @@ impl ProducerDistribution {
             *w = 0.0;
             let at = self.position[i] as usize;
             self.position[i] = ABSENT;
-            self.present.swap_remove(at);
-            if let Some(moved) = self.present.get(at) {
+            self.count -= 1;
+            if at < self.count {
+                let moved = self.present[self.count];
+                self.present[at] = moved;
                 self.position[moved.index()] = at as u32;
             }
         }
@@ -162,12 +185,34 @@ impl ProducerDistribution {
 
     /// Add a block's credits given as parallel columns — the columnar
     /// counterpart of [`ProducerDistribution::add_block`]. Slices must be
-    /// the same length (one weight per producer).
+    /// the same length (one weight per producer). Every slot and the
+    /// total see the f64 operations of one [`ProducerDistribution::add`]
+    /// per credit, in order, and ids join in the same order.
     pub fn add_credits(&mut self, producers: &[ProducerId], weights: &[f64]) {
         debug_assert_eq!(producers.len(), weights.len(), "parallel credit columns");
-        for (&p, &w) in producers.iter().zip(weights) {
-            self.add(p, w);
+        let Some(largest) = producers.iter().map(|p| p.index()).max() else {
+            return;
+        };
+        if largest >= self.slots.len() {
+            self.grow(largest + 1);
         }
+        let (mut count, mut total) = (self.count, self.total);
+        for (&p, &w) in producers.iter().zip(weights) {
+            debug_assert!(w >= 0.0, "negative credit");
+            if w == 0.0 {
+                continue;
+            }
+            let i = p.index();
+            let at = self.position[i];
+            let joins = at == ABSENT;
+            // Written every time; kept only when `count` moves past it.
+            self.present[count] = p;
+            self.position[i] = if joins { count as u32 } else { at };
+            count += usize::from(joins);
+            self.slots[i] += w;
+            total += w;
+        }
+        (self.count, self.total) = (count, total);
     }
 
     /// Remove a block's credits given as parallel columns — the columnar
@@ -181,7 +226,7 @@ impl ProducerDistribution {
 
     /// Number of distinct producers with positive weight.
     pub fn producers(&self) -> usize {
-        self.present.len()
+        self.count
     }
 
     /// Total weight across all producers.
@@ -191,7 +236,7 @@ impl ProducerDistribution {
 
     /// True when no producer holds weight.
     pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+        self.count == 0
     }
 
     /// Weight held by one producer (0.0 if absent).
@@ -203,7 +248,7 @@ impl ProducerDistribution {
     /// shape the batch metric functions take. The deterministic order
     /// makes every downstream f64 reduction reproducible run-to-run.
     pub fn weight_vector(&self) -> Vec<f64> {
-        let mut ids = self.present.clone();
+        let mut ids = self.present[..self.count].to_vec();
         ids.sort_unstable();
         ids.into_iter().map(|p| self.slots[p.index()]).collect()
     }
@@ -235,15 +280,18 @@ impl ProducerDistribution {
 
     /// Iterate `(producer, weight)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (ProducerId, f64)> + '_ {
-        self.present.iter().map(|&p| (p, self.slots[p.index()]))
+        self.present[..self.count]
+            .iter()
+            .map(|&p| (p, self.slots[p.index()]))
     }
 
     /// Drop all weights. O(present producers): the slots stay allocated.
     pub fn clear(&mut self) {
-        for p in self.present.drain(..) {
+        for p in &self.present[..self.count] {
             self.slots[p.index()] = 0.0;
             self.position[p.index()] = ABSENT;
         }
+        self.count = 0;
         self.total = 0.0;
     }
 }
@@ -426,6 +474,94 @@ mod tests {
         v.iter().map(|w| w.to_bits()).collect()
     }
 
+    /// `a` and `b` hold the same state, bit for bit: every id's slot, the
+    /// present ids in join order, positions that index them, and the
+    /// total.
+    fn assert_same_state(a: &ProducerDistribution, b: &ProducerDistribution, what: &str) {
+        for i in 0..a.slots.len().max(b.slots.len()) as u32 {
+            let (wa, wb) = (a.weight_of(ProducerId(i)), b.weight_of(ProducerId(i)));
+            assert_eq!(wa.to_bits(), wb.to_bits(), "{what}: slot {i}");
+        }
+        assert_eq!(a.producers(), b.producers(), "{what}");
+        assert_eq!(a.present[..a.count], b.present[..b.count], "{what}");
+        for d in [a, b] {
+            let held = d.position.iter().filter(|&&at| at != ABSENT).count();
+            assert_eq!(held, d.count, "{what}");
+            for (at, q) in d.present[..d.count].iter().enumerate() {
+                assert_eq!(d.position[q.index()], at as u32, "{what}: {q:?}");
+            }
+        }
+        assert_eq!(
+            a.total_weight().to_bits(),
+            b.total_weight().to_bits(),
+            "{what}"
+        );
+    }
+
+    /// Seeded credit runs, added by `add_credits` to one distribution and
+    /// one `add` per credit to another, with zero weights, ids first seen
+    /// mid-run, run removals that empty the distribution, and clears.
+    #[test]
+    fn add_credits_equals_a_loop_of_add() {
+        const WEIGHTS: [f64; 6] = [1.0, 0.0, 0.5, 1.0 / 3.0, 0.1, 2.0];
+        let mut state = 104_729u64;
+        let mut next = |n: usize| {
+            state = splitmix64(state);
+            (state % n as u64) as usize
+        };
+        let mut runs = ProducerDistribution::new();
+        let mut adds = ProducerDistribution::new();
+        // Every non-zero credit added and not yet removed, oldest first.
+        let mut live: Vec<(ProducerId, f64)> = Vec::new();
+        let (mut joined_mid_run, mut added_after_emptying) = (0, 0);
+        // Whether the last removal left no producer, and nothing since
+        // added one.
+        let mut emptied = false;
+        for step in 0..4_000 {
+            let what = format!("step {step}");
+            match next(12) {
+                0 => {
+                    runs.clear();
+                    adds.clear();
+                    live.clear();
+                    emptied = false;
+                }
+                1..=4 if !live.is_empty() => {
+                    let run: Vec<(ProducerId, f64)> = live.drain(..1 + next(live.len())).collect();
+                    let (producers, weights): (Vec<ProducerId>, Vec<f64>) = run.into_iter().unzip();
+                    runs.remove_credits(&producers, &weights);
+                    adds.remove_credits(&producers, &weights);
+                    emptied = runs.is_empty();
+                }
+                _ => {
+                    // Ids grow with the step, so runs keep meeting new ones.
+                    let bound = 1 + next(8 + step / 8);
+                    let run: Vec<(ProducerId, f64)> = (0..next(40))
+                        .map(|_| (ProducerId(next(bound) as u32), WEIGHTS[next(WEIGHTS.len())]))
+                        .collect();
+                    let seen = runs.slots.len();
+                    joined_mid_run +=
+                        usize::from(run.iter().skip(1).any(|(q, _)| q.index() >= seen));
+                    added_after_emptying += usize::from(emptied && !run.is_empty());
+                    let (producers, weights): (Vec<ProducerId>, Vec<f64>) =
+                        run.iter().copied().unzip();
+                    runs.add_credits(&producers, &weights);
+                    for &(q, w) in &run {
+                        adds.add(q, w);
+                    }
+                    live.extend(run.into_iter().filter(|&(_, w)| w != 0.0));
+                    emptied &= runs.is_empty();
+                }
+            }
+            assert_same_state(&runs, &adds, &what);
+        }
+        assert!(joined_mid_run > 50, "{joined_mid_run} runs met a new id");
+        assert!(
+            added_after_emptying > 50,
+            "{added_after_emptying} runs after emptying"
+        );
+    }
+
     /// A seeded run of adds, removals and clears over ids with gaps in
     /// 0..600 and fractional weights. After every step the dense
     /// distribution must equal the map model bit for bit, through every
@@ -459,8 +595,10 @@ mod tests {
                 1..=9 if !live.is_empty() => {
                     // Empty one producer, credit by credit.
                     let victim = live[next(live.len())].0;
-                    let at = dense.present.iter().position(|&q| q == victim);
-                    if at.is_some_and(|at| at + 1 < dense.present.len()) {
+                    let at = dense.present[..dense.count]
+                        .iter()
+                        .position(|&q| q == victim);
+                    if at.is_some_and(|at| at + 1 < dense.count) {
                         emptied_mid_list += 1;
                     }
                     let mut k = 0;

@@ -31,16 +31,23 @@
 //! buckets never decrease, time windows whose `(timestamp, height)` never
 //! decreases, and block-count windows always) is evaluated over the input
 //! itself, with no position vector and no sort. Any other input is sorted
-//! (stably by bucket; unstably by `(timestamp, height)`) and its blocks
-//! gathered once into evaluation-order columns ([`ColumnsSlice::gather`]).
-//! A stable sort leaves in-order input where it is, and so does the
-//! unstable one here, as `(timestamp, height)` keys tie only between
-//! blocks of one height, which the store never yields. So skipping the
-//! sort changes no window's blocks or their order: every distribution
-//! sees the same f64 operations in the same order, and every output is
-//! bitwise the same under every attribution mode. Fixed buckets come
-//! from [`calendar_buckets`], which does the calendar math once per
-//! bucket instead of once per block.
+//! (stably by bucket; by `(timestamp, height)`, ties in input order) and
+//! its blocks gathered once into evaluation-order columns
+//! ([`ColumnsSlice::gather`]). Both sorts leave in-order input where it
+//! is, so skipping them changes no window's blocks or their order: every
+//! distribution sees the same f64 operations in the same order, and every
+//! output is bitwise the same under every attribution mode.
+//!
+//! # Formation per bucket
+//!
+//! Fixed formation does its calendar math once per bucket, not once per
+//! block. One walk over the timestamp column forms runs of consecutive
+//! blocks that share a bucket: a block whose timestamp lies in the span
+//! of the bucket computed last joins that bucket's run, and only the
+//! others call [`Timestamp::bucket_span`]. When the runs' buckets
+//! ascend, they are the windows. Otherwise the runs, not the blocks, are
+//! stably sorted by bucket and gathered. The time order check reads the
+//! timestamp and height columns in one pass.
 //!
 //! Why: over the 60-day Ethereum stream (359k blocks, one credit each)
 //! on a 2-vCPU KVM guest, 359k adds take 1.2–2.4 ms as one flat run but
@@ -49,7 +56,12 @@
 //! against 0.4–0.8 ms once per bucket. One Gini series per spec went
 //! from 6–19 ms to 2.3–6.7 ms, and perfbench `measure` from 11.3 to 18.5
 //! ops per CPU-second. PERFORMANCE.md, "Flat credit runs", has the
-//! tables.
+//! tables. Forming each fixed spec through a per-block bucket vector, an
+//! `is_sorted` pass and a run split still took 0.53–0.63 ms per spec on
+//! that stream (the fastest of 40 runs), and the walk takes 0.19–0.20 ms;
+//! forming the time spec, whose order check read the columns through
+//! per-block accessors, went from 0.52 to 0.22 ms. PERFORMANCE.md,
+//! "Calendar windows formed per bucket", has the table.
 //!
 //! [`crate::planner::MatrixPlan`] evaluates chunks of a formed spec on
 //! scoped workers, [`crate::engine::MeasurementEngine`] evaluates one
@@ -90,7 +102,7 @@ impl<'a> Windows<'a> {
             WindowSpec::FixedCalendar {
                 granularity,
                 origin,
-            } => Windows::by_bucket(cols, &calendar_buckets(cols, granularity, origin)),
+            } => Windows::fixed(cols, granularity, origin),
             WindowSpec::SlidingBlocks(spec) => Windows {
                 input: cols,
                 gathered: None,
@@ -99,13 +111,7 @@ impl<'a> Windows<'a> {
             WindowSpec::SlidingTime(spec) => {
                 // Miner clock jitter makes height order only approximately
                 // time order.
-                let gathered = (!time_ordered(cols)).then(|| {
-                    let mut order: Vec<u32> = (0..cols.len() as u32).collect();
-                    order.sort_unstable_by_key(|&i| {
-                        (cols.timestamp(i as usize), cols.height(i as usize))
-                    });
-                    cols.gather(&order)
-                });
+                let gathered = (!time_ordered(cols)).then(|| cols.gather(&time_order(cols)));
                 let mut windows = Windows {
                     input: cols,
                     gathered,
@@ -117,25 +123,45 @@ impl<'a> Windows<'a> {
         }
     }
 
-    /// Fixed calendar formation: `buckets[i]` is the bucket of block `i`
-    /// of `cols`. Blocks are evaluated stably ordered by bucket, so they
-    /// keep their stream order inside a bucket, and every non-empty
-    /// bucket becomes one window indexed by its bucket number, ascending.
-    pub(crate) fn by_bucket(cols: ColumnsSlice<'a>, buckets: &[i64]) -> Windows<'a> {
-        if buckets.is_sorted() {
+    /// Fixed calendar formation. Blocks are evaluated stably ordered by
+    /// bucket, so they keep their stream order inside a bucket, and every
+    /// non-empty bucket becomes one window indexed by its bucket number,
+    /// ascending. Input whose buckets decrease somewhere is gathered one
+    /// run of equal buckets at a time.
+    pub(crate) fn fixed(
+        cols: ColumnsSlice<'a>,
+        granularity: Granularity,
+        origin: Timestamp,
+    ) -> Windows<'a> {
+        let mut runs = bucket_runs(cols.timestamps(), granularity, origin);
+        if runs.is_sorted_by_key(|(bucket, _)| *bucket) {
             return Windows {
                 input: cols,
                 gathered: None,
-                ranges: bucket_runs(buckets),
+                ranges: runs,
             };
         }
-        let mut order: Vec<u32> = (0..buckets.len() as u32).collect();
-        order.sort_by_key(|&i| buckets[i as usize]);
-        let sorted: Vec<i64> = order.iter().map(|&i| buckets[i as usize]).collect();
+        // Stable: each bucket's runs, and so its blocks, keep stream order.
+        runs.sort_by_key(|(bucket, _)| *bucket);
+        let order: Vec<u32> = runs
+            .iter()
+            .flat_map(|(_, run)| run.clone())
+            .map(|i| i as u32)
+            .collect();
+        let mut ranges: Vec<(i64, Range<usize>)> = Vec::new();
+        let mut at = 0;
+        for (bucket, run) in runs {
+            let end = at + run.len();
+            match ranges.last_mut() {
+                Some((last, range)) if *last == bucket => range.end = end,
+                _ => ranges.push((bucket, at..end)),
+            }
+            at = end;
+        }
         Windows {
             input: cols,
             gathered: Some(cols.gather(&order)),
-            ranges: bucket_runs(&sorted),
+            ranges,
         }
     }
 
@@ -174,35 +200,45 @@ impl<'a> Windows<'a> {
     }
 }
 
-/// The calendar bucket of every block of `cols`, in stream order. The
-/// calendar math runs once per bucket run, not once per block: a block
-/// whose timestamp lies in the span of the bucket computed last reuses
-/// that bucket, and only the others call [`Timestamp::bucket_span`].
-pub(crate) fn calendar_buckets(
-    cols: ColumnsSlice<'_>,
+/// The runs of consecutive blocks of the timestamp column `ts` that
+/// share a calendar bucket, in stream order: each run's bucket and
+/// positions. A timestamp in the span of the bucket computed last joins
+/// that bucket's run, and only the others call
+/// [`Timestamp::bucket_span`], so the calendar math runs once per run.
+fn bucket_runs(
+    ts: &[i64],
     granularity: Granularity,
     origin: Timestamp,
-) -> Vec<i64> {
-    let mut last: (i64, Range<i64>) = (0, 0..0);
-    (0..cols.len())
-        .map(|i| {
-            let t = cols.timestamp(i);
-            if !last.1.contains(&t.secs()) {
-                last = t.bucket_span(granularity, origin);
+) -> Vec<(i64, Range<usize>)> {
+    let mut runs: Vec<(i64, Range<usize>)> = Vec::new();
+    let mut span = 0..0;
+    for (i, &t) in ts.iter().enumerate() {
+        if span.contains(&t) {
+            continue;
+        }
+        let (bucket, next) = Timestamp(t).bucket_span(granularity, origin);
+        span = next;
+        if let Some((last, run)) = runs.last_mut() {
+            // A saturated span at the end of time does not hold its own
+            // last instant, so a block can recompute its run's bucket.
+            if bucket == *last {
+                continue;
             }
-            last.0
-        })
-        .collect()
+            run.end = i;
+        }
+        runs.push((bucket, i..ts.len()));
+    }
+    runs
 }
 
 /// Whether `cols` is already in `spec`'s evaluation order, so formation
-/// neither sorts nor gathers.
+/// neither sorts nor gathers: the formers' own checks.
 fn in_evaluation_order(cols: ColumnsSlice<'_>, spec: WindowSpec) -> bool {
     match spec {
         WindowSpec::FixedCalendar {
             granularity,
             origin,
-        } => calendar_buckets(cols, granularity, origin).is_sorted(),
+        } => bucket_runs(cols.timestamps(), granularity, origin).is_sorted_by_key(|(b, _)| *b),
         WindowSpec::SlidingBlocks(_) => true,
         WindowSpec::SlidingTime(_) => time_ordered(cols),
     }
@@ -210,22 +246,22 @@ fn in_evaluation_order(cols: ColumnsSlice<'_>, spec: WindowSpec) -> bool {
 
 /// Whether `(timestamp, height)` never decreases along `cols`.
 fn time_ordered(cols: ColumnsSlice<'_>) -> bool {
-    (1..cols.len())
-        .all(|i| (cols.timestamp(i - 1), cols.height(i - 1)) <= (cols.timestamp(i), cols.height(i)))
+    let (ts, hs) = (cols.timestamps(), cols.heights());
+    ts.windows(2)
+        .zip(hs.windows(2))
+        .all(|(t, h)| (t[0], h[0]) <= (t[1], h[1]))
 }
 
-/// One window per run of equal buckets in the ascending `buckets`,
-/// indexed by its bucket and holding that run's positions.
-fn bucket_runs(buckets: &[i64]) -> Vec<(i64, Range<usize>)> {
-    let mut at = 0;
-    buckets
-        .chunk_by(|a, b| a == b)
-        .map(|run| {
-            let range = at..at + run.len();
-            at = range.end;
-            (run[0], range)
-        })
-        .collect()
+/// The positions of `cols` in `(timestamp, height)` order, ties in input
+/// order: one sort of `(timestamp, height, position)` keys, which reads
+/// no column while it compares.
+fn time_order(cols: ColumnsSlice<'_>) -> Vec<u32> {
+    let mut keys: Vec<(i64, u64, u32)> = (cols.timestamps().iter().zip(cols.heights()))
+        .zip(0..)
+        .map(|((&t, &h), i)| (t, h, i))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, _, i)| i).collect()
 }
 
 /// Window `i` over the timestamp-ordered `blocks` spans
@@ -342,8 +378,10 @@ mod tests {
     use crate::engine::MeasurementEngine;
     use crate::planner::MatrixPlan;
     use crate::windows::sliding::SlidingWindowSpec;
+    use blockdec_chain::hash::splitmix64;
     use blockdec_chain::time::SECS_PER_DAY;
-    use blockdec_chain::{AttributedBlock, Credit, ProducerId};
+    use blockdec_chain::{AttributedBlock, CivilDate, Credit, ProducerId};
+    use blockdec_sim::scenario::Scenario;
     use std::collections::BTreeMap;
 
     fn block_at(height: u64, t: i64) -> AttributedBlock {
@@ -480,6 +518,174 @@ mod tests {
         // January: 31 days × 4 blocks; February 2019: 28 days × 4.
         assert_eq!(months[0].1.len(), 124);
         assert_eq!(months[1].1.len(), 112);
+    }
+
+    /// One block per timestamp, block `i` at height `i`, so a height
+    /// names its input position.
+    fn columns_at(ts: &[i64]) -> BlockColumns {
+        let mut cols = BlockColumns::new();
+        for (height, &t) in (0..).zip(ts) {
+            cols.push_block(height, Timestamp(t));
+            cols.push_credit(ProducerId(0), 1.0);
+        }
+        cols
+    }
+
+    /// A fixed formation: the ranges, the evaluation order as input
+    /// positions, and whether that order needs a gather.
+    type Formation = (Vec<(i64, Range<usize>)>, Vec<u64>, bool);
+
+    /// The fixed formation the walk replaced: a bucket per block, a
+    /// stable sort by bucket and one window per run of equal buckets.
+    fn bucket_per_block(
+        cols: ColumnsSlice<'_>,
+        granularity: Granularity,
+        origin: Timestamp,
+    ) -> Formation {
+        let buckets: Vec<i64> = (0..cols.len())
+            .map(|i| cols.timestamp(i).bucket(granularity, origin))
+            .collect();
+        let mut order: Vec<u64> = (0..cols.len() as u64).collect();
+        order.sort_by_key(|&i| buckets[i as usize]);
+        let sorted: Vec<i64> = order.iter().map(|&i| buckets[i as usize]).collect();
+        let mut at = 0;
+        let ranges = sorted
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                at += run.len();
+                (run[0], at - run.len()..at)
+            })
+            .collect();
+        (ranges, order, !buckets.is_sorted())
+    }
+
+    /// Seeded timestamp columns for the formation property test: sorted;
+    /// jittered inside their day (from [`origin`]); jittered up to two
+    /// days across buckets; empty; one block; sorted near `i64::MAX` and
+    /// `i64::MIN`, where bucket spans saturate; and extremes out of order.
+    fn formation_inputs(seed: u64) -> Vec<Vec<i64>> {
+        let mut state = splitmix64(seed ^ 0xf0_7a7e);
+        let mut next = |n: i64| {
+            state = splitmix64(state);
+            (state % n as u64) as i64
+        };
+        let len = 1 + next(700);
+        let mut t = origin().secs() - 40 * SECS_PER_DAY + next(SECS_PER_DAY);
+        let mut sorted = Vec::new();
+        for _ in 0..len {
+            t += next(4 * 3600);
+            sorted.push(t);
+        }
+        let inside = sorted
+            .iter()
+            .map(|&t| {
+                let (_, day) = Timestamp(t).bucket_span(Granularity::Day, origin());
+                day.start + next(day.end - day.start)
+            })
+            .collect();
+        let across = sorted
+            .iter()
+            .map(|&t| t + next(4 * SECS_PER_DAY) - 2 * SECS_PER_DAY)
+            .collect();
+        let mut top: Vec<i64> = (0..len.min(60))
+            .map(|_| i64::MAX - next(3 * SECS_PER_DAY))
+            .chain([i64::MAX; 3])
+            .collect();
+        top.sort_unstable();
+        let mut bottom: Vec<i64> = (0..len.min(60))
+            .map(|_| i64::MIN + next(3 * SECS_PER_DAY))
+            .chain([i64::MIN; 3])
+            .collect();
+        bottom.sort_unstable();
+        let extremes = vec![i64::MAX, i64::MIN, 0, i64::MAX - 1, i64::MIN + 1, i64::MAX];
+        vec![
+            sorted.clone(),
+            inside,
+            across,
+            Vec::new(),
+            vec![sorted[0]],
+            top,
+            bottom,
+            extremes,
+        ]
+    }
+
+    #[test]
+    fn fixed_formation_equals_a_bucket_per_block_reference() {
+        let origins = [
+            origin(),
+            origin() + 12_345,
+            Timestamp(-1),
+            CivilDate::new(1969, 7, 20).unwrap().midnight() + 73_800,
+            CivilDate::new(1900, 3, 1).unwrap().midnight(),
+            Timestamp(i64::MIN),
+            Timestamp(i64::MAX),
+        ];
+        // Formations that took each path: in place, gathered.
+        let mut paths = [0usize; 2];
+        for seed in 0..24 {
+            for ts in formation_inputs(seed) {
+                let cols = columns_at(&ts);
+                for origin in origins {
+                    for granularity in Granularity::ALL {
+                        let spec = WindowSpec::FixedCalendar {
+                            granularity,
+                            origin,
+                        };
+                        let w = Windows::form(cols.as_slice(), spec);
+                        let (ranges, order, gathered) =
+                            bucket_per_block(cols.as_slice(), granularity, origin);
+                        let what = format!("seed {seed}, {granularity} from {origin:?}: {ts:?}");
+                        assert_eq!(w.ranges, ranges, "{what}");
+                        assert_eq!(w.gathered.is_some(), gathered, "{what}");
+                        assert_eq!(w.blocks().heights(), order, "{what}");
+                        paths[usize::from(gathered)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(paths.iter().all(|&n| n > 500), "{paths:?}");
+    }
+
+    /// The sort [`time_order`] replaced: positions ordered by
+    /// `(timestamp, height)` read through the column accessors.
+    fn accessor_sort(cols: ColumnsSlice<'_>) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..cols.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (cols.timestamp(i as usize), cols.height(i as usize)));
+        order
+    }
+
+    #[test]
+    fn time_order_equals_the_accessor_sort_where_keys_are_unique() {
+        let reordered = BlockColumns::from_blocks(&test_stream(|i| (i * 7919) % 14401 - 7200));
+        assert!(!time_ordered(reordered.as_slice()));
+        assert_eq!(
+            time_order(reordered.as_slice()),
+            accessor_sort(reordered.as_slice())
+        );
+        // The simulated Bitcoin year of `blockdec load --chain bitcoin
+        // --days 365 --seed 7`, whose timestamps often run backwards.
+        let year = Scenario::bitcoin_2019()
+            .truncated(365)
+            .with_seed(7)
+            .generate();
+        let cols = BlockColumns::from_blocks(&year.attributed);
+        let backwards = cols
+            .as_slice()
+            .timestamps()
+            .windows(2)
+            .filter(|t| t[1] < t[0]);
+        assert_eq!((cols.len(), backwards.count()), (54_057, 679));
+        assert_eq!(time_order(cols.as_slice()), accessor_sort(cols.as_slice()));
+        // Tied keys keep input order.
+        let tied = BlockColumns::from_blocks(&[
+            block_at(5, 10),
+            block_at(5, 10),
+            block_at(3, 10),
+            block_at(5, 10),
+            block_at(1, 4),
+        ]);
+        assert_eq!(time_order(tied.as_slice()), vec![4, 2, 0, 1, 3]);
     }
 
     /// Two months of 30-minute blocks, block `i` declared `jitter(i)`

@@ -266,16 +266,17 @@ impl StoreDoctor {
     /// anything. Errors only on environmental problems (an unreadable
     /// directory), never on store damage.
     pub fn check(&self) -> Result<FsckReport> {
-        Ok(self.examine()?.report)
+        Ok(self.examine(false)?.report)
     }
 
     /// The one pass behind [`StoreDoctor::check`] and
     /// [`StoreDoctor::repair`]. It fetches each segment file once and
     /// decodes it once, with one decoder for the whole pass, and holds
     /// rows only for index-damaged segments it salvaged. Without a
-    /// readable manifest it classifies every segment file on disk, for
-    /// repair to rebuild the catalog from, and reports none of them.
-    fn examine(&self) -> Result<Findings> {
+    /// readable manifest it reports no segment; when `repairing`, it
+    /// classifies every segment file on disk for repair to rebuild the
+    /// catalog from, and otherwise it reads none.
+    fn examine(&self, repairing: bool) -> Result<Findings> {
         let _t = blockdec_obs::span!("stage.fsck");
         let mut report = FsckReport::default();
         let names = self.store.list()?;
@@ -312,14 +313,15 @@ impl StoreDoctor {
         );
 
         // Segments: the manifest's entries when it is readable, every
-        // segment file on disk otherwise.
+        // segment file on disk otherwise (only a repair reads those).
         let candidates: Vec<(&str, Option<&SegmentMeta>)> = match &manifest {
             Some(m) => m
                 .segments
                 .iter()
                 .map(|s| (s.file.as_str(), Some(s)))
                 .collect(),
-            None => on_disk.iter().map(|name| (name.as_str(), None)).collect(),
+            None if repairing => on_disk.iter().map(|name| (name.as_str(), None)).collect(),
+            None => Vec::new(),
         };
         let mut dec = SegmentDecoder::new();
         let mut segments = Vec::with_capacity(candidates.len());
@@ -464,7 +466,7 @@ impl StoreDoctor {
     /// prints the faults there, ahead of the repair's own log lines.
     pub fn repair_with(&self, on_check: impl FnOnce(&FsckReport)) -> Result<RepairOutcome> {
         let _t = blockdec_obs::span!("stage.fsck_repair");
-        let found = self.examine()?;
+        let found = self.examine(true)?;
         on_check(&found.report);
         let mut outcome = RepairOutcome {
             pre: found.report,
@@ -895,6 +897,32 @@ mod tests {
         let outcome = doctor.repair().unwrap();
         assert_eq!(outcome.quarantined, vec![victim]);
         assert_eq!(fs.take_segment_reads(), once);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifestless_check_reads_no_segment_and_repair_reads_each_once() {
+        let dir = tmp_dir("no-manifest-reads");
+        let all = build_store(&dir);
+        fs::remove_file(dir.join("manifest.json")).unwrap();
+        let fs = Arc::new(CountingFs {
+            inner: LocalFs::new(&dir),
+            reads: Default::default(),
+        });
+        let doctor = StoreDoctor::with_backend(fs.clone());
+        let report = doctor.check().unwrap();
+        assert_eq!(fs.take_segment_reads(), vec![]);
+        assert_eq!(report.kinds(), vec![FaultKind::MissingManifest]);
+        assert_eq!((report.segments_checked, report.rows_checked), (0, 0));
+        let outcome = doctor.repair().unwrap();
+        let once: Vec<(String, usize)> = (0..3).map(|id| (segment_file_name(id), 1)).collect();
+        assert_eq!(fs.take_segment_reads(), once);
+        // The repair's own pass reads the segments and reports the same.
+        assert_eq!(format!("{:?}", outcome.pre), format!("{report:?}"));
+        assert!(outcome.manifest_rewritten && outcome.quarantined.is_empty());
+        assert!(doctor.check().unwrap().is_clean());
+        let store = BlockStore::open(&dir).unwrap();
+        assert_eq!(store.scan(&ScanPredicate::all()).unwrap(), all);
         fs::remove_dir_all(&dir).unwrap();
     }
 
